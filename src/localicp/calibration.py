@@ -17,6 +17,7 @@ import numpy as np
 from scipy import stats
 
 from .datagen import IndependentGenConfig, gen_independent
+from .errors import InvalidInputError
 from .invariance import TestConfig, _fit_environments, phi_S
 
 __all__ = [
@@ -94,6 +95,8 @@ def run_calibration(
     seed: int,
 ) -> dict:
     """Run both suites; each entry reports the measured quantity and pass/fail."""
+    if replications < 1:
+        raise InvalidInputError(f"replications must be at least 1, got {replications}")
     pvalues = null_test_pvalues(replications, seed, mc_samples=mc_samples)
     rate = rejection_rate(pvalues, alpha)
     se = math.sqrt(alpha * (1.0 - alpha) / replications)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -82,9 +83,26 @@ class MultiEnvDataset:
     def num_envs(self) -> int:
         return len(self.environments)
 
-    @property
+    @cached_property
     def sample_sizes(self) -> tuple[int, ...]:
         return tuple(env.num_samples for env in self.environments)
+
+    @cached_property
+    def padded(self) -> tuple[np.ndarray, np.ndarray]:
+        """All environments stacked, zero-padded to the largest sample size.
+
+        Returns covariates of shape ``(E, n_max, width)`` and target of shape
+        ``(E, n_max)``.  Rows past an environment's own ``n_e`` are zero, so
+        they add nothing to its Gram matrix, ``X'y`` or residuals.
+        """
+        n_max = max(self.sample_sizes)
+        width = self.environments[0].covariates.shape[1]
+        xs = np.zeros((self.num_envs, n_max, width))
+        ys = np.zeros((self.num_envs, n_max))
+        for i, env in enumerate(self.environments):
+            xs[i, : env.num_samples] = env.covariates
+            ys[i, : env.num_samples] = env.target
+        return xs, ys
 
     def with_intercept(self) -> "MultiEnvDataset":
         """Append a constant-one column to every environment (idempotent)."""

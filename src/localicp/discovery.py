@@ -87,9 +87,10 @@ def discover(
         intersection can only shrink).  Reports then cover only the tested
         subsets.
     workers : int
-        Size of the subset-test pool.  The per-subset random streams depend
-        only on ``(config.seed, subset)``, so the result is identical for any
-        worker count.
+        Size of the subset-test pool of the full pass; the early-stopping pass
+        tests one subset at a time and ignores it.  The per-subset random
+        streams depend only on ``(config.seed, subset)``, so the result is
+        identical for any worker count.
     """
     d = dataset.num_covariates
     if d > max_dim:
@@ -103,15 +104,9 @@ def discover(
     running: set[int] | None = None  # None until the first accepted subset
     early_stopped = False
 
-    def run(batch):
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(lambda s: test(dataset, s, config), batch))
-        return [test(dataset, s, config) for s in batch]
-
     if early_stop:
         for subset in subsets:
-            report = run([subset])[0]
+            report = test(dataset, subset, config)
             reports.append(report)
             if not report.rejected:
                 running = set(subset) if running is None else running & set(subset)
@@ -119,7 +114,11 @@ def discover(
                     early_stopped = len(reports) < len(subsets)
                     break
     else:
-        reports = run(subsets)
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                reports = list(pool.map(lambda s: test(dataset, s, config), subsets))
+        else:
+            reports = [test(dataset, s, config) for s in subsets]
         for report in reports:
             if not report.rejected:
                 running = set(report.subset) if running is None else running & set(report.subset)

@@ -125,8 +125,11 @@ class Scenario:
         try:
             gen = dict(doc["generator"])
             kind = gen.pop("kind")
-            sweep = doc["sweep"]
+            sweep_parameter = str(doc["sweep"]["parameter"])
+            grid = tuple(doc["sweep"]["grid"])
             runs = int(doc["runs"])
+            intercept = bool(doc.get("intercept", True))
+            max_dim = int(doc.get("max_dim", DEFAULT_MAX_DIM))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed scenario: {exc}") from None
         if kind not in GENERATORS:
@@ -136,16 +139,19 @@ class Scenario:
             gen_cfg = cfg_cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in gen.items()})
         except TypeError as exc:
             raise InvalidInputError(f"invalid generator config: {exc}") from None
-        test_cfg = TestConfig(**doc.get("test", {}))
+        try:
+            test_cfg = TestConfig(**doc.get("test", {}))
+        except TypeError as exc:
+            raise InvalidInputError(f"invalid test config: {exc}") from None
         return Scenario(
             generator_kind=kind,
             generator_config=gen_cfg,
             test_config=test_cfg,
-            sweep_parameter=str(sweep["parameter"]),
-            grid=tuple(sweep["grid"]),
+            sweep_parameter=sweep_parameter,
+            grid=grid,
             runs=runs,
-            intercept=bool(doc.get("intercept", True)),
-            max_dim=int(doc.get("max_dim", DEFAULT_MAX_DIM)),
+            intercept=intercept,
+            max_dim=max_dim,
         )
 
 

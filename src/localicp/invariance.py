@@ -16,6 +16,7 @@ on the order or parallelism in which subsets are tested.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,6 +51,12 @@ class TestConfig:
     rank_tol: float | None = None
 
     def __post_init__(self):
+        for name in ("alpha", "mc_samples", "seed", "rank_tol"):
+            value = getattr(self, name)
+            if name == "rank_tol" and value is None:
+                continue
+            if not isinstance(value, numbers.Real):
+                raise InvalidInputError(f"{name} must be a number, got {value!r}")
         if not (0.0 <= self.alpha < 1.0):
             raise InvalidInputError("alpha must lie in [0, 1)")
         if self.mc_samples < 1:
@@ -147,35 +154,27 @@ def mc_pvalue(
 
 
 def _fit_environments(dataset: MultiEnvDataset, cols: list[int], rank_tol):
-    """Per-environment squared residual norms and Gram ranks for the columns."""
-    sizes = dataset.sample_sizes
-    if len(set(sizes)) == 1 and len(cols) > 0:
-        # Shared sample size: one batched SVD over the stacked Gram matrices.
-        x = np.stack([env.covariates[:, cols] for env in dataset.environments])
-        y = np.stack([env.target for env in dataset.environments])
-        gram = np.einsum("eni,enj->eij", x, x)
-        u, s, vt = np.linalg.svd(gram)
-        tol = rank_tol if rank_tol is not None else linalg.default_rel_tol(gram.shape[1:])
-        smax = s[:, :1]
-        keep = s > tol * np.where(smax > 0, smax, 1.0)
-        ranks = keep.sum(axis=1)
-        s_inv = np.where(keep, 1.0, 0.0)
-        np.divide(s_inv, s, out=s_inv, where=keep)
-        xty = np.einsum("eni,en->ei", x, y)
-        beta = np.einsum("eji,ej->ei", vt * s_inv[:, :, None], np.einsum("enj,en->ej", u, xty))
-        resid = y - np.einsum("eni,ei->en", x, beta)
-        norms = np.einsum("en,en->e", resid, resid)
-        return norms, ranks.astype(int)
-    norms = np.zeros(len(sizes))
-    ranks = np.zeros(len(sizes), dtype=int)
-    for i, env in enumerate(dataset.environments):
-        x = env.covariates[:, cols]
-        beta = linalg.least_squares(x, env.target, rank_tol)
-        r = linalg.residuals(x, env.target, beta)
-        norms[i] = float(r @ r)
-        if len(cols) > 0:
-            ranks[i] = linalg.numerical_rank(x.T @ x, rank_tol)
-    return norms, ranks
+    """Per-environment squared residual norms and Gram ranks for the columns.
+
+    One batched SVD of the Gram matrices over the dataset's zero-padded stack;
+    padded rows are zero and so leave every Gram matrix, ``X'y`` and residual
+    unchanged.  With no columns the factors are empty: rank 0 and RSS ``y'y``.
+    """
+    xs, y = dataset.padded
+    x = xs[:, :, cols]
+    gram = np.einsum("eni,enj->eij", x, x)
+    u, s, vt = np.linalg.svd(gram)
+    tol = rank_tol if rank_tol is not None else linalg.default_rel_tol(gram.shape[1:])
+    smax = s[:, :1]
+    keep = s > tol * np.where(smax > 0, smax, 1.0)
+    ranks = keep.sum(axis=1)
+    s_inv = np.where(keep, 1.0, 0.0)
+    np.divide(s_inv, s, out=s_inv, where=keep)
+    xty = np.einsum("eni,en->ei", x, y)
+    beta = np.einsum("eji,ej->ei", vt * s_inv[:, :, None], np.einsum("enj,en->ej", u, xty))
+    resid = y - np.einsum("eni,ei->en", x, beta)
+    norms = np.einsum("en,en->e", resid, resid)
+    return norms, ranks.astype(int)
 
 
 def phi_S(

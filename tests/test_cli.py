@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -151,6 +154,22 @@ class TestSimulate:
         path.write_text(json.dumps({"generator": {"kind": "sem"}}))
         assert main(["simulate", str(path)]) == EXIT_INPUT
 
+        # A fresh interpreter, so an escaping exception would show up as a
+        # traceback on stderr rather than as a test error.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path_entries = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+        doc = json.loads(Path(self.scenario_file(tmp_path)).read_text())
+        del doc["sweep"]["parameter"]
+        path.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "localicp.cli", "simulate", str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert "Traceback" not in proc.stderr
+        assert "parameter" in proc.stderr
+
 
 class TestNetwork:
     def test_small_study(self, tmp_path, capsys):
@@ -189,6 +208,14 @@ class TestCalibrate:
         assert names == {"null_rejection_rate", "residual_chi2_law"}
         assert code in (0, 1)
         assert doc["passed"] == (code == 0)
+
+    def test_zero_replications_refused(self, capsys):
+        assert main(["calibrate", "--replications", "0"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            "error: replications must be at least 1, got 0"
+        ]
 
 
 def test_console_entry_point_installed():

@@ -102,9 +102,10 @@ class TestDiscover:
         )
         data = data.with_intercept()
         tc = TestConfig(seed=5)
-        serial = discover(data, tc, workers=1)
-        pooled = discover(data, tc, workers=4)
-        assert serial == pooled
+        for early_stop in (False, True):
+            serial = discover(data, tc, workers=1, early_stop=early_stop)
+            pooled = discover(data, tc, workers=4, early_stop=early_stop)
+            assert serial == pooled
 
     def test_permutation_equivariance(self):
         data, _ = gen_independent(

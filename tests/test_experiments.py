@@ -158,6 +158,15 @@ class TestScenario:
     def test_missing_keys(self):
         with pytest.raises(InvalidInputError):
             Scenario.from_dict({"generator": {"kind": "sem"}})
+        no_parameter = self.doc()
+        del no_parameter["sweep"]["parameter"]
+        with pytest.raises(InvalidInputError, match="parameter"):
+            Scenario.from_dict(no_parameter)
+        for test, field in (({"alfa": 0.1}, "alfa"), ({"alpha": "0.1"}, "alpha")):
+            doc = self.doc()
+            doc["test"] = test
+            with pytest.raises(InvalidInputError, match=field):
+                Scenario.from_dict(doc)
 
     def test_sweep_parameter_must_exist(self):
         doc = self.doc()

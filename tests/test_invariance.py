@@ -1,12 +1,22 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from localicp import linalg
+from localicp.datagen import LorenzGenConfig, gen_lorenz, split_environments
 from localicp.dataset import from_arrays
 from localicp.errors import InvalidInputError
-from localicp.invariance import TestConfig, mc_pvalue, phi_S, sample_null_ratio, subset_rng
+from localicp.invariance import (
+    TestConfig,
+    _fit_environments,
+    mc_pvalue,
+    phi_S,
+    sample_null_ratio,
+    subset_rng,
+)
 from localicp.invariance import test_statistic as min_max_statistic
 
 
@@ -169,7 +179,8 @@ class TestPhiS:
         assert first == again
 
     def test_per_env_path_matches_report_fields(self):
-        # Environments of unequal size exercise the non-batched route.
+        # Environments of unequal size are zero-padded in the batched fit;
+        # the padding must not count towards the degrees of freedom.
         rng = np.random.default_rng(13)
         covs = [rng.normal(size=(n, 2)) for n in (12, 17, 25)]
         tgts = [x @ np.array([1.0, 2.0]) + rng.normal(size=x.shape[0]) for x in covs]
@@ -178,6 +189,67 @@ class TestPhiS:
         assert report.dofs == (12 - 3, 17 - 3, 25 - 3)
         assert 0 < report.statistic <= 1.0
         assert 0 < report.p_value <= 1.0
+
+
+def _per_env_oracle(dataset, cols):
+    """Residual norms and Gram ranks fitted one environment at a time."""
+    norms, ranks = [], []
+    for env in dataset.environments:
+        x = env.covariates[:, cols]
+        r = linalg.residuals(x, env.target, linalg.least_squares(x, env.target))
+        norms.append(float(r @ r))
+        ranks.append(linalg.numerical_rank(x.T @ x))
+    return np.array(norms), np.array(ranks)
+
+
+def _lorenz_ragged():
+    series = gen_lorenz(LorenzGenConfig(horizon=1000), 3)
+    windows = split_environments(series, 2, window=20, warmup=500, num_envs=25)
+    covs = [e.covariates[: 16 + i % 5] for i, e in enumerate(windows.environments)]
+    tgts = [e.target[: 16 + i % 5] for i, e in enumerate(windows.environments)]
+    return from_arrays(covs, tgts).with_intercept()
+
+
+def _collinear():
+    rng = np.random.default_rng(8)
+    covs, tgts = [], []
+    for n in (12, 17, 25, 9):
+        x = rng.normal(size=(n, 3))
+        covs.append(np.column_stack([x, 2.0 * x[:, 0]]))
+        tgts.append(x @ np.array([1.0, -2.0, 0.5]) + rng.normal(size=n))
+    return from_arrays(covs, tgts).with_intercept()
+
+
+def _interpolating():
+    rng = np.random.default_rng(9)
+    covs = [rng.normal(size=(n, 5)) for n in (3, 4, 6, 8)]
+    tgts = [rng.normal(size=x.shape[0]) for x in covs]
+    return from_arrays(covs, tgts).with_intercept()
+
+
+def _no_intercept():
+    rng = np.random.default_rng(10)
+    covs = [rng.normal(size=(n, 3)) for n in (5, 11, 7)]
+    tgts = [x @ np.array([0.5, 0.0, 1.0]) + rng.normal(size=x.shape[0]) for x in covs]
+    return from_arrays(covs, tgts)
+
+
+@pytest.mark.parametrize(
+    "make", [_lorenz_ragged, _collinear, _interpolating, _no_intercept]
+)
+def test_batched_fit_matches_per_env_oracle(make):
+    # Every column subset of the physical matrix, so the intercept column is
+    # also left out and the empty subset is fitted without any column.
+    data = make()
+    width = data.environments[0].covariates.shape[1]
+    yty = np.array([e.target @ e.target for e in data.environments])
+    for k in range(width + 1):
+        for cols in map(list, itertools.combinations(range(width), k)):
+            norms, ranks = _fit_environments(data, cols, None)
+            ref_norms, ref_ranks = _per_env_oracle(data, cols)
+            assert ranks.tolist() == ref_ranks.tolist(), cols
+            # Scaled by y'y: an exact fit's RSS is itself rounding noise.
+            assert np.all(np.abs(norms - ref_norms) <= 1e-12 * yty), cols
 
 
 def test_subset_rng_depends_on_subset_and_seed():
