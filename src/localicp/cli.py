@@ -46,7 +46,8 @@ def _add_test_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0, help="base random seed")
     parser.add_argument(
         "--workers", type=int, default=os.cpu_count() or 1,
-        help="worker pool size (results are identical for any value)",
+        help="threads over the independent runs of simulate and network; discover "
+        "and calibrate run serially (results are identical for any value)",
     )
     parser.add_argument(
         "--no-intercept", action="store_true",
@@ -113,7 +114,7 @@ def cmd_discover(args) -> int:
         data = data.with_intercept()
     config = _test_config(args)
     try:
-        result = discover(data, config, max_dim=args.max_dim, workers=args.workers)
+        result = discover(data, config, max_dim=args.max_dim)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
@@ -186,6 +187,9 @@ def read_csv(path) -> MultiEnvDataset:
                 values = [float(v) for v in row[1:]]
             except ValueError as exc:
                 raise InvalidInputError(f"{path}: line {lineno}: {exc}") from None
+            for name, value in zip(header[1:], values):
+                if not math.isfinite(value):
+                    raise InvalidInputError(f"{path}: line {lineno}: {name} is {value}, not finite")
             if label not in rows:
                 rows[label] = []
                 order.append(label)

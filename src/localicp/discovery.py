@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -69,7 +68,6 @@ def discover(
     *,
     max_dim: int = DEFAULT_MAX_DIM,
     early_stop: bool = False,
-    workers: int = 1,
     test: Callable[[MultiEnvDataset, Sequence[int], TestConfig], SubsetTestReport] = phi_S,
 ) -> DiscoveryResult:
     """Estimate the causal parents of the target by exhaustive subset testing.
@@ -86,11 +84,11 @@ def discover(
         Skip remaining subsets once the running intersection is empty (the
         intersection can only shrink).  Reports then cover only the tested
         subsets.
-    workers : int
-        Size of the subset-test pool of the full pass; the early-stopping pass
-        tests one subset at a time and ignores it.  The per-subset random
-        streams depend only on ``(config.seed, subset)``, so the result is
-        identical for any worker count.
+
+    Subsets are tested one after another; the parallelism inside one search
+    is the batched fit over all environments of a subset.  Each subset's
+    random streams depend only on ``(config.seed, subset)``, so the reports
+    do not depend on the order in which subsets are tested.
     """
     d = dataset.num_covariates
     if d > max_dim:
@@ -102,41 +100,19 @@ def discover(
     subsets = list(enumerate_subsets(d))
     reports: list[SubsetTestReport] = []
     running: set[int] | None = None  # None until the first accepted subset
-    early_stopped = False
-
-    if early_stop:
-        for subset in subsets:
-            report = test(dataset, subset, config)
-            reports.append(report)
-            if not report.rejected:
-                running = set(subset) if running is None else running & set(subset)
-                if not running:
-                    early_stopped = len(reports) < len(subsets)
-                    break
-    else:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(lambda s: test(dataset, s, config), subsets))
-        else:
-            reports = [test(dataset, s, config) for s in subsets]
-        for report in reports:
-            if not report.rejected:
-                running = set(report.subset) if running is None else running & set(report.subset)
-
-    if running is None:
-        return DiscoveryResult(
-            estimated_parents=(),
-            reports=tuple(reports),
-            subsets_tested=len(reports),
-            early_stopped=early_stopped,
-            status=STATUS_MODEL_REJECTED,
-        )
+    for subset in subsets:
+        report = test(dataset, subset, config)
+        reports.append(report)
+        if not report.rejected:
+            running = set(subset) if running is None else running & set(subset)
+            if early_stop and not running:
+                break
     return DiscoveryResult(
-        estimated_parents=tuple(sorted(running)),
+        estimated_parents=tuple(sorted(running or ())),
         reports=tuple(reports),
         subsets_tested=len(reports),
-        early_stopped=early_stopped,
-        status=STATUS_OK,
+        early_stopped=len(reports) < len(subsets),
+        status=STATUS_MODEL_REJECTED if running is None else STATUS_OK,
     )
 
 

@@ -7,9 +7,17 @@ study iterates the Lorenz trajectory, treats each coordinate in turn as the
 target and counts how often each covariate is reported as a parent; edges
 are declared by an exact one-sided binomial test against a 10% null rate.
 
-Per-run seeds are derived from (scenario seed, grid index, run index), and
-aggregation folds runs in index order, so results are byte-identical for any
-worker count.
+Parallelism runs over independent runs only: ``run_trials`` and
+``network_detect`` map their runs over one thread pool (``_map_runs``), while
+each run's discovery tests its subsets serially.  Per-run seeds are derived
+from (scenario seed, grid index, run index), and aggregation folds runs in
+index order, so results are byte-identical for any worker count.
+
+A run is retried, with fresh derived seeds and ``MAX_ATTEMPTS`` attempts in
+all, only when the Lorenz trajectory diverges (``DivergenceError``); every
+other error is deterministic and propagates.  The sweep generators
+cannot diverge, so ``TrialMetrics.failures`` always reads 0; it stays so that
+the CSV and JSON sweep results keep schema version 1.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from .datagen import (
     split_environments,
 )
 from .discovery import DEFAULT_MAX_DIM, discover
-from .errors import InvalidInputError
+from .errors import DivergenceError, InvalidInputError
 from .invariance import TestConfig
 
 __all__ = [
@@ -52,6 +60,14 @@ __all__ = [
 RESULTS_SCHEMA_VERSION = 1
 
 MAX_ATTEMPTS = 3
+
+
+def _map_runs(fn: Callable, items, workers: int) -> list:
+    """``[fn(i) for i in items]``, on a pool of ``workers`` threads when above 1."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(i) for i in items]
 
 
 def _derived_seed(*parts: int) -> int:
@@ -105,6 +121,8 @@ class Scenario:
     runs: int
     intercept: bool = True
     max_dim: int = DEFAULT_MAX_DIM
+    # The generator config at each grid point, built and checked in __post_init__.
+    grid_configs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.generator_kind not in GENERATORS:
@@ -119,6 +137,17 @@ class Scenario:
             raise InvalidInputError(
                 f"generator config has no parameter {self.sweep_parameter!r}"
             )
+        configs = []
+        for value in self.grid:
+            try:
+                configs.append(
+                    dataclasses.replace(self.generator_config, **{self.sweep_parameter: value})
+                )
+            except (TypeError, InvalidInputError) as exc:
+                raise InvalidInputError(
+                    f"invalid sweep.grid value {value!r} for {self.sweep_parameter}: {exc}"
+                ) from None
+        object.__setattr__(self, "grid_configs", tuple(configs))
 
     @staticmethod
     def from_dict(doc: dict) -> "Scenario":
@@ -188,60 +217,42 @@ class TrialMetrics:
 
 
 def _single_trial(scenario: Scenario, gen_cfg, seed: int, grid_index: int, run: int):
-    """One dataset + discovery; retries with fresh derived seeds on failure."""
+    """One dataset + discovery; the sweep generators cannot diverge, so no retry."""
     generate = GENERATORS[scenario.generator_kind][1]
-    last_error = None
-    for attempt in range(MAX_ATTEMPTS):
-        try:
-            data_seed = _derived_seed(seed, grid_index, run, attempt, 0)
-            test_seed = _derived_seed(seed, grid_index, run, attempt, 1)
-            dataset, truth = generate(gen_cfg, data_seed)
-            if scenario.intercept:
-                dataset = dataset.with_intercept()
-            config = dataclasses.replace(scenario.test_config, seed=test_seed)
-            result = discover(
-                dataset, config, max_dim=scenario.max_dim, early_stop=True
-            )
-            estimated = set(result.estimated_parents)
-            true_parents = set(truth.parent_set)
-            return RunRecord(
-                run=run,
-                estimated_parents=result.estimated_parents,
-                status=result.status,
-                false_negative=bool(true_parents - estimated),
-                false_positive=bool(estimated - true_parents),
-            )
-        except Exception as exc:  # noqa: BLE001 - recorded, never silently counted
-            last_error = exc
-    return last_error
+    # The 0 in both seeds is an attempt index (sweep runs used to be retried);
+    # it stays so that a fixed seed keeps its results.
+    data_seed = _derived_seed(seed, grid_index, run, 0, 0)
+    test_seed = _derived_seed(seed, grid_index, run, 0, 1)
+    dataset, truth = generate(gen_cfg, data_seed)
+    if scenario.intercept:
+        dataset = dataset.with_intercept()
+    config = dataclasses.replace(scenario.test_config, seed=test_seed)
+    result = discover(dataset, config, max_dim=scenario.max_dim, early_stop=True)
+    estimated = set(result.estimated_parents)
+    true_parents = set(truth.parent_set)
+    return RunRecord(
+        run=run,
+        estimated_parents=result.estimated_parents,
+        status=result.status,
+        false_negative=bool(true_parents - estimated),
+        false_positive=bool(estimated - true_parents),
+    )
 
 
 def run_trials(scenario: Scenario, seed: int, workers: int = 1) -> list[TrialMetrics]:
-    """Execute the sweep and aggregate FNR/FPR with Clopper-Pearson intervals.
-
-    Failed runs (after retries) are counted separately and never contribute
-    to a rate.
-    """
+    """Execute the sweep and aggregate FNR/FPR with Clopper-Pearson intervals."""
     out = []
-    for gi, value in enumerate(scenario.grid):
-        gen_cfg = dataclasses.replace(
-            scenario.generator_config, **{scenario.sweep_parameter: value}
+    for gi, (value, gen_cfg) in enumerate(zip(scenario.grid, scenario.grid_configs)):
+        records = tuple(
+            _map_runs(
+                lambda r: _single_trial(scenario, gen_cfg, seed, gi, r),
+                range(scenario.runs),
+                workers,
+            )
         )
-        task = lambda r: _single_trial(scenario, gen_cfg, seed, gi, r)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(task, range(scenario.runs)))
-        else:
-            results = [task(r) for r in range(scenario.runs)]
-        records = tuple(r for r in results if isinstance(r, RunRecord))
-        failures = scenario.runs - len(records)
         good = len(records)
         fn = sum(r.false_negative for r in records)
         fp = sum(r.false_positive for r in records)
-        if good == 0:
-            raise InvalidInputError(
-                f"all {scenario.runs} runs failed at grid point {value!r}"
-            )
         out.append(
             TrialMetrics(
                 grid_value=value,
@@ -250,7 +261,7 @@ def run_trials(scenario: Scenario, seed: int, workers: int = 1) -> list[TrialMet
                 fnr_ci=clopper_pearson(fn, good),
                 fpr_ci=clopper_pearson(fp, good),
                 runs=good,
-                failures=failures,
+                failures=0,
                 records=records,
             )
         )
@@ -345,43 +356,41 @@ def network_detect(
     ``num_envs`` time windows and discovers parents for all six next-step
     targets.  An edge i -> j is declared when covariate i was reported for
     target j more often than ``null_rate`` and the exact one-sided binomial
-    p-value is at most ``edge_alpha``.
+    p-value is at most ``edge_alpha``.  A run whose trajectory diverges is
+    retried with fresh seeds, ``MAX_ATTEMPTS`` attempts in all, then counted
+    as a failure; any other error propagates.
     """
     if runs < 1:
         raise InvalidInputError("runs must be at least 1")
     d = 6
 
     def one_run(run: int):
-        last_error = None
         for attempt in range(MAX_ATTEMPTS):
             try:
                 series = gen_lorenz(lorenz_config, _derived_seed(seed, run, attempt, 0))
-                found = []
-                for target in range(1, d + 1):
-                    dataset = split_environments(
-                        series, target, window, warmup, num_envs
-                    ).with_intercept()
-                    config = dataclasses.replace(
-                        test_config, seed=_derived_seed(seed, run, attempt, target)
-                    )
-                    result = discover(dataset, config, early_stop=True)
-                    found.append(result.estimated_parents)
-                return tuple(found)
-            except Exception as exc:  # noqa: BLE001
-                last_error = exc
-        return last_error
+            except DivergenceError:
+                continue
+            found = []
+            for target in range(1, d + 1):
+                dataset = split_environments(
+                    series, target, window, warmup, num_envs
+                ).with_intercept()
+                config = dataclasses.replace(
+                    test_config, seed=_derived_seed(seed, run, attempt, target)
+                )
+                result = discover(dataset, config, early_stop=True)
+                found.append(result.estimated_parents)
+            return tuple(found)
+        return None
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_run, range(runs)))
-    else:
-        results = [one_run(r) for r in range(runs)]
-
-    per_run = tuple(r for r in results if isinstance(r, tuple))
+    per_run = tuple(r for r in _map_runs(one_run, range(runs), workers) if r is not None)
     failures = runs - len(per_run)
     good = len(per_run)
     if good == 0:
-        raise InvalidInputError(f"all {runs} network runs failed")
+        raise InvalidInputError(
+            f"all {runs} network runs failed: the trajectory diverged in each of "
+            f"{MAX_ATTEMPTS} attempts"
+        )
     counts = np.zeros((d, d), dtype=int)
     for found in per_run:
         for j, parents in enumerate(found):

@@ -159,16 +159,30 @@ class TestSimulate:
         src = str(Path(__file__).resolve().parents[1] / "src")
         path_entries = [src, os.environ.get("PYTHONPATH")]
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
+        no_parameter = json.loads(Path(self.scenario_file(tmp_path)).read_text())
+        del no_parameter["sweep"]["parameter"]
+        bad_grid = json.loads(Path(self.scenario_file(tmp_path)).read_text())
+        bad_grid["sweep"]["grid"] = ["ten"]
+        for doc, named in ((no_parameter, "parameter"), (bad_grid, "sweep.grid value 'ten'")):
+            path.write_text(json.dumps(doc))
+            proc = subprocess.run(
+                [sys.executable, "-m", "localicp.cli", "simulate", str(path)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == EXIT_INPUT
+            assert "Traceback" not in proc.stderr
+            assert named in proc.stderr
+
+    def test_capacity_limit(self, tmp_path, capsys):
+        path = tmp_path / "wide.json"
         doc = json.loads(Path(self.scenario_file(tmp_path)).read_text())
-        del doc["sweep"]["parameter"]
+        doc["generator"]["dimension"] = 5
+        doc["max_dim"] = 3
         path.write_text(json.dumps(doc))
-        proc = subprocess.run(
-            [sys.executable, "-m", "localicp.cli", "simulate", str(path)],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == EXIT_INPUT
-        assert "Traceback" not in proc.stderr
-        assert "parameter" in proc.stderr
+        assert main(["simulate", str(path), "--workers", "2"]) == EXIT_CAPACITY
+        err = capsys.readouterr().err
+        assert "5 candidate covariates means 32 subsets" in err
+        assert "runs failed" not in err
 
 
 class TestNetwork:
@@ -198,6 +212,9 @@ class TestNetwork:
              "--num-envs", "20", "--runs", "1"]
         )
         assert code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "series has 51 steps but warmup=40" in err
+        assert "runs failed" not in err
 
 
 class TestCalibrate:

@@ -87,6 +87,9 @@ class TestIndependent:
             IndependentGenConfig(sigma_range=(0.0, 1.0))
         with pytest.raises(InvalidInputError):
             IndependentGenConfig(target_noise_std=0.0)
+        for counts in ({"samples_per_env": 10.5}, {"dimension": 0}, {"num_envs": "5"}):
+            with pytest.raises(InvalidInputError, match="must be a positive integer"):
+                IndependentGenConfig(**counts)
 
 
 class TestSem:
@@ -144,6 +147,8 @@ class TestSem:
             SemGenConfig(sigma_y=0.0)
         with pytest.raises(InvalidInputError):
             SemGenConfig(heterogeneity=-1.0)
+        with pytest.raises(InvalidInputError, match="num_envs must be a positive integer"):
+            SemGenConfig(num_envs=2.0)
 
 
 class TestLorenz:

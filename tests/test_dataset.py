@@ -95,6 +95,10 @@ class TestCsv:
         path.write_text("env,x1,y\n1,1.0,2.0\n1,oops,2.0\n")
         with pytest.raises(InvalidInputError, match="line 3"):
             read_csv(path)
+        for row, field in (("1,nan,2.0", "x1"), ("2,1.0,-inf", "y")):
+            path.write_text(f"env,x1,y\n1,1.0,2.0\n{row}\n")
+            with pytest.raises(InvalidInputError, match=f"bad.csv: line 3: {field} "):
+                read_csv(path)
 
     def test_field_count_error(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -96,16 +96,21 @@ class TestDiscover:
             assert full.estimated_parents == fast.estimated_parents
             assert full.status == fast.status
 
-    def test_worker_count_does_not_change_result(self):
+    def test_subset_order_does_not_change_reports(self):
+        # Each subset's random streams come from (seed, subset) alone, so a
+        # subset tested out of order gets exactly the report discover gives it.
         data, _ = gen_independent(
             IndependentGenConfig(num_envs=6, samples_per_env=20, dimension=4), 3
         )
         data = data.with_intercept()
         tc = TestConfig(seed=5)
+        reversed_order = {
+            s: phi_S(data, s, tc) for s in reversed(list(enumerate_subsets(4)))
+        }
         for early_stop in (False, True):
-            serial = discover(data, tc, workers=1, early_stop=early_stop)
-            pooled = discover(data, tc, workers=4, early_stop=early_stop)
-            assert serial == pooled
+            result = discover(data, tc, early_stop=early_stop)
+            assert result.reports == tuple(reversed_order[r.subset] for r in result.reports)
+        assert discover(data, tc).subsets_tested == 16
 
     def test_permutation_equivariance(self):
         data, _ = gen_independent(

@@ -6,10 +6,10 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from localicp.datagen import IndependentGenConfig, SemGenConfig, gen_independent
-from localicp.errors import InvalidInputError
+from localicp import experiments
+from localicp.datagen import IndependentGenConfig, SemGenConfig, gen_lorenz
+from localicp.errors import DivergenceError, InvalidInputError
 from localicp.experiments import (
-    GENERATORS,
     MAX_ATTEMPTS,
     NetworkResult,
     Scenario,
@@ -167,6 +167,11 @@ class TestScenario:
             doc["test"] = test
             with pytest.raises(InvalidInputError, match=field):
                 Scenario.from_dict(doc)
+        for value in ("ten", 10.5):
+            bad_grid = self.doc()
+            bad_grid["sweep"]["grid"] = [10, value]
+            with pytest.raises(InvalidInputError, match=f"sweep.grid value {value!r}"):
+                Scenario.from_dict(bad_grid)
 
     def test_sweep_parameter_must_exist(self):
         doc = self.doc()
@@ -202,30 +207,6 @@ class TestRunTrials:
         serial = trials_to_dict(scenario, run_trials(scenario, seed=11, workers=1), 11)
         pooled = trials_to_dict(scenario, run_trials(scenario, seed=11, workers=4), 11)
         assert json.dumps(serial, sort_keys=True) == json.dumps(pooled, sort_keys=True)
-
-    def test_flaky_generator_is_retried(self, monkeypatch):
-        calls = {"n": 0}
-        cfg_cls, real_gen = GENERATORS["independent"]
-
-        def flaky(cfg, seed):
-            calls["n"] += 1
-            if calls["n"] % MAX_ATTEMPTS == 1:
-                raise RuntimeError("transient")
-            return real_gen(cfg, seed)
-
-        monkeypatch.setitem(GENERATORS, "independent", (cfg_cls, flaky))
-        metrics = run_trials(small_scenario(runs=3), seed=0)
-        assert all(m.failures == 0 for m in metrics)
-
-    def test_persistent_failure_counts_and_total_failure_raises(self, monkeypatch):
-        cfg_cls, _ = GENERATORS["independent"]
-
-        def broken(cfg, seed):
-            raise RuntimeError("always down")
-
-        monkeypatch.setitem(GENERATORS, "independent", (cfg_cls, broken))
-        with pytest.raises(InvalidInputError):
-            run_trials(small_scenario(runs=2), seed=0)
 
     def test_csv_round_trip_preserves_rates(self):
         metrics = run_trials(small_scenario(runs=4), seed=8)
@@ -296,6 +277,53 @@ class TestNetworkDetect:
             workers=3,
         )
         assert a.to_dict() == b.to_dict()
+
+    def test_flaky_generator_is_retried(self, monkeypatch):
+        calls = {"n": 0}
+
+        def flaky(cfg, seed):
+            calls["n"] += 1
+            if calls["n"] % 2 == 1:
+                raise DivergenceError("transient", step=1)
+            return gen_lorenz(cfg, seed)
+
+        monkeypatch.setattr(experiments, "gen_lorenz", flaky)
+        result = self.small()
+        assert result.failures == 0
+        assert result.runs == 2
+        assert calls["n"] == 4
+
+    def test_persistent_failure_counts_and_total_failure_raises(self, monkeypatch):
+        calls = {"n": 0}
+
+        def first_run_diverges(cfg, seed):
+            calls["n"] += 1
+            if calls["n"] <= MAX_ATTEMPTS:
+                raise DivergenceError("diverged", step=1)
+            return gen_lorenz(cfg, seed)
+
+        monkeypatch.setattr(experiments, "gen_lorenz", first_run_diverges)
+        result = self.small()
+        assert (result.runs, result.failures) == (1, 1)
+
+        def always_diverges(cfg, seed):
+            raise DivergenceError("diverged", step=1)
+
+        monkeypatch.setattr(experiments, "gen_lorenz", always_diverges)
+        with pytest.raises(InvalidInputError, match="all 2 network runs failed"):
+            self.small()
+
+        # Any other error is deterministic: raised on the first call, not retried.
+        calls["n"] = 0
+
+        def broken(cfg, seed):
+            calls["n"] += 1
+            raise RuntimeError("bug")
+
+        monkeypatch.setattr(experiments, "gen_lorenz", broken)
+        with pytest.raises(RuntimeError, match="bug"):
+            self.small(runs=1)
+        assert calls["n"] == 1
 
     def test_edge_rule_thresholds(self):
         result = self.small()

@@ -1,0 +1,76 @@
+"""Structural rules of the package source, checked on its syntax trees.
+
+- No handler catches everything: no bare ``except``, ``except Exception`` or
+  ``except BaseException``.  A run is retried only on the one error that a
+  fresh seed can cure, and every other error reaches the caller.
+- One parallel layer: ``ThreadPoolExecutor`` is used in a single function of
+  ``experiments.py``, the pool over independent runs.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "localicp"
+MODULES = sorted(SRC.glob("*.py"))
+CATCH_ALL = {"Exception", "BaseException"}
+
+
+def _names(node):
+    """Exception names of one handler: ``except X``, ``except (X, Y)``, ``except m.X``."""
+    if node is None:
+        return ["<bare>"]
+    elts = node.elts if isinstance(node, ast.Tuple) else [node]
+    return [e.attr if isinstance(e, ast.Attribute) else getattr(e, "id", "") for e in elts]
+
+
+def test_sources_found():
+    assert {"experiments.py", "discovery.py", "cli.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_catch_all_handlers(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    offenders = [
+        f"{path.name}:{node.lineno}: except {name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ExceptHandler)
+        for name in _names(node.type)
+        if name in CATCH_ALL or name == "<bare>"
+    ]
+    assert offenders == []
+
+
+class _PoolUsers(ast.NodeVisitor):
+    """Innermost enclosing function of every use of ``ThreadPoolExecutor``."""
+
+    def __init__(self):
+        self.scope = ["<module>"]
+        self.users = set()
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def visit_Name(self, node):
+        if node.id == "ThreadPoolExecutor":
+            self.users.add(self.scope[-1])
+
+    def visit_Attribute(self, node):
+        if node.attr == "ThreadPoolExecutor":
+            self.users.add(self.scope[-1])
+        self.generic_visit(node)
+
+
+def test_thread_pool_in_one_function_of_experiments():
+    users = set()
+    for path in MODULES:
+        visitor = _PoolUsers()
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        users |= {(path.name, scope) for scope in visitor.users}
+    assert len(users) == 1, sorted(users)
+    assert next(iter(users))[0] == "experiments.py"
