@@ -97,6 +97,7 @@ def run_calibration(
     """Run both suites; each entry reports the measured quantity and pass/fail."""
     if replications < 1:
         raise InvalidInputError(f"replications must be at least 1, got {replications}")
+    TestConfig(alpha=alpha, mc_samples=mc_samples, seed=seed)  # rejects alpha outside [0, 1)
     pvalues = null_test_pvalues(replications, seed, mc_samples=mc_samples)
     rate = rejection_rate(pvalues, alpha)
     se = math.sqrt(alpha * (1.0 - alpha) / replications)

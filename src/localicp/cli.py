@@ -3,9 +3,10 @@
 Subcommands: ``discover`` (user data), ``simulate`` (scenario sweeps),
 ``network`` (dynamical-system study), ``calibrate`` (self-checks).
 
-Exit codes: 0 success, 1 self-check failure, 2 input error, 3 capacity
-error.  Standard output carries results only; progress and diagnostics go to
-standard error so output can be piped.
+Exit codes: 0 success, 1 self-check failure, 2 input error (a malformed
+value or document, an unreadable input or unwritable output path), 3 capacity
+error; ``main`` alone maps errors to them.  Standard output carries results
+only; progress and diagnostics go to standard error so output can be piped.
 """
 
 from __future__ import annotations
@@ -37,35 +38,45 @@ EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 
 
-def _add_test_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--alpha", type=float, default=0.1, help="test level (default 0.1)")
-    parser.add_argument(
-        "--mc-samples", type=int, default=100, metavar="B",
-        help="Monte-Carlo samples per test (default 100)",
-    )
-    parser.add_argument("--seed", type=int, default=0, help="base random seed")
-    parser.add_argument(
-        "--workers", type=int, default=os.cpu_count() or 1,
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
+# Every option a subcommand may declare; each subcommand picks the ones its
+# command reads.  ``--format`` means the input format for ``discover`` and the
+# output format for ``simulate``, so each declares its own.
+OPTIONS = {
+    "--alpha": dict(type=float, default=0.1, help="test level (default 0.1)"),
+    "--mc-samples": dict(
+        type=int, default=100, metavar="B", help="Monte-Carlo samples per test (default 100)"
+    ),
+    "--seed": dict(type=_seed, default=0, help="base random seed (a non-negative integer)"),
+    "--workers": dict(
+        type=int, default=os.cpu_count() or 1,
         help="threads over the independent runs of simulate and network; discover "
-        "and calibrate run serially (results are identical for any value)",
-    )
-    parser.add_argument(
-        "--no-intercept", action="store_true",
-        help="do not append a constant-one column before regression",
-    )
-    parser.add_argument(
-        "--rank-tol", type=float, default=None,
-        help="relative singular-value cutoff for rank/pseudo-inverse",
-    )
-    parser.add_argument(
-        "--max-dim", type=int, default=DEFAULT_MAX_DIM,
+        "runs serially (results are identical for any value)",
+    ),
+    "--no-intercept": dict(
+        action="store_true", help="do not append a constant-one column before regression"
+    ),
+    "--rank-tol": dict(
+        type=float, default=None, help="relative singular-value cutoff for rank/pseudo-inverse"
+    ),
+    "--max-dim": dict(
+        type=int, default=DEFAULT_MAX_DIM,
         help=f"refuse more candidate covariates than this (default {DEFAULT_MAX_DIM})",
-    )
-    parser.add_argument("--output", default=None, help="write results here instead of stdout")
-    parser.add_argument(
-        "--format", choices=("csv", "json"), default=None,
-        help="output format where both are supported",
-    )
+    ),
+    "--output": dict(default=None, help="write results here instead of stdout"),
+}
+
+
+def _add_options(parser: argparse.ArgumentParser, *flags: str, format_help: str = "") -> None:
+    for flag in flags:
+        parser.add_argument(flag, **OPTIONS[flag])
+    if format_help:
+        parser.add_argument("--format", choices=("csv", "json"), default=None, help=format_help)
 
 
 def _test_config(args) -> TestConfig:
@@ -93,34 +104,12 @@ def _load_dataset(path: str, fmt: str | None) -> ds.MultiEnvDataset:
 
 
 def cmd_discover(args) -> int:
-    try:
-        data = _load_dataset(args.input, args.format)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.input}", file=sys.stderr)
-        return EXIT_INPUT
-    except (InvalidInputError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if data.num_envs < 2:
-        print(
-            "error: the dataset contains a single environment; invariance across "
-            "environments is the source of causal information, so at least two "
-            "are required",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
+    data = _load_dataset(args.input, args.format)
     labels = data.env_labels or tuple(str(i + 1) for i in range(data.num_envs))
     if not args.no_intercept:
         data = data.with_intercept()
     config = _test_config(args)
-    try:
-        result = discover(data, config, max_dim=args.max_dim)
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except (InvalidInputError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    result = discover(data, config, max_dim=args.max_dim)
     doc = {
         "schema_version": RESULTS_SCHEMA_VERSION,
         "config": {
@@ -137,28 +126,12 @@ def cmd_discover(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        with open(args.scenario) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        print(f"error: no such file: {args.scenario}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: {args.scenario}: line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT
-    try:
-        scenario = Scenario.from_dict(doc)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    scenario = Scenario.from_dict(ds.read_json_document(args.scenario))
     print(
         f"running {len(scenario.grid)} grid points x {scenario.runs} runs", file=sys.stderr
     )
     metrics = run_trials(scenario, args.seed, workers=args.workers)
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         _emit(_dump_json(trials_to_dict(scenario, metrics, args.seed)), args.output)
     else:
         buf = io.StringIO()
@@ -168,22 +141,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_network(args) -> int:
-    try:
-        lorenz = LorenzGenConfig(horizon=args.horizon)
-        config = _test_config(args)
-        result = network_detect(
-            lorenz,
-            window=args.window,
-            num_envs=args.num_envs,
-            runs=args.runs,
-            test_config=config,
-            seed=args.seed,
-            warmup=args.warmup,
-            workers=args.workers,
-        )
-    except (InvalidInputError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    result = network_detect(
+        LorenzGenConfig(horizon=args.horizon),
+        window=args.window,
+        num_envs=args.num_envs,
+        runs=args.runs,
+        test_config=_test_config(args),
+        seed=args.seed,
+        warmup=args.warmup,
+        workers=args.workers,
+    )
     _emit(_dump_json(result.to_dict()), args.output)
     return EXIT_OK
 
@@ -215,12 +182,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("discover", help="estimate causal parents from a dataset file")
     p.add_argument("input", help="dataset file (CSV: env,x1..xD,y; or JSON)")
-    _add_test_options(p)
+    _add_options(
+        p, "--alpha", "--mc-samples", "--seed", "--workers", "--no-intercept", "--rank-tol",
+        "--max-dim", "--output",
+        format_help="input format (default: json for a .json file, csv otherwise)",
+    )
     p.set_defaults(func=cmd_discover)
 
     p = sub.add_parser("simulate", help="run a scenario sweep and report FNR/FPR")
-    p.add_argument("scenario", help="scenario JSON file")
-    _add_test_options(p)
+    p.add_argument("scenario", help="scenario JSON file; it sets the test, intercept and max_dim")
+    _add_options(p, "--seed", "--workers", "--output", format_help="output format (default csv)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("network", help="dynamical-system network detection study")
@@ -229,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=20, help="environment window length (default 20)")
     p.add_argument("--num-envs", type=int, default=300, help="windows per run (default 300)")
     p.add_argument("--runs", type=int, default=50, help="independent trajectories (default 50)")
-    _add_test_options(p)
+    _add_options(p, "--alpha", "--mc-samples", "--seed", "--workers", "--rank-tol", "--output")
     p.set_defaults(func=cmd_network)
 
     p = sub.add_parser("calibrate", help="run statistical self-checks")
@@ -237,22 +208,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--replications", type=int, default=500,
         help="null replications for the rejection-rate check (default 500)",
     )
-    _add_test_options(p)
+    _add_options(p, "--alpha", "--mc-samples", "--seed", "--output")
     p.set_defaults(func=cmd_calibrate)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the only place where an error becomes an exit code."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InvalidInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except (InvalidInputError, ShapeError) as exc:
+        message, code = str(exc), EXIT_INPUT
+    except OSError as exc:  # unreadable input or unwritable output
+        reason = (exc.strerror or str(exc)).lower()
+        message, code = (f"{exc.filename}: {reason}" if exc.filename else reason), EXIT_INPUT
     except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+        message, code = str(exc), EXIT_CAPACITY
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

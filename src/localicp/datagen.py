@@ -17,13 +17,12 @@ so a fixed seed yields bit-identical data for any worker layout.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import EnvironmentData, MultiEnvDataset, from_arrays
-from .errors import DivergenceError, InvalidInputError, ShapeError
+from .errors import DivergenceError, InvalidInputError, ShapeError, check_counts
 
 __all__ = [
     "IndependentGenConfig",
@@ -94,12 +93,6 @@ def _check_family(family: str, t_dof: int) -> None:
         )
 
 
-def _check_counts(**counts) -> None:
-    for name, value in counts.items():
-        if not isinstance(value, numbers.Integral) or value < 1:
-            raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
-
-
 def _check_range(name: str, rng_pair) -> None:
     lo, hi = rng_pair
     if hi < lo:
@@ -124,7 +117,7 @@ class IndependentGenConfig:
     student_t_dof: int = 3
 
     def __post_init__(self):
-        _check_counts(
+        check_counts(
             num_envs=self.num_envs, samples_per_env=self.samples_per_env, dimension=self.dimension
         )
         if not set(self.parent_set) <= set(range(1, self.dimension + 1)):
@@ -194,7 +187,7 @@ class SemGenConfig:
     student_t_dof: int = 3
 
     def __post_init__(self):
-        _check_counts(num_envs=self.num_envs, samples_per_env=self.samples_per_env)
+        check_counts(num_envs=self.num_envs, samples_per_env=self.samples_per_env)
         _check_range("sigma_range", self.sigma_range)
         _check_range("beta_range", self.beta_range)
         if self.sigma_range[0] <= 0:

@@ -11,6 +11,7 @@ optional generator metadata and ground truth.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, replace
@@ -42,8 +43,11 @@ class EnvironmentData:
             )
         if cov.shape[0] < 1:
             raise InvalidInputError("an environment must contain at least one observation")
-        if not (np.all(np.isfinite(cov)) and np.all(np.isfinite(tgt))):
-            raise InvalidInputError("environment data contains non-finite entries")
+        # A finite sum of squares bounds every Gram-matrix entry; the SVD does
+        # not return on an overflowed one.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(np.vdot(cov, cov) + np.dot(tgt, tgt)):
+                raise InvalidInputError("environment data contains non-finite or overflowing entries")
         object.__setattr__(self, "covariates", cov)
         object.__setattr__(self, "target", tgt)
 
@@ -155,8 +159,16 @@ def write_csv(dataset: MultiEnvDataset, path) -> None:
                 writer.writerow(row)
 
 
+def _read_text(path) -> str:
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
 def read_csv(path) -> MultiEnvDataset:
-    with open(path, newline="") as fh:
+    with io.StringIO(_read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -236,10 +248,13 @@ def write_json(dataset: MultiEnvDataset, path, metadata: dict | None = None) -> 
 
 def dataset_from_dict(doc: dict) -> MultiEnvDataset:
     try:
-        envs = doc["environments"]
-        d = int(doc["num_covariates"])
+        envs, d = doc["environments"], doc["num_covariates"]
     except (KeyError, TypeError) as exc:
         raise InvalidInputError(f"malformed dataset document: {exc}") from None
+    if not isinstance(envs, list):
+        raise InvalidInputError(f"environments must be a list, got {envs!r}")
+    if not isinstance(d, int):
+        raise InvalidInputError(f"num_covariates must be an integer, got {d!r}")
     covs, tgts, labels = [], [], []
     for i, env in enumerate(envs):
         try:
@@ -256,10 +271,13 @@ def dataset_from_dict(doc: dict) -> MultiEnvDataset:
     return ds
 
 
+def read_json_document(path):
+    """The parsed JSON document in ``path``; a syntax error names file, line and column."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+
+
 def read_json(path) -> MultiEnvDataset:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return dataset_from_dict(doc)
+    return dataset_from_dict(read_json_document(path))

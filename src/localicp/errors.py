@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of count parameters."""
+
+import numbers
 
 
 class InvalidInputError(ValueError):
@@ -19,3 +21,10 @@ class DivergenceError(RuntimeError):
     def __init__(self, message: str, step: int | None = None):
         super().__init__(message)
         self.step = step
+
+
+def check_counts(**counts) -> None:
+    """Raise ``InvalidInputError`` unless every value is a positive integer (not a bool)."""
+    for name, value in counts.items():
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
+            raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")

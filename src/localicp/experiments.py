@@ -41,7 +41,7 @@ from .datagen import (
     split_environments,
 )
 from .discovery import DEFAULT_MAX_DIM, discover
-from .errors import DivergenceError, InvalidInputError
+from .errors import DivergenceError, InvalidInputError, check_counts
 from .invariance import TestConfig
 
 __all__ = [
@@ -129,8 +129,7 @@ class Scenario:
             raise InvalidInputError(
                 f"generator must be one of {sorted(GENERATORS)}, got {self.generator_kind!r}"
             )
-        if self.runs < 1:
-            raise InvalidInputError("runs must be at least 1")
+        check_counts(runs=self.runs, max_dim=self.max_dim)
         if len(self.grid) == 0:
             raise InvalidInputError("sweep grid must be non-empty")
         if not hasattr(self.generator_config, self.sweep_parameter):
@@ -155,13 +154,15 @@ class Scenario:
             gen = dict(doc["generator"])
             kind = gen.pop("kind")
             sweep_parameter = str(doc["sweep"]["parameter"])
-            grid = tuple(doc["sweep"]["grid"])
-            runs = int(doc["runs"])
+            grid = doc["sweep"]["grid"]
+            runs = doc["runs"]
             intercept = bool(doc.get("intercept", True))
-            max_dim = int(doc.get("max_dim", DEFAULT_MAX_DIM))
+            max_dim = doc.get("max_dim", DEFAULT_MAX_DIM)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed scenario: {exc}") from None
-        if kind not in GENERATORS:
+        if not isinstance(grid, list):
+            raise InvalidInputError(f"sweep.grid must be a list, got {grid!r}")
+        if not isinstance(kind, str) or kind not in GENERATORS:
             raise InvalidInputError(f"unknown generator kind {kind!r}")
         cfg_cls = GENERATORS[kind][0]
         try:
@@ -177,7 +178,7 @@ class Scenario:
             generator_config=gen_cfg,
             test_config=test_cfg,
             sweep_parameter=sweep_parameter,
-            grid=grid,
+            grid=tuple(grid),
             runs=runs,
             intercept=intercept,
             max_dim=max_dim,

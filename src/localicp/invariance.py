@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .dataset import MultiEnvDataset
-from .errors import InvalidInputError
+from .errors import InvalidInputError, check_counts
 
 __all__ = [
     "TestConfig",
@@ -51,7 +51,7 @@ class TestConfig:
     rank_tol: float | None = None
 
     def __post_init__(self):
-        for name in ("alpha", "mc_samples", "seed", "rank_tol"):
+        for name in ("alpha", "seed", "rank_tol"):
             value = getattr(self, name)
             if name == "rank_tol" and value is None:
                 continue
@@ -59,9 +59,8 @@ class TestConfig:
                 raise InvalidInputError(f"{name} must be a number, got {value!r}")
         if not (0.0 <= self.alpha < 1.0):
             raise InvalidInputError("alpha must lie in [0, 1)")
-        if self.mc_samples < 1:
-            raise InvalidInputError("mc_samples must be at least 1")
-        if self.rank_tol is not None and self.rank_tol <= 0:
+        check_counts(mc_samples=self.mc_samples)
+        if self.rank_tol is not None and not self.rank_tol > 0:
             raise InvalidInputError("rank_tol must be positive")
 
 
@@ -197,7 +196,7 @@ def phi_S(
         raise InvalidInputError(f"subset {subset} is not contained in 1..{d}")
     if dataset.num_envs < 2:
         raise InvalidInputError(
-            "testing invariance requires at least 2 environments; a single "
+            "testing invariance requires at least two environments; a single "
             "environment permits no causal conclusion"
         )
     cols = [s - 1 for s in subset]

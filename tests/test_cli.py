@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from localicp.cli import EXIT_CAPACITY, EXIT_INPUT, EXIT_OK, main
+from localicp.cli import EXIT_CAPACITY, EXIT_INPUT, EXIT_OK, build_parser, main
 from localicp.datagen import IndependentGenConfig, gen_independent
 from localicp.dataset import write_csv, write_json
 
@@ -55,16 +58,33 @@ class TestDiscover:
         doc = json.loads(target.read_text())
         assert doc["estimated_parents"] == [1]
 
-    def test_missing_file(self, capsys):
+    def test_missing_file(self, dataset_csv, tmp_path, capsys):
         assert main(["discover", "/nonexistent.csv"]) == EXIT_INPUT
         err = capsys.readouterr().err
         assert "no such file" in err
 
+        # Any path that cannot be read or written is reported the same way.
+        unwritable = str(tmp_path / "missing" / "result.json")
+        for argv, message in (
+            (["discover", dataset_csv, "--output", unwritable], f"{unwritable}: no such file"),
+            (["discover", str(tmp_path)], f"{tmp_path}: is a directory"),
+        ):
+            assert main(argv) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            [line] = captured.err.splitlines()
+            assert line.startswith(f"error: {message}")
+
     def test_malformed_csv(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
-        path.write_text("env,x1,y\n1,abc,2\n")
-        assert main(["discover", str(path)]) == EXIT_INPUT
-        assert "line 2" in capsys.readouterr().err
+        for content, message in (
+            (b"env,x1,y\n1,abc,2\n", "line 2"),
+            (b"env,x1,y\n1,\xff\xfe,2\n", "not UTF-8 text"),
+        ):
+            path.write_bytes(content)
+            assert main(["discover", str(path)]) == EXIT_INPUT
+            [line] = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"error: {path}: ") and message in line
 
     def test_single_environment_refused_with_explanation(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
@@ -89,6 +109,12 @@ class TestDiscover:
         assert main(["discover", dataset_csv, "--seed", "3", "--workers", "1", "--output", str(a)]) == EXIT_OK
         assert main(["discover", dataset_csv, "--seed", "3", "--workers", "4", "--output", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_seed_refused(self, dataset_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["discover", dataset_csv, "--seed", "-1"])
+        assert exc.value.code == EXIT_INPUT
+        assert "--seed: must be a non-negative integer" in capsys.readouterr().err
 
     def test_no_intercept_flag_changes_config_echo(self, dataset_csv, capsys):
         assert main(["discover", dataset_csv, "--no-intercept"]) == EXIT_OK
@@ -163,7 +189,13 @@ class TestSimulate:
         del no_parameter["sweep"]["parameter"]
         bad_grid = json.loads(Path(self.scenario_file(tmp_path)).read_text())
         bad_grid["sweep"]["grid"] = ["ten"]
-        for doc, named in ((no_parameter, "parameter"), (bad_grid, "sweep.grid value 'ten'")):
+        string_grid = json.loads(Path(self.scenario_file(tmp_path)).read_text())
+        string_grid["sweep"]["grid"] = "ten"
+        for doc, named in (
+            (no_parameter, "parameter"),
+            (bad_grid, "sweep.grid value 'ten'"),
+            (string_grid, "sweep.grid must be a list"),
+        ):
             path.write_text(json.dumps(doc))
             proc = subprocess.run(
                 [sys.executable, "-m", "localicp.cli", "simulate", str(path)],
@@ -233,6 +265,186 @@ class TestCalibrate:
         assert captured.err.strip().splitlines() == [
             "error: replications must be at least 1, got 0"
         ]
+
+    @pytest.mark.parametrize("alpha", ["2", "-1"])
+    def test_alpha_outside_unit_interval_refused(self, alpha, capsys):
+        assert main(["calibrate", "--alpha", alpha, "--replications", "5"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: alpha must lie in [0, 1)"]
+
+
+# Each subcommand declares only the options it reads; the scenario file sets
+# simulate's test, intercept and max_dim.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "s.json", "--alpha", "0.05"],
+        ["simulate", "s.json", "--mc-samples", "10"],
+        ["simulate", "s.json", "--no-intercept"],
+        ["simulate", "s.json", "--rank-tol", "1e-9"],
+        ["simulate", "s.json", "--max-dim", "3"],
+        ["network", "--no-intercept"],
+        ["network", "--max-dim", "3"],
+        ["network", "--format", "csv"],
+        ["calibrate", "--workers", "2"],
+        ["calibrate", "--no-intercept"],
+        ["calibrate", "--rank-tol", "1e-9"],
+        ["calibrate", "--max-dim", "3"],
+        ["calibrate", "--format", "json"],
+    ],
+    ids=" ".join,
+)
+def test_options_a_command_does_not_read_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_INPUT
+    assert "error:" in capsys.readouterr().err
+
+
+def test_each_command_declares_the_options_it_reads():
+    commands = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices
+    options = {
+        name: {a.option_strings[0]: a.help for a in p._actions if a.option_strings and a.dest != "help"}
+        for name, p in commands.items()
+    }
+    test = {"--alpha", "--mc-samples", "--seed", "--workers", "--rank-tol", "--output"}
+    assert set(options["discover"]) == test | {"--no-intercept", "--max-dim", "--format"}
+    assert set(options["simulate"]) == {"--seed", "--workers", "--output", "--format"}
+    assert set(options["network"]) == test | {"--horizon", "--warmup", "--window", "--num-envs", "--runs"}
+    assert set(options["calibrate"]) == test - {"--workers", "--rank-tol"} | {"--replications"}
+    assert options["discover"]["--format"].startswith("input format")
+    assert options["simulate"]["--format"].startswith("output format")
+
+
+# ---------------------------------------------------------------------------
+# Malformed documents: main maps every error to an exit code
+
+
+def _dataset_doc():
+    rng = np.random.default_rng(0)
+    return {
+        "schema_version": 1,
+        "num_covariates": 2,
+        "environments": [
+            {
+                "label": label,
+                "covariates": rng.normal(size=(4, 2)).round(3).tolist(),
+                "target": rng.normal(size=4).round(3).tolist(),
+            }
+            for label in ("a", "b", "c")
+        ],
+    }
+
+
+def _dataset_csv():
+    lines = ["env,x1,x2,y"]
+    for env in _dataset_doc()["environments"]:
+        for x, y in zip(env["covariates"], env["target"]):
+            lines.append(",".join([env["label"], *map(str, x), str(y)]))
+    return lines
+
+
+def _scenario_doc():
+    return {
+        "generator": {
+            "kind": "independent", "num_envs": 3, "samples_per_env": 8,
+            "dimension": 2, "parent_set": [1],
+        },
+        "test": {"alpha": 0.1, "mc_samples": 20},
+        "sweep": {"parameter": "samples_per_env", "grid": [8]},
+        "runs": 1,
+    }
+
+
+# Numbers stay small, so a document that happens to stay valid still runs in
+# milliseconds.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 20) | st.text(max_size=6)
+    | st.floats(-1e3, 1e3) | st.sampled_from([1e300, float("inf"), float("-inf"), float("nan")]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _not_a_large_number(line: bytes) -> bool:
+    """False for a line that reads as a number above 20: a valid but expensive
+    count (runs, samples), not a malformed one."""
+    try:
+        return abs(float(line.strip().rstrip(b","))) <= 20
+    except ValueError:
+        return True
+
+
+# A replacement line: any text, or bytes that need not be UTF-8.
+LINES = (st.text().map(str.encode) | st.binary()).filter(_not_a_large_number)
+
+
+def _replace_line(data, lines: list[bytes]) -> bytes:
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    lines[i] = data.draw(LINES, label="text")
+    return b"\n".join(lines) + b"\n"
+
+
+def _replace_field(data, doc) -> None:
+    """Replace one value of ``doc``, at the end of a random walk from its root."""
+    node = doc
+    while True:
+        keys = sorted(node) if isinstance(node, dict) else range(len(node))
+        key = data.draw(st.sampled_from(keys), label="key")
+        child = node[key]
+        if not isinstance(child, (dict, list)) or not child or data.draw(st.booleans(), label="stop"):
+            node[key] = data.draw(JSON_VALUES, label="value")
+            return
+        node = child
+
+
+def _run_main(argv, capsys):
+    code = main(argv)  # an exception escaping here fails the test
+    err = capsys.readouterr().err
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_CAPACITY)
+    assert len([line for line in err.splitlines() if line.startswith("error: ")]) == (code != EXIT_OK)
+
+
+DOCUMENTS = {
+    "dataset.json": (_dataset_doc, ["discover", "--mc-samples", "20"]),
+    "scenario.json": (_scenario_doc, ["simulate", "--workers", "1"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENTS))
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_json_document_exits_with_a_code(name, data, tmp_path, capsys):
+    make, (command, *options) = DOCUMENTS[name]
+    doc = make()
+    if data.draw(st.booleans(), label="replace a field"):
+        _replace_field(data, doc)
+        content = json.dumps(doc).encode()
+    else:
+        content = _replace_line(data, json.dumps(doc, indent=1).encode().splitlines())
+    path = tmp_path / name
+    path.write_bytes(content)
+    _run_main([command, str(path), *options], capsys)
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_malformed_csv_exits_with_a_code(data, tmp_path, capsys):
+    lines = [line.encode() for line in _dataset_csv()]
+    if data.draw(st.booleans(), label="replace a field"):
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")
+        fields = lines[i].split(b",")
+        fields[data.draw(st.integers(0, len(fields) - 1), label="field")] = data.draw(LINES, label="text")
+        lines[i] = b",".join(fields)
+        content = b"\n".join(lines) + b"\n"
+    else:
+        content = _replace_line(data, lines)
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    _run_main(["discover", str(path), "--mc-samples", "20"], capsys)
 
 
 def test_console_entry_point_installed():

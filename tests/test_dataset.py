@@ -138,6 +138,12 @@ class TestJson:
     def test_malformed_document(self):
         with pytest.raises(InvalidInputError):
             dataset_from_dict({"environments": "nope"})
+        for doc, field in (
+            ({"environments": 5, "num_covariates": 1}, "environments"),
+            ({"environments": [], "num_covariates": "x"}, "num_covariates"),
+        ):
+            with pytest.raises(InvalidInputError, match=field):
+                dataset_from_dict(doc)
 
     def test_json_parse_error_mentions_position(self, tmp_path):
         path = tmp_path / "broken.json"

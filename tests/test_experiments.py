@@ -172,6 +172,10 @@ class TestScenario:
             bad_grid["sweep"]["grid"] = [10, value]
             with pytest.raises(InvalidInputError, match=f"sweep.grid value {value!r}"):
                 Scenario.from_dict(bad_grid)
+        string_grid = self.doc()
+        string_grid["sweep"]["grid"] = "ten"
+        with pytest.raises(InvalidInputError, match="sweep.grid must be a list, got 'ten'"):
+            Scenario.from_dict(string_grid)
 
     def test_sweep_parameter_must_exist(self):
         doc = self.doc()

@@ -5,6 +5,8 @@
   fresh seed can cure, and every other error reaches the caller.
 - One parallel layer: ``ThreadPoolExecutor`` is used in a single function of
   ``experiments.py``, the pool over independent runs.
+- One error boundary: in ``cli.py`` only ``main`` handles exceptions, so the
+  map from error to exit code is written once.
 """
 
 import ast
@@ -74,3 +76,15 @@ def test_thread_pool_in_one_function_of_experiments():
         users |= {(path.name, scope) for scope in visitor.users}
     assert len(users) == 1, sorted(users)
     assert next(iter(users))[0] == "experiments.py"
+
+
+def test_cli_handles_errors_only_in_main():
+    tree = ast.parse((SRC / "cli.py").read_text(), filename="cli.py")
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+    inside = {id(n) for n in ast.walk(main) if isinstance(n, ast.ExceptHandler)}
+    outside = [
+        f"cli.py:{n.lineno}"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ExceptHandler) and id(n) not in inside
+    ]
+    assert inside and outside == []
