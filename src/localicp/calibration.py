@@ -17,8 +17,9 @@ import numpy as np
 from scipy import stats
 
 from .datagen import IndependentGenConfig, gen_independent
+from .dataset import from_arrays
 from .errors import InvalidInputError
-from .invariance import TestConfig, _fit_environments, phi_S
+from .invariance import TestConfig, phi_S
 
 __all__ = [
     "null_test_pvalues",
@@ -28,19 +29,16 @@ __all__ = [
     "run_calibration",
 ]
 
+# Null design of the rejection-rate check: normal covariates, 30 environments
+# of 30 samples.
+NULL_SAMPLES, NULL_ENVS = 30, 30
+# Design of the residual check: 30 samples, 2 parents, target noise 2.
+RESID_SAMPLES, RESID_PARENTS, RESID_SIGMA_Y = 30, 2, 2.0
 
-def null_test_pvalues(
-    replications: int,
-    seed: int,
-    n: int = 30,
-    num_envs: int = 30,
-    mc_samples: int = 100,
-    family: str = "normal",
-) -> np.ndarray:
+
+def null_test_pvalues(replications: int, seed: int, mc_samples: int = 100) -> np.ndarray:
     """p-values of the subset test at the true parents on fresh null datasets."""
-    gen_cfg = IndependentGenConfig(
-        num_envs=num_envs, samples_per_env=n, covariate_family=family
-    )
+    gen_cfg = IndependentGenConfig(num_envs=NULL_ENVS, samples_per_env=NULL_SAMPLES)
     out = np.empty(replications)
     for r in range(replications):
         ss = np.random.SeedSequence([int(seed), r]).generate_state(2)
@@ -56,32 +54,22 @@ def rejection_rate(pvalues: np.ndarray, alpha: float) -> float:
     return float(np.mean(pvalues <= alpha))
 
 
-def residual_chi2_sample(
-    replications: int,
-    seed: int,
-    n: int = 30,
-    num_parents: int = 2,
-    sigma_y: float = 2.0,
-) -> tuple[np.ndarray, int]:
+def residual_chi2_sample(replications: int, seed: int) -> tuple[np.ndarray, int]:
     """Scaled squared residual norms at the true parents, one per environment.
 
     Returns the sample and the theoretical degrees of freedom
-    ``n - num_parents - 1`` (intercept included).
+    ``RESID_SAMPLES - RESID_PARENTS - 1`` (intercept included).
     """
+    n, k = RESID_SAMPLES, RESID_PARENTS
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    beta = rng.uniform(1.0, 5.0, num_parents)
-    x = rng.normal(0.5, 2.0, size=(replications, n, num_parents))
-    noise = sigma_y * rng.standard_normal((replications, n))
+    beta = rng.uniform(1.0, 5.0, k)
+    x = rng.normal(0.5, 2.0, size=(replications, n, k))
+    noise = RESID_SIGMA_Y * rng.standard_normal((replications, n))
     y = np.einsum("rnk,k->rn", x, beta) + noise
-    from .dataset import EnvironmentData, MultiEnvDataset
-
-    envs = tuple(
-        EnvironmentData(np.hstack([x[r], np.ones((n, 1))]), y[r])
-        for r in range(replications)
-    )
-    dataset = MultiEnvDataset(environments=envs, num_covariates=num_parents, intercept_added=True)
-    norms, _ = _fit_environments(dataset, list(range(num_parents + 1)), None)
-    return norms / sigma_y**2, n - num_parents - 1
+    dataset = from_arrays(list(x), list(y)).with_intercept()
+    # Only the residuals are read, so one Monte-Carlo draw is enough.
+    report = phi_S(dataset, tuple(range(1, k + 1)), TestConfig(mc_samples=1))
+    return np.asarray(report.residual_norms_sq) / RESID_SIGMA_Y**2, n - k - 1
 
 
 def residual_ks_pvalue(values: np.ndarray, dof: int) -> float:

@@ -61,9 +61,6 @@ OPTIONS = {
     "--no-intercept": dict(
         action="store_true", help="do not append a constant-one column before regression"
     ),
-    "--rank-tol": dict(
-        type=float, default=None, help="relative singular-value cutoff for rank/pseudo-inverse"
-    ),
     "--max-dim": dict(
         type=int, default=DEFAULT_MAX_DIM,
         help=f"refuse more candidate covariates than this (default {DEFAULT_MAX_DIM})",
@@ -80,9 +77,7 @@ def _add_options(parser: argparse.ArgumentParser, *flags: str, format_help: str 
 
 
 def _test_config(args) -> TestConfig:
-    return TestConfig(
-        alpha=args.alpha, mc_samples=args.mc_samples, seed=args.seed, rank_tol=args.rank_tol
-    )
+    return TestConfig(alpha=args.alpha, mc_samples=args.mc_samples, seed=args.seed)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -183,8 +178,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discover", help="estimate causal parents from a dataset file")
     p.add_argument("input", help="dataset file (CSV: env,x1..xD,y; or JSON)")
     _add_options(
-        p, "--alpha", "--mc-samples", "--seed", "--workers", "--no-intercept", "--rank-tol",
-        "--max-dim", "--output",
+        p, "--alpha", "--mc-samples", "--seed", "--workers", "--no-intercept", "--max-dim",
+        "--output",
         format_help="input format (default: json for a .json file, csv otherwise)",
     )
     p.set_defaults(func=cmd_discover)
@@ -200,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=20, help="environment window length (default 20)")
     p.add_argument("--num-envs", type=int, default=300, help="windows per run (default 300)")
     p.add_argument("--runs", type=int, default=50, help="independent trajectories (default 50)")
-    _add_options(p, "--alpha", "--mc-samples", "--seed", "--workers", "--rank-tol", "--output")
+    _add_options(p, "--alpha", "--mc-samples", "--seed", "--workers", "--output")
     p.set_defaults(func=cmd_network)
 
     p = sub.add_parser("calibrate", help="run statistical self-checks")

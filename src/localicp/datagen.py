@@ -17,12 +17,12 @@ so a fixed seed yields bit-identical data for any worker layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import EnvironmentData, MultiEnvDataset, from_arrays
-from .errors import DivergenceError, InvalidInputError, ShapeError, check_counts
+from .errors import CapacityError, DivergenceError, InvalidInputError, ShapeError, check_counts
 
 __all__ = [
     "IndependentGenConfig",
@@ -44,6 +44,9 @@ SEM_PARENTS = (2, 3)
 LORENZ_DEFAULT_STATE = (2.0, 0.97, 0.99, 1.0, 0.97, 1.0)
 LORENZ_OVERFLOW = 1e15
 
+# Largest dataset a generator config admits, in doubles (2^27, 1 GiB).
+MAX_DOUBLES = 2**27
+
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -51,7 +54,6 @@ class GroundTruth:
 
     parent_set: tuple[int, ...]
     betas: tuple[tuple[float, ...], ...]
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for env_idx, beta in enumerate(self.betas):
@@ -60,13 +62,6 @@ class GroundTruth:
                     raise InvalidInputError(
                         f"environment {env_idx}: non-zero coefficient on non-parent {d}"
                     )
-
-    def to_dict(self) -> dict:
-        return {
-            "parent_set": list(self.parent_set),
-            "betas": [list(b) for b in self.betas],
-            "metadata": self.metadata,
-        }
 
 
 def _env_rng(seed: int, env_index: int) -> np.random.Generator:
@@ -90,6 +85,19 @@ def _check_family(family: str, t_dof: int) -> None:
     if family == "student_t" and t_dof <= 2:
         raise InvalidInputError(
             "student_t_dof must exceed 2 so the variance exists for standardization"
+        )
+
+
+def _check_size(num_envs: int, samples_per_env: int, columns: int) -> None:
+    """Raise ``CapacityError`` before allocating more than ``MAX_DOUBLES`` values.
+
+    ``columns`` counts the covariates plus the target.
+    """
+    size = num_envs * samples_per_env * columns
+    if size > MAX_DOUBLES:
+        raise CapacityError(
+            f"num_envs={num_envs} x samples_per_env={samples_per_env} x {columns} columns "
+            f"is {size} doubles, above the limit of {MAX_DOUBLES} (1 GiB)"
         )
 
 
@@ -120,6 +128,7 @@ class IndependentGenConfig:
         check_counts(
             num_envs=self.num_envs, samples_per_env=self.samples_per_env, dimension=self.dimension
         )
+        _check_size(self.num_envs, self.samples_per_env, self.dimension + 1)
         if not set(self.parent_set) <= set(range(1, self.dimension + 1)):
             raise InvalidInputError(
                 f"parent_set {self.parent_set} not contained in 1..{self.dimension}"
@@ -156,18 +165,7 @@ def gen_independent(
         covs.append(x)
         tgts.append(x @ beta + noise)
         betas.append(tuple(beta))
-    truth = GroundTruth(
-        parent_set=parents,
-        betas=tuple(betas),
-        metadata={
-            "generator": "independent",
-            "covariate_family": config.covariate_family,
-            "student_t_dof": config.student_t_dof,
-            "target_noise_std": config.target_noise_std,
-            "seed": int(seed),
-        },
-    )
-    return from_arrays(covs, tgts), truth
+    return from_arrays(covs, tgts), GroundTruth(parent_set=parents, betas=tuple(betas))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +186,7 @@ class SemGenConfig:
 
     def __post_init__(self):
         check_counts(num_envs=self.num_envs, samples_per_env=self.samples_per_env)
+        _check_size(self.num_envs, self.samples_per_env, 7)  # six covariates and the target
         _check_range("sigma_range", self.sigma_range)
         _check_range("beta_range", self.beta_range)
         if self.sigma_range[0] <= 0:
@@ -248,19 +247,7 @@ def gen_sem(config: SemGenConfig, seed: int) -> tuple[MultiEnvDataset, GroundTru
         covs.append(x)
         tgts.append(y)
         betas.append((0.0, float(beta2), float(beta3), 0.0, 0.0, 0.0))
-    truth = GroundTruth(
-        parent_set=SEM_PARENTS,
-        betas=tuple(betas),
-        metadata={
-            "generator": "sem",
-            "noise_family": config.noise_family,
-            "student_t_dof": config.student_t_dof,
-            "sigma_y": config.sigma_y,
-            "heterogeneity": config.heterogeneity,
-            "seed": int(seed),
-        },
-    )
-    return from_arrays(covs, tgts), truth
+    return from_arrays(covs, tgts), GroundTruth(parent_set=SEM_PARENTS, betas=tuple(betas))
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,10 @@ RESULTS_SCHEMA_VERSION = 1
 
 MAX_ATTEMPTS = 3
 
+# Edge rule of the network study (see ``network_detect``).
+EDGE_ALPHA = 0.05
+NULL_RATE = 0.10
+
 
 def _map_runs(fn: Callable, items, workers: int) -> list:
     """``[fn(i) for i in items]``, on a pool of ``workers`` threads when above 1."""
@@ -130,6 +134,8 @@ class Scenario:
                 f"generator must be one of {sorted(GENERATORS)}, got {self.generator_kind!r}"
             )
         check_counts(runs=self.runs, max_dim=self.max_dim)
+        if not isinstance(self.intercept, bool):
+            raise InvalidInputError(f"intercept must be true or false, got {self.intercept!r}")
         if len(self.grid) == 0:
             raise InvalidInputError("sweep grid must be non-empty")
         if not hasattr(self.generator_config, self.sweep_parameter):
@@ -156,7 +162,7 @@ class Scenario:
             sweep_parameter = str(doc["sweep"]["parameter"])
             grid = doc["sweep"]["grid"]
             runs = doc["runs"]
-            intercept = bool(doc.get("intercept", True))
+            intercept = doc.get("intercept", True)
             max_dim = doc.get("max_dim", DEFAULT_MAX_DIM)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed scenario: {exc}") from None
@@ -347,8 +353,6 @@ def network_detect(
     test_config: TestConfig,
     seed: int,
     warmup: int = 500,
-    edge_alpha: float = 0.05,
-    null_rate: float = 0.10,
     workers: int = 1,
 ) -> NetworkResult:
     """Repeatedly simulate the dynamical system and count reported parents.
@@ -356,10 +360,11 @@ def network_detect(
     Each run regenerates an independent trajectory, splits it into
     ``num_envs`` time windows and discovers parents for all six next-step
     targets.  An edge i -> j is declared when covariate i was reported for
-    target j more often than ``null_rate`` and the exact one-sided binomial
-    p-value is at most ``edge_alpha``.  A run whose trajectory diverges is
-    retried with fresh seeds, ``MAX_ATTEMPTS`` attempts in all, then counted
-    as a failure; any other error propagates.
+    target j in more than ``NULL_RATE`` (10%) of the runs and the exact
+    one-sided binomial p-value against that rate is at most ``EDGE_ALPHA``
+    (0.05).  A run whose trajectory diverges is retried with fresh seeds,
+    ``MAX_ATTEMPTS`` attempts in all, then counted as a failure; any other
+    error propagates.
     """
     if runs < 1:
         raise InvalidInputError("runs must be at least 1")
@@ -401,8 +406,8 @@ def network_detect(
     for j in range(d):
         for i in range(d):
             c = int(counts[i, j])
-            p = binomial_test_greater(c, good, null_rate) if c > 0 else 1.0
-            if c > null_rate * good and p <= edge_alpha:
+            p = binomial_test_greater(c, good, NULL_RATE) if c > 0 else 1.0
+            if c > NULL_RATE * good and p <= EDGE_ALPHA:
                 edges.append(
                     {"parent": i + 1, "target": j + 1, "count": c, "p_value": p}
                 )

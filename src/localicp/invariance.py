@@ -22,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import linalg
 from .dataset import MultiEnvDataset
 from .errors import InvalidInputError, check_counts
 
@@ -48,20 +47,15 @@ class TestConfig:
     alpha: float = 0.1
     mc_samples: int = 100
     seed: int = 0
-    rank_tol: float | None = None
 
     def __post_init__(self):
-        for name in ("alpha", "seed", "rank_tol"):
+        for name in ("alpha", "seed"):
             value = getattr(self, name)
-            if name == "rank_tol" and value is None:
-                continue
             if not isinstance(value, numbers.Real):
                 raise InvalidInputError(f"{name} must be a number, got {value!r}")
         if not (0.0 <= self.alpha < 1.0):
             raise InvalidInputError("alpha must lie in [0, 1)")
         check_counts(mc_samples=self.mc_samples)
-        if self.rank_tol is not None and not self.rank_tol > 0:
-            raise InvalidInputError("rank_tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -152,18 +146,20 @@ def mc_pvalue(
     return (1 + count) / (b + 1)
 
 
-def _fit_environments(dataset: MultiEnvDataset, cols: list[int], rank_tol):
+def _fit_environments(dataset: MultiEnvDataset, cols: list[int]):
     """Per-environment squared residual norms and Gram ranks for the columns.
 
     One batched SVD of the Gram matrices over the dataset's zero-padded stack;
     padded rows are zero and so leave every Gram matrix, ``X'y`` and residual
-    unchanged.  With no columns the factors are empty: rank 0 and RSS ``y'y``.
+    unchanged.  Singular values at most ``width * eps * sigma_max`` count as
+    zero, both for the rank and in the pseudo-inverse solve.  With no columns
+    the factors are empty: rank 0 and RSS ``y'y``.
     """
     xs, y = dataset.padded
     x = xs[:, :, cols]
     gram = np.einsum("eni,enj->eij", x, x)
     u, s, vt = np.linalg.svd(gram)
-    tol = rank_tol if rank_tol is not None else linalg.default_rel_tol(gram.shape[1:])
+    tol = len(cols) * np.finfo(np.float64).eps
     smax = s[:, :1]
     keep = s > tol * np.where(smax > 0, smax, 1.0)
     ranks = keep.sum(axis=1)
@@ -203,7 +199,7 @@ def phi_S(
     if dataset.intercept_added:
         cols = cols + [d]
 
-    norms, ranks = _fit_environments(dataset, cols, config.rank_tol)
+    norms, ranks = _fit_environments(dataset, cols)
     dofs = tuple(max(0, n - int(r)) for n, r in zip(dataset.sample_sizes, ranks))
     # Zero degrees of freedom means the regression interpolates; the residual
     # is exactly zero in exact arithmetic, so discard rounding noise.

@@ -7,9 +7,9 @@ matrix explicitly and pseudo-inverts it, so the rank used for degrees of
 freedom downstream and the rank implicit in the solve are the same quantity.
 
 The subset test does not call these one-matrix routines: it fits all
-environments at once in ``invariance._fit_environments`` under the same
-convention (``default_rel_tol`` is shared).  They are the reference that
-batched fit is tested against.
+environments at once in ``invariance._fit_environments``, which computes the
+same cutoff itself.  They are the reference that batched fit is tested
+against.
 """
 
 from __future__ import annotations

@@ -203,10 +203,8 @@ def _cp_oracle(successes, trials, level=0.95):
     tail = (1 - level) / 2
 
     def binom_ge(k, n, p):
-        return sum(
-            mpmath.binomial(n, i) * mpmath.mpf(p) ** i * (1 - mpmath.mpf(p)) ** (n - i)
-            for i in range(k, n + 1)
-        )
+        # P(Bin(n, p) >= k) as the regularized incomplete beta I_p(k, n - k + 1).
+        return mpmath.betainc(k, n - k + 1, 0, p, regularized=True)
 
     def bisect(f):
         a, b = mpmath.mpf(0), mpmath.mpf(1)

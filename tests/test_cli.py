@@ -215,6 +215,19 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "5 candidate covariates means 32 subsets" in err
         assert "runs failed" not in err
+        # A count too large to allocate is refused before any data is drawn,
+        # whether the generator block or the sweep grid (over samples_per_env) holds it.
+        big_count = json.loads(Path(self.scenario_file(tmp_path)).read_text())
+        big_count["generator"]["samples_per_env"] = 999999999
+        big_grid = json.loads(Path(self.scenario_file(tmp_path)).read_text())
+        big_grid["sweep"]["grid"] = [10, 999999999]
+        for doc in (big_count, big_grid):
+            path.write_text(json.dumps(doc))
+            assert main(["simulate", str(path)]) == EXIT_CAPACITY
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.strip().splitlines()) == 1
+            assert captured.err.startswith("error: num_envs=5 x samples_per_env=999999999")
 
 
 class TestNetwork:
@@ -275,10 +288,11 @@ class TestCalibrate:
 
 
 # Each subcommand declares only the options it reads; the scenario file sets
-# simulate's test, intercept and max_dim.
+# simulate's test, intercept and max_dim.  No command has ``--rank-tol``.
 @pytest.mark.parametrize(
     "argv",
     [
+        ["discover", "d.csv", "--rank-tol", "1e-9"],
         ["simulate", "s.json", "--alpha", "0.05"],
         ["simulate", "s.json", "--mc-samples", "10"],
         ["simulate", "s.json", "--no-intercept"],
@@ -287,6 +301,7 @@ class TestCalibrate:
         ["network", "--no-intercept"],
         ["network", "--max-dim", "3"],
         ["network", "--format", "csv"],
+        ["network", "--rank-tol", "1e-9"],
         ["calibrate", "--workers", "2"],
         ["calibrate", "--no-intercept"],
         ["calibrate", "--rank-tol", "1e-9"],
@@ -310,11 +325,11 @@ def test_each_command_declares_the_options_it_reads():
         name: {a.option_strings[0]: a.help for a in p._actions if a.option_strings and a.dest != "help"}
         for name, p in commands.items()
     }
-    test = {"--alpha", "--mc-samples", "--seed", "--workers", "--rank-tol", "--output"}
+    test = {"--alpha", "--mc-samples", "--seed", "--workers", "--output"}
     assert set(options["discover"]) == test | {"--no-intercept", "--max-dim", "--format"}
     assert set(options["simulate"]) == {"--seed", "--workers", "--output", "--format"}
     assert set(options["network"]) == test | {"--horizon", "--warmup", "--window", "--num-envs", "--runs"}
-    assert set(options["calibrate"]) == test - {"--workers", "--rank-tol"} | {"--replications"}
+    assert set(options["calibrate"]) == test - {"--workers"} | {"--replications"}
     assert options["discover"]["--format"].startswith("input format")
     assert options["simulate"]["--format"].startswith("output format")
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from localicp.datagen import (
+    MAX_DOUBLES,
     IndependentGenConfig,
     LorenzGenConfig,
     SemGenConfig,
@@ -11,7 +12,7 @@ from localicp.datagen import (
     sem_cascade,
     split_environments,
 )
-from localicp.errors import DivergenceError, InvalidInputError, ShapeError
+from localicp.errors import CapacityError, DivergenceError, InvalidInputError, ShapeError
 
 
 class TestIndependent:
@@ -90,6 +91,10 @@ class TestIndependent:
         for counts in ({"samples_per_env": 10.5}, {"dimension": 0}, {"num_envs": "5"}):
             with pytest.raises(InvalidInputError, match="must be a positive integer"):
                 IndependentGenConfig(**counts)
+        # Covariates plus target: 2 columns per row at dimension 1.
+        IndependentGenConfig(num_envs=1, samples_per_env=MAX_DOUBLES // 2, dimension=1, parent_set=(1,))
+        with pytest.raises(CapacityError, match="num_envs=1 x samples_per_env=67108865 x 2 columns"):
+            IndependentGenConfig(num_envs=1, samples_per_env=MAX_DOUBLES // 2 + 1, dimension=1, parent_set=(1,))
 
 
 class TestSem:
@@ -149,6 +154,9 @@ class TestSem:
             SemGenConfig(heterogeneity=-1.0)
         with pytest.raises(InvalidInputError, match="num_envs must be a positive integer"):
             SemGenConfig(num_envs=2.0)
+        SemGenConfig(num_envs=1, samples_per_env=MAX_DOUBLES // 7)
+        with pytest.raises(CapacityError, match="x 7 columns"):
+            SemGenConfig(num_envs=1, samples_per_env=MAX_DOUBLES // 7 + 1)
 
 
 class TestLorenz:

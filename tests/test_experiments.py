@@ -30,11 +30,8 @@ def cp_oracle(successes, trials, level=0.95):
     tail = (1 - level) / 2
 
     def binom_ge(k, n, p):
-        # P(X >= k) for X ~ Bin(n, p), summed in high precision.
-        return sum(
-            mpmath.binomial(n, i) * mpmath.mpf(p) ** i * (1 - mpmath.mpf(p)) ** (n - i)
-            for i in range(k, n + 1)
-        )
+        # P(X >= k) for X ~ Bin(n, p), as the regularized incomplete beta I_p(k, n - k + 1).
+        return mpmath.betainc(k, n - k + 1, 0, p, regularized=True)
 
     def bisect(f):
         a, b = mpmath.mpf(0), mpmath.mpf(1)
@@ -162,7 +159,11 @@ class TestScenario:
         del no_parameter["sweep"]["parameter"]
         with pytest.raises(InvalidInputError, match="parameter"):
             Scenario.from_dict(no_parameter)
-        for test, field in (({"alfa": 0.1}, "alfa"), ({"alpha": "0.1"}, "alpha")):
+        for test, field in (
+            ({"alfa": 0.1}, "alfa"),
+            ({"alpha": "0.1"}, "alpha"),
+            ({"rank_tol": 1e-9}, "rank_tol"),
+        ):
             doc = self.doc()
             doc["test"] = test
             with pytest.raises(InvalidInputError, match=field):
@@ -176,6 +177,11 @@ class TestScenario:
         string_grid["sweep"]["grid"] = "ten"
         with pytest.raises(InvalidInputError, match="sweep.grid must be a list, got 'ten'"):
             Scenario.from_dict(string_grid)
+        for value in ("false", 1):
+            not_boolean = self.doc()
+            not_boolean["intercept"] = value
+            with pytest.raises(InvalidInputError, match=f"intercept must be true or false, got {value!r}"):
+                Scenario.from_dict(not_boolean)
 
     def test_sweep_parameter_must_exist(self):
         doc = self.doc()

@@ -245,7 +245,7 @@ def test_batched_fit_matches_per_env_oracle(make):
     yty = np.array([e.target @ e.target for e in data.environments])
     for k in range(width + 1):
         for cols in map(list, itertools.combinations(range(width), k)):
-            norms, ranks = _fit_environments(data, cols, None)
+            norms, ranks = _fit_environments(data, cols)
             ref_norms, ref_ranks = _per_env_oracle(data, cols)
             assert ranks.tolist() == ref_ranks.tolist(), cols
             # Scaled by y'y: an exact fit's RSS is itself rounding noise.

@@ -7,6 +7,8 @@
   ``experiments.py``, the pool over independent runs.
 - One error boundary: in ``cli.py`` only ``main`` handles exceptions, so the
   map from error to exit code is written once.
+- ``linalg`` is the tests' reference for the batched fit: no module imports it.
+- No module imports another module's ``_``-prefixed name.
 """
 
 import ast
@@ -88,3 +90,39 @@ def test_cli_handles_errors_only_in_main():
         if isinstance(n, ast.ExceptHandler) and id(n) not in inside
     ]
     assert inside and outside == []
+
+
+def _package_imports(tree):
+    """(module, name) of every import from the package; ``from .x import y`` gives ("x", "y")."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("localicp."):
+                    module, _, name = alias.name.removeprefix("localicp.").rpartition(".")
+                    yield module, name
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module == "localicp" or module.startswith("localicp."):
+                module = module.removeprefix("localicp").removeprefix(".")
+                for alias in node.names:
+                    yield module, alias.name
+
+
+def test_no_module_imports_linalg():
+    offenders = [
+        f"{path.name}: from .{module} import {name}"
+        for path in MODULES
+        for module, name in _package_imports(ast.parse(path.read_text(), filename=str(path)))
+        if "linalg" in (module, name)
+    ]
+    assert offenders == []
+
+
+def test_no_private_names_imported_across_modules():
+    offenders = [
+        f"{path.name}: from .{module} import {name}"
+        for path in MODULES
+        for module, name in _package_imports(ast.parse(path.read_text(), filename=str(path)))
+        if name.startswith("_")
+    ]
+    assert offenders == []
