@@ -19,6 +19,7 @@ from scipy import stats
 from .datagen import IndependentGenConfig, gen_independent
 from .dataset import from_arrays
 from .errors import InvalidInputError
+from .experiments import derived_seed
 from .invariance import TestConfig, phi_S
 
 __all__ = [
@@ -41,8 +42,7 @@ def null_test_pvalues(replications: int, seed: int, mc_samples: int = 100) -> np
     gen_cfg = IndependentGenConfig(num_envs=NULL_ENVS, samples_per_env=NULL_SAMPLES)
     out = np.empty(replications)
     for r in range(replications):
-        ss = np.random.SeedSequence([int(seed), r]).generate_state(2)
-        rep_seed = (int(ss[0]) << 32) | int(ss[1])
+        rep_seed = derived_seed(seed, r)
         dataset, truth = gen_independent(gen_cfg, rep_seed)
         config = TestConfig(alpha=0.5, mc_samples=mc_samples, seed=rep_seed)
         report = phi_S(dataset.with_intercept(), truth.parent_set, config)

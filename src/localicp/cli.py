@@ -19,7 +19,6 @@ import sys
 
 from . import dataset as ds
 from .calibration import run_calibration
-from .datagen import LorenzGenConfig
 from .discovery import DEFAULT_MAX_DIM, discover
 from .errors import CapacityError, InvalidInputError, ShapeError
 from .experiments import (
@@ -100,7 +99,6 @@ def _load_dataset(path: str, fmt: str | None) -> ds.MultiEnvDataset:
 
 def cmd_discover(args) -> int:
     data = _load_dataset(args.input, args.format)
-    labels = data.env_labels or tuple(str(i + 1) for i in range(data.num_envs))
     if not args.no_intercept:
         data = data.with_intercept()
     config = _test_config(args)
@@ -113,7 +111,7 @@ def cmd_discover(args) -> int:
             "seed": config.seed,
             "intercept": not args.no_intercept,
         },
-        "env_labels": {label: i + 1 for i, label in enumerate(labels)},
+        "env_labels": {label: i + 1 for i, label in enumerate(data.env_labels)},
     }
     doc.update(result.to_dict())
     _emit(_dump_json(doc), args.output)
@@ -137,7 +135,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_network(args) -> int:
     result = network_detect(
-        LorenzGenConfig(horizon=args.horizon),
         window=args.window,
         num_envs=args.num_envs,
         runs=args.runs,
@@ -190,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("network", help="dynamical-system network detection study")
-    p.add_argument("--horizon", type=int, default=8500, help="trajectory length (default 8500)")
     p.add_argument("--warmup", type=int, default=500, help="discarded initial steps (default 500)")
     p.add_argument("--window", type=int, default=20, help="environment window length (default 20)")
     p.add_argument("--num-envs", type=int, default=300, help="windows per run (default 300)")

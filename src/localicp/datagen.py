@@ -17,6 +17,7 @@ so a fixed seed yields bit-identical data for any worker layout.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,7 +182,6 @@ class SemGenConfig:
     beta_range: tuple[float, float] = (1.0, 5.0)
     sigma_y: float = 2.0
     heterogeneity: float | None = None
-    separate_sigma4: bool = False
     student_t_dof: int = 3
 
     def __post_init__(self):
@@ -235,11 +235,9 @@ def gen_sem(config: SemGenConfig, seed: int) -> tuple[MultiEnvDataset, GroundTru
         rng = _env_rng(seed, e)
         sigma = rng.uniform(*sigma_rng, 6)
         beta2, beta3 = rng.uniform(*beta_rng, 2)
-        # The X4 equation reuses sigma_3 as printed; opt in for a separate scale.
-        sigma4 = sigma[3] if config.separate_sigma4 else sigma[2]
-        scales = np.array(
-            [sigma[0], sigma[1], sigma[2], sigma4, config.sigma_y, sigma[4], sigma[5]]
-        )
+        # The X4 equation reuses sigma_3 as printed; sigma[3] is drawn but
+        # unused, so the stream of every later draw stays fixed.
+        scales = np.r_[sigma[[0, 1, 2, 2]], config.sigma_y, sigma[4:]]
         eps = scales * _standard_draws(
             rng, config.noise_family, (n, 7), config.student_t_dof
         )
@@ -261,8 +259,13 @@ class LorenzGenConfig:
     noise_std: float = 1.0
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise InvalidInputError("horizon must be at least 1")
+        check_counts(horizon=self.horizon)
+        size = 12 * self.horizon + 6  # noise (horizon x 6) and states ((horizon + 1) x 6)
+        if size > MAX_DOUBLES:
+            raise CapacityError(
+                f"a trajectory of {self.horizon} steps needs {size} doubles, "
+                f"above the limit of {MAX_DOUBLES} (1 GiB)"
+            )
         if len(self.initial_state) != 6:
             raise InvalidInputError("initial_state must have six coordinates")
         if self.noise_std < 0:
@@ -299,6 +302,14 @@ def gen_lorenz(config: LorenzGenConfig, seed: int) -> np.ndarray:
     return out
 
 
+def window_steps(window: int, num_envs: int, warmup: int) -> int:
+    """Steps ``warmup + num_envs * window`` that ``num_envs`` windows after ``warmup`` read."""
+    check_counts(window=window, num_envs=num_envs)
+    if not isinstance(warmup, numbers.Integral) or isinstance(warmup, bool) or warmup < 0:
+        raise InvalidInputError(f"warmup must be a non-negative integer, got {warmup!r}")
+    return warmup + num_envs * window
+
+
 def split_environments(
     series: np.ndarray,
     target: int,
@@ -317,9 +328,7 @@ def split_environments(
     d = series.shape[1]
     if not (1 <= target <= d):
         raise InvalidInputError(f"target coordinate must lie in 1..{d}")
-    if window < 1 or num_envs < 1 or warmup < 0:
-        raise InvalidInputError("window and num_envs must be positive, warmup non-negative")
-    required = warmup + num_envs * window + 1
+    required = window_steps(window, num_envs, warmup) + 1
     if series.shape[0] < required:
         raise ShapeError(
             f"series has {series.shape[0]} steps but warmup={warmup}, "

@@ -4,8 +4,8 @@ CSV layout: header ``env,x1,...,xD,y``, one row per observation, rows in any
 order.  Environment labels are arbitrary strings mapped to indices by first
 appearance; the mapping is preserved on the dataset for traceability.
 
-JSON layout: a versioned document bundling the per-environment arrays plus
-optional generator metadata and ground truth.
+JSON layout: a versioned document bundling the per-environment arrays and
+their labels.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ class MultiEnvDataset:
 
     ``num_covariates`` counts candidate causal parents only; when
     ``intercept_added`` the physical matrices carry one extra trailing
-    column of ones that is never a candidate.
+    column of ones that is never a candidate.  ``env_labels`` defaults to
+    ``"1"`` .. ``"E"``.
     """
 
     environments: tuple[EnvironmentData, ...]
@@ -80,7 +81,9 @@ class MultiEnvDataset:
                 raise ShapeError(
                     f"environment {i} has {env.covariates.shape[1]} columns, expected {width}"
                 )
-        if self.env_labels is not None and len(self.env_labels) != len(envs):
+        if self.env_labels is None:
+            object.__setattr__(self, "env_labels", tuple(str(i + 1) for i in range(len(envs))))
+        elif len(self.env_labels) != len(envs):
             raise ShapeError("env_labels length must match the number of environments")
         object.__setattr__(self, "environments", envs)
 
@@ -149,11 +152,10 @@ def write_csv(dataset: MultiEnvDataset, path) -> None:
     if dataset.intercept_added:
         raise InvalidInputError("export the raw dataset (without intercept column)")
     d = dataset.num_covariates
-    labels = dataset.env_labels or tuple(str(i + 1) for i in range(dataset.num_envs))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["env"] + [f"x{j + 1}" for j in range(d)] + ["y"])
-        for label, env in zip(labels, dataset.environments):
+        for label, env in zip(dataset.env_labels, dataset.environments):
             for i in range(env.num_samples):
                 row = [label] + [repr(float(v)) for v in env.covariates[i]] + [repr(float(env.target[i]))]
                 writer.writerow(row)
@@ -220,29 +222,26 @@ def read_csv(path) -> MultiEnvDataset:
 # JSON
 
 
-def dataset_to_dict(dataset: MultiEnvDataset, metadata: dict | None = None) -> dict:
+def dataset_to_dict(dataset: MultiEnvDataset) -> dict:
     if dataset.intercept_added:
         raise InvalidInputError("export the raw dataset (without intercept column)")
-    doc = {
+    return {
         "schema_version": DATASET_SCHEMA_VERSION,
         "num_covariates": dataset.num_covariates,
         "environments": [
             {
-                "label": (dataset.env_labels[i] if dataset.env_labels else str(i + 1)),
+                "label": label,
                 "covariates": env.covariates.tolist(),
                 "target": env.target.tolist(),
             }
-            for i, env in enumerate(dataset.environments)
+            for label, env in zip(dataset.env_labels, dataset.environments)
         ],
     }
-    if metadata is not None:
-        doc["metadata"] = metadata
-    return doc
 
 
-def write_json(dataset: MultiEnvDataset, path, metadata: dict | None = None) -> None:
+def write_json(dataset: MultiEnvDataset, path) -> None:
     with open(path, "w") as fh:
-        json.dump(dataset_to_dict(dataset, metadata), fh)
+        json.dump(dataset_to_dict(dataset), fh)
         fh.write("\n")
 
 

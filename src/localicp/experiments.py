@@ -39,9 +39,10 @@ from .datagen import (
     gen_lorenz,
     gen_sem,
     split_environments,
+    window_steps,
 )
 from .discovery import DEFAULT_MAX_DIM, discover
-from .errors import DivergenceError, InvalidInputError, check_counts
+from .errors import CapacityError, DivergenceError, InvalidInputError, check_counts
 from .invariance import TestConfig
 
 __all__ = [
@@ -74,7 +75,7 @@ def _map_runs(fn: Callable, items, workers: int) -> list:
     return [fn(i) for i in items]
 
 
-def _derived_seed(*parts: int) -> int:
+def derived_seed(*parts: int) -> int:
     """Deterministic 64-bit seed from integer components."""
     state = np.random.SeedSequence([int(p) for p in parts]).generate_state(2)
     return (int(state[0]) << 32) | int(state[1])
@@ -228,8 +229,8 @@ def _single_trial(scenario: Scenario, gen_cfg, seed: int, grid_index: int, run: 
     generate = GENERATORS[scenario.generator_kind][1]
     # The 0 in both seeds is an attempt index (sweep runs used to be retried);
     # it stays so that a fixed seed keeps its results.
-    data_seed = _derived_seed(seed, grid_index, run, 0, 0)
-    test_seed = _derived_seed(seed, grid_index, run, 0, 1)
+    data_seed = derived_seed(seed, grid_index, run, 0, 0)
+    test_seed = derived_seed(seed, grid_index, run, 0, 1)
     dataset, truth = generate(gen_cfg, data_seed)
     if scenario.intercept:
         dataset = dataset.with_intercept()
@@ -346,7 +347,6 @@ class NetworkResult:
 
 
 def network_detect(
-    lorenz_config: LorenzGenConfig,
     window: int,
     num_envs: int,
     runs: int,
@@ -357,7 +357,8 @@ def network_detect(
 ) -> NetworkResult:
     """Repeatedly simulate the dynamical system and count reported parents.
 
-    Each run regenerates an independent trajectory, splits it into
+    Each run simulates an independent trajectory of exactly the
+    ``warmup + num_envs * window`` steps its windows read, splits it into
     ``num_envs`` time windows and discovers parents for all six next-step
     targets.  An edge i -> j is declared when covariate i was reported for
     target j in more than ``NULL_RATE`` (10%) of the runs and the exact
@@ -366,14 +367,17 @@ def network_detect(
     ``MAX_ATTEMPTS`` attempts in all, then counted as a failure; any other
     error propagates.
     """
-    if runs < 1:
-        raise InvalidInputError("runs must be at least 1")
+    check_counts(runs=runs)
+    try:
+        lorenz_config = LorenzGenConfig(horizon=window_steps(window, num_envs, warmup))
+    except CapacityError as exc:
+        raise CapacityError(f"warmup + num_envs x window = {warmup} + {num_envs} x {window}: {exc}") from None
     d = 6
 
     def one_run(run: int):
         for attempt in range(MAX_ATTEMPTS):
             try:
-                series = gen_lorenz(lorenz_config, _derived_seed(seed, run, attempt, 0))
+                series = gen_lorenz(lorenz_config, derived_seed(seed, run, attempt, 0))
             except DivergenceError:
                 continue
             found = []
@@ -382,7 +386,7 @@ def network_detect(
                     series, target, window, warmup, num_envs
                 ).with_intercept()
                 config = dataclasses.replace(
-                    test_config, seed=_derived_seed(seed, run, attempt, target)
+                    test_config, seed=derived_seed(seed, run, attempt, target)
                 )
                 result = discover(dataset, config, early_stop=True)
                 found.append(result.estimated_parents)
@@ -390,7 +394,6 @@ def network_detect(
         return None
 
     per_run = tuple(r for r in _map_runs(one_run, range(runs), workers) if r is not None)
-    failures = runs - len(per_run)
     good = len(per_run)
     if good == 0:
         raise InvalidInputError(
@@ -416,6 +419,6 @@ def network_detect(
         edges=tuple(edges),
         runs=good,
         window=window,
-        failures=failures,
+        failures=runs - good,
         per_run=per_run,
     )

@@ -99,31 +99,24 @@ def test_statistic(residual_norms_sq: Sequence[float]) -> float:
     return float(norms.min() / top)
 
 
-def sample_null_ratio(
-    dofs: Sequence[int],
-    rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Draw min/max ratios of independent chi-squared variables.
+def sample_null_ratio(dofs: Sequence[int], rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` min/max ratios of independent chi-squared variables.
 
     An entry with zero degrees of freedom contributes an exact 0; if every
     entry is 0 the ratio is ``+inf`` (same convention as the statistic).
-    Returns a scalar when ``size`` is None, else an array of ``size`` draws.
     """
     df = np.asarray(dofs, dtype=np.int64)
     if df.size == 0:
         raise InvalidInputError("dofs must be non-empty")
     if np.any(df < 0):
         raise InvalidInputError("dofs must be non-negative")
-    b = 1 if size is None else int(size)
-    z = np.zeros((b, df.size))
+    z = np.zeros((size, df.size))
     positive = df > 0
     if positive.any():
-        z[:, positive] = rng.chisquare(df[positive], size=(b, int(positive.sum())))
+        z[:, positive] = rng.chisquare(df[positive], size=(size, int(positive.sum())))
     top = z.max(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(top > 0.0, z.min(axis=1) / top, math.inf)
-    return float(ratio[0]) if size is None else ratio
+        return np.where(top > 0.0, z.min(axis=1) / top, math.inf)
 
 
 def mc_pvalue(
@@ -207,12 +200,11 @@ def phi_S(
     statistic = test_statistic(norms)
     rng = subset_rng(config.seed, subset)
     p = mc_pvalue(statistic, dofs, config.mc_samples, rng)
-    rejected = bool(p <= config.alpha and math.isfinite(statistic))
     return SubsetTestReport(
         subset=subset,
         residual_norms_sq=tuple(float(v) for v in norms),
         dofs=dofs,
         statistic=statistic,
         p_value=p,
-        rejected=rejected,
+        rejected=bool(p <= config.alpha),
     )

@@ -22,7 +22,7 @@ from localicp.calibration import (
     residual_ks_pvalue,
 )
 from localicp.cli import EXIT_OK, main
-from localicp.datagen import IndependentGenConfig, LorenzGenConfig, SemGenConfig
+from localicp.datagen import IndependentGenConfig, SemGenConfig
 from localicp.dataset import from_arrays
 from localicp.discovery import HeterogeneityInput, heterogeneity_index, power_bound
 from localicp.experiments import (
@@ -158,7 +158,6 @@ def test_c6_power_bound_consistency(capsys):
 
 def run_network_study(runs, seed):
     return network_detect(
-        LorenzGenConfig(horizon=8500),
         window=20,
         num_envs=300,
         runs=runs,
@@ -316,7 +315,7 @@ def test_c9_byte_identical_across_workers(capsys, tmp_path):
     for tag, workers in (("a", "1"), ("b", "3")):
         out = tmp_path / f"net_{tag}.json"
         code = main(
-            ["network", "--horizon", "700", "--warmup", "300", "--window", "10",
+            ["network", "--warmup", "300", "--window", "10",
              "--num-envs", "40", "--runs", "3", "--mc-samples", "50",
              "--seed", "109", "--workers", workers, "--output", str(out)]
         )

@@ -236,7 +236,6 @@ class TestNetwork:
         code = main(
             [
                 "network",
-                "--horizon", "450",
                 "--warmup", "200",
                 "--window", "10",
                 "--num-envs", "20",
@@ -251,15 +250,22 @@ class TestNetwork:
         assert len(doc["counts"]) == 6
         assert doc["runs"] == 2
 
-    def test_too_short_horizon(self, capsys):
-        code = main(
-            ["network", "--horizon", "50", "--warmup", "40", "--window", "10",
-             "--num-envs", "20", "--runs", "1"]
+    def test_zero_window_refused(self, capsys):
+        assert main(["network", "--window", "0", "--runs", "1"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: window must be a positive integer, got 0"]
+
+    def test_capacity_limit(self, capsys):
+        # The trajectory is as long as its windows read, so the window counts
+        # meet the ceiling before anything is simulated.
+        assert main(["network", "--num-envs", "999999999", "--runs", "1"]) == EXIT_CAPACITY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert captured.err.startswith(
+            "error: warmup + num_envs x window = 500 + 999999999 x 20: "
         )
-        assert code == EXIT_INPUT
-        err = capsys.readouterr().err
-        assert "series has 51 steps but warmup=40" in err
-        assert "runs failed" not in err
 
 
 class TestCalibrate:
@@ -288,7 +294,8 @@ class TestCalibrate:
 
 
 # Each subcommand declares only the options it reads; the scenario file sets
-# simulate's test, intercept and max_dim.  No command has ``--rank-tol``.
+# simulate's test, intercept and max_dim.  No command has ``--rank-tol``, and
+# ``network`` simulates exactly the steps its windows read, so it has no ``--horizon``.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -302,6 +309,7 @@ class TestCalibrate:
         ["network", "--max-dim", "3"],
         ["network", "--format", "csv"],
         ["network", "--rank-tol", "1e-9"],
+        ["network", "--horizon", "8500"],
         ["calibrate", "--workers", "2"],
         ["calibrate", "--no-intercept"],
         ["calibrate", "--rank-tol", "1e-9"],
@@ -328,7 +336,7 @@ def test_each_command_declares_the_options_it_reads():
     test = {"--alpha", "--mc-samples", "--seed", "--workers", "--output"}
     assert set(options["discover"]) == test | {"--no-intercept", "--max-dim", "--format"}
     assert set(options["simulate"]) == {"--seed", "--workers", "--output", "--format"}
-    assert set(options["network"]) == test | {"--horizon", "--warmup", "--window", "--num-envs", "--runs"}
+    assert set(options["network"]) == test | {"--warmup", "--window", "--num-envs", "--runs"}
     assert set(options["calibrate"]) == test - {"--workers"} | {"--replications"}
     assert options["discover"]["--format"].startswith("input format")
     assert options["simulate"]["--format"].startswith("output format")

@@ -126,15 +126,17 @@ class TestSem:
 
     def test_fourth_scale_reuses_third_by_default(self):
         cfg = SemGenConfig(num_envs=2, samples_per_env=30)
-        alt = SemGenConfig(num_envs=2, samples_per_env=30, separate_sigma4=True)
-        a, _ = gen_sem(cfg, 9)
-        b, _ = gen_sem(alt, 9)
-        for ea, eb in zip(a.environments, b.environments):
-            same = ea.covariates == eb.covariates
-            # Only the X4 column may change when the separate scale is enabled.
-            assert same[:, [0, 1, 2, 4, 5]].all()
-            assert not same[:, 3].all()
-            np.testing.assert_array_equal(ea.target, eb.target)
+        data, _ = gen_sem(cfg, 9)
+        for e, env in enumerate(data.environments):
+            # Replay the environment's own stream: six scales, two
+            # coefficients, then the (n, 7) noise block.
+            rng = np.random.default_rng(np.random.SeedSequence([9, e]))
+            sigma = rng.uniform(*cfg.sigma_range, 6)
+            rng.uniform(*cfg.beta_range, 2)
+            eps = rng.standard_normal((cfg.samples_per_env, 7))
+            x3, x4 = env.covariates[:, 2], env.covariates[:, 3]
+            np.testing.assert_allclose(x4 - 0.2 * x3, sigma[2] * eps[:, 3], rtol=1e-12, atol=1e-12)
+            assert not np.allclose(x4 - 0.2 * x3, sigma[3] * eps[:, 3])
 
     def test_zero_heterogeneity_pins_parameters(self):
         cfg = SemGenConfig(num_envs=4, samples_per_env=10, heterogeneity=0.0)
@@ -194,6 +196,16 @@ class TestLorenz:
             gen_lorenz(cfg, 0)
         assert err.value.step >= 1
 
+    def test_config_validation(self):
+        for horizon in (2.5, 0, True):
+            with pytest.raises(InvalidInputError, match="horizon must be a positive integer"):
+                LorenzGenConfig(horizon=horizon)
+        # Noise (horizon x 6) and states ((horizon + 1) x 6) share the ceiling.
+        largest = (MAX_DOUBLES - 6) // 12
+        LorenzGenConfig(horizon=largest)
+        with pytest.raises(CapacityError, match=f"a trajectory of {largest + 1} steps"):
+            LorenzGenConfig(horizon=largest + 1)
+
     def test_long_noisy_run_stays_bounded(self):
         series = gen_lorenz(LorenzGenConfig(horizon=8500), 2)
         assert np.isfinite(series).all()
@@ -223,6 +235,16 @@ class TestSplitEnvironments:
         series = np.zeros((10, 3))
         with pytest.raises(ShapeError):
             split_environments(series, target=1, window=5, warmup=0, num_envs=2)
+
+    def test_counts_must_be_integers(self):
+        series = np.zeros((30, 3))
+        for name, value in (("window", 2.5), ("num_envs", 2.5), ("window", 0)):
+            counts = {"window": 5, "num_envs": 2, name: value}
+            with pytest.raises(InvalidInputError, match=f"{name} must be a positive integer"):
+                split_environments(series, target=1, warmup=0, **counts)
+        for warmup in (-1, 1.5):
+            with pytest.raises(InvalidInputError, match="warmup must be a non-negative integer"):
+                split_environments(series, target=1, window=5, warmup=warmup, num_envs=2)
 
     def test_bad_target_coordinate(self):
         series = np.zeros((30, 3))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,7 @@ class TestContainers:
         assert data.num_covariates == 2
         assert data.sample_sizes == (4, 6)
         assert not data.intercept_added
+        assert data.env_labels == ("1", "2")
 
     def test_with_intercept_appends_last_column(self):
         data = sample_dataset().with_intercept()
@@ -115,12 +118,17 @@ class TestJson:
     def test_round_trip(self, tmp_path):
         data = sample_dataset(labels=("e1", "e2"))
         path = tmp_path / "data.json"
-        write_json(data, path, metadata={"origin": "unit test"})
+        write_json(data, path)
         back = read_json(path)
         assert back.env_labels == ("e1", "e2")
         for a, b in zip(data.environments, back.environments):
             np.testing.assert_array_equal(a.covariates, b.covariates)
             np.testing.assert_array_equal(a.target, b.target)
+        # Documents written with a metadata block still load; it is ignored.
+        doc = json.loads(path.read_text())
+        doc["metadata"] = {"origin": "unit test"}
+        path.write_text(json.dumps(doc))
+        assert read_json(path).env_labels == ("e1", "e2")
 
     def test_dict_round_trip(self):
         data = sample_dataset()

@@ -8,20 +8,19 @@ import pytest
 
 from localicp import experiments
 from localicp.datagen import IndependentGenConfig, SemGenConfig, gen_lorenz
-from localicp.errors import DivergenceError, InvalidInputError
+from localicp.errors import CapacityError, DivergenceError, InvalidInputError
 from localicp.experiments import (
     MAX_ATTEMPTS,
     NetworkResult,
     Scenario,
-    _derived_seed,
     binomial_test_greater,
     clopper_pearson,
+    derived_seed,
     metrics_to_csv,
     network_detect,
     run_trials,
     trials_to_dict,
 )
-from localicp.datagen import LorenzGenConfig
 from localicp.invariance import TestConfig
 
 
@@ -105,14 +104,14 @@ class TestBinomialTestGreater:
 
 class TestDerivedSeed:
     def test_deterministic(self):
-        assert _derived_seed(1, 2, 3) == _derived_seed(1, 2, 3)
+        assert derived_seed(1, 2, 3) == derived_seed(1, 2, 3)
 
     def test_distinct_across_components(self):
-        seeds = {_derived_seed(a, b) for a in range(10) for b in range(10)}
+        seeds = {derived_seed(a, b) for a in range(10) for b in range(10)}
         assert len(seeds) == 100
 
     def test_64_bit_range(self):
-        s = _derived_seed(7)
+        s = derived_seed(7)
         assert 0 <= s < 2**64
 
 
@@ -168,6 +167,10 @@ class TestScenario:
             doc["test"] = test
             with pytest.raises(InvalidInputError, match=field):
                 Scenario.from_dict(doc)
+        sem_sigma4 = self.doc()
+        sem_sigma4["generator"] = {"kind": "sem", "num_envs": 5, "separate_sigma4": True}
+        with pytest.raises(InvalidInputError, match="separate_sigma4"):
+            Scenario.from_dict(sem_sigma4)
         for value in ("ten", 10.5):
             bad_grid = self.doc()
             bad_grid["sweep"]["grid"] = [10, value]
@@ -257,7 +260,6 @@ class TestRunTrials:
 class TestNetworkDetect:
     def small(self, seed=0, runs=2):
         return network_detect(
-            LorenzGenConfig(horizon=450),
             window=10,
             num_envs=20,
             runs=runs,
@@ -277,7 +279,6 @@ class TestNetworkDetect:
     def test_deterministic_across_workers(self):
         a = self.small(seed=7)
         b = network_detect(
-            LorenzGenConfig(horizon=450),
             window=10,
             num_envs=20,
             runs=2,
@@ -334,6 +335,21 @@ class TestNetworkDetect:
         with pytest.raises(RuntimeError, match="bug"):
             self.small(runs=1)
         assert calls["n"] == 1
+
+    def test_counts_checked_before_simulating(self, monkeypatch):
+        def unexpected(cfg, seed):
+            raise AssertionError("gen_lorenz called")
+
+        monkeypatch.setattr(experiments, "gen_lorenz", unexpected)
+        small = dict(window=10, num_envs=20, runs=2, warmup=200)
+        for name, value in (("runs", 2.5), ("window", 2.5), ("num_envs", 0)):
+            with pytest.raises(InvalidInputError, match=f"{name} must be a positive integer"):
+                network_detect(**{**small, name: value}, test_config=TestConfig(), seed=0)
+        for value in (-1, 1.5):
+            with pytest.raises(InvalidInputError, match="warmup must be a non-negative integer"):
+                network_detect(**{**small, "warmup": value}, test_config=TestConfig(), seed=0)
+        with pytest.raises(CapacityError, match=r"warmup \+ num_envs x window = 200 \+ 999999999 x 10"):
+            network_detect(**{**small, "num_envs": 999999999}, test_config=TestConfig(), seed=0)
 
     def test_edge_rule_thresholds(self):
         result = self.small()

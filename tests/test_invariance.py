@@ -42,7 +42,7 @@ class TestStatistic:
 class TestNullRatio:
     def test_all_zero_dofs(self):
         rng = np.random.default_rng(0)
-        assert math.isinf(sample_null_ratio([0, 0, 0], rng))
+        assert np.isinf(sample_null_ratio([0, 0, 0], rng, size=3)).all()
 
     def test_single_environment_is_one(self):
         rng = np.random.default_rng(0)

@@ -9,6 +9,7 @@
   map from error to exit code is written once.
 - ``linalg`` is the tests' reference for the batched fit: no module imports it.
 - No module imports another module's ``_``-prefixed name.
+- One seed derivation: ``generate_state`` appears in a single function.
 """
 
 import ast
@@ -46,10 +47,11 @@ def test_no_catch_all_handlers(path):
     assert offenders == []
 
 
-class _PoolUsers(ast.NodeVisitor):
-    """Innermost enclosing function of every use of ``ThreadPoolExecutor``."""
+class _Users(ast.NodeVisitor):
+    """Innermost enclosing function of every use of the name ``target``."""
 
-    def __init__(self):
+    def __init__(self, target):
+        self.target = target
         self.scope = ["<module>"]
         self.users = set()
 
@@ -61,23 +63,34 @@ class _PoolUsers(ast.NodeVisitor):
     visit_AsyncFunctionDef = visit_FunctionDef
 
     def visit_Name(self, node):
-        if node.id == "ThreadPoolExecutor":
+        if node.id == self.target:
             self.users.add(self.scope[-1])
 
     def visit_Attribute(self, node):
-        if node.attr == "ThreadPoolExecutor":
+        if node.attr == self.target:
             self.users.add(self.scope[-1])
         self.generic_visit(node)
 
 
-def test_thread_pool_in_one_function_of_experiments():
+def _users(target):
+    """(module file, function) of every use of ``target`` in the package."""
     users = set()
     for path in MODULES:
-        visitor = _PoolUsers()
+        visitor = _Users(target)
         visitor.visit(ast.parse(path.read_text(), filename=str(path)))
         users |= {(path.name, scope) for scope in visitor.users}
+    return users
+
+
+def test_thread_pool_in_one_function_of_experiments():
+    users = _users("ThreadPoolExecutor")
     assert len(users) == 1, sorted(users)
     assert next(iter(users))[0] == "experiments.py"
+
+
+def test_seeds_derived_in_one_function():
+    users = _users("generate_state")
+    assert len(users) == 1, sorted(users)
 
 
 def test_cli_handles_errors_only_in_main():
