@@ -43,6 +43,12 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _workers(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 # Every option a subcommand may declare; each subcommand picks the ones its
 # command reads.  ``--format`` means the input format for ``discover`` and the
 # output format for ``simulate``, so each declares its own.
@@ -53,7 +59,7 @@ OPTIONS = {
     ),
     "--seed": dict(type=_seed, default=0, help="base random seed (a non-negative integer)"),
     "--workers": dict(
-        type=int, default=os.cpu_count() or 1,
+        type=_workers, default=os.cpu_count() or 1,
         help="threads over the independent runs of simulate and network; discover "
         "runs serially (results are identical for any value)",
     ),

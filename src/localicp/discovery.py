@@ -38,7 +38,12 @@ STATUS_MODEL_REJECTED = "model_rejected"
 
 @dataclass(frozen=True)
 class DiscoveryResult:
-    """Intersection estimate plus the full per-subset evidence."""
+    """Intersection estimate plus the per-subset evidence.
+
+    ``early_stopped`` is true when the search skipped at least one subset
+    that could not change the estimate; ``reports`` then cover only the
+    subsets tested, and ``subsets_tested`` counts them.
+    """
 
     estimated_parents: tuple[int, ...]
     reports: tuple[SubsetTestReport, ...]
@@ -81,9 +86,12 @@ def discover(
     max_dim : int
         Refuse to enumerate when the number of candidates exceeds this.
     early_stop : bool
-        Skip remaining subsets once the running intersection is empty (the
-        intersection can only shrink).  Reports then cover only the tested
-        subsets.
+        Skip every subset that contains the running intersection of the
+        subsets accepted so far: accepted or rejected, it leaves the
+        intersection as it is.  Once the intersection is empty that is every
+        remaining subset, and the search stops.  Reports then cover only
+        the tested subsets, and ``early_stopped`` tells whether any subset
+        was skipped.
 
     Subsets are tested one after another; the parallelism inside one search
     is the batched fit over all environments of a subset.  Each subset's
@@ -101,6 +109,8 @@ def discover(
     reports: list[SubsetTestReport] = []
     running: set[int] | None = None  # None until the first accepted subset
     for subset in subsets:
+        if early_stop and running is not None and running <= set(subset):
+            continue
         report = test(dataset, subset, config)
         reports.append(report)
         if not report.rejected:

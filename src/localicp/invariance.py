@@ -8,6 +8,13 @@ are ``n_e - rank(Gram)``, so the p-value is obtained by Monte-Carlo sampling
 of that reference ratio.  The conservative ``(1 + count) / (B + 1)`` estimator
 with strict inequality is exactly valid under exchangeability.
 
+All environments of a subset are fitted at once.  Their Gram matrices are
+factored by one batched Cholesky; an environment keeps that solve only when a
+condition bound read off the factor proves its Gram matrix has full rank under
+the SVD cutoff, and every other environment (rank-deficient, ill-conditioned,
+or the empty column set) is solved by the batched SVD.  The residuals are then
+formed explicitly as ``y - X beta``.
+
 Reproducibility contract: the random stream used for subset S is derived
 deterministically from ``(config.seed, bitmask(S))``, so results do not depend
 on the order or parallelism in which subsets are tested.
@@ -34,6 +41,11 @@ __all__ = [
     "phi_S",
     "subset_rng",
 ]
+
+# How far below 1 / tol the certified condition bound of a Gram matrix must
+# stay for its Cholesky solve to be kept; the margin absorbs the rounding in
+# the computed factor, its inverse and the SVD's own singular values.
+CHOLESKY_MARGIN = 1e4
 
 
 @dataclass(frozen=True)
@@ -142,27 +154,55 @@ def mc_pvalue(
 def _fit_environments(dataset: MultiEnvDataset, cols: list[int]):
     """Per-environment squared residual norms and Gram ranks for the columns.
 
-    One batched SVD of the Gram matrices over the dataset's zero-padded stack;
+    The Gram matrices and ``X'y`` come from the dataset's zero-padded stack;
     padded rows are zero and so leave every Gram matrix, ``X'y`` and residual
-    unchanged.  Singular values at most ``width * eps * sigma_max`` count as
-    zero, both for the rank and in the pseudo-inverse solve.  With no columns
-    the factors are empty: rank 0 and RSS ``y'y``.
+    unchanged.  The rank rule is the SVD's: singular values at most
+    ``tol * sigma_max``, with ``tol = width * eps``, count as zero, both for
+    the rank and in the pseudo-inverse solve.
+
+    All Gram matrices are first factored at once by Cholesky, ``G = L L'``.
+    An environment keeps that solve only under the certificate
+    ``||G||_F * ||L^-1||_F^2 * tol * CHOLESKY_MARGIN < 1``: it bounds the
+    condition number of ``G`` a margin below ``1 / tol``, so every singular
+    value clears the cutoff and the rank is the full width.  These go to the
+    batched SVD instead: every environment when the factorization raises
+    (one Gram matrix that is not positive definite fails the whole batch),
+    an environment whose bound is not below 1 (which includes a non-finite
+    factor), and the empty column set, whose factors are empty: rank 0 and
+    RSS ``y'y``.  Both solves give the coefficients; the residual is then
+    formed once, as ``y - X beta``, for every environment.
     """
     xs, y = dataset.padded
     x = xs[:, :, cols]
     gram = np.einsum("eni,enj->eij", x, x)
-    u, s, vt = np.linalg.svd(gram)
-    tol = len(cols) * np.finfo(np.float64).eps
-    smax = s[:, :1]
-    keep = s > tol * np.where(smax > 0, smax, 1.0)
-    ranks = keep.sum(axis=1)
-    s_inv = np.where(keep, 1.0, 0.0)
-    np.divide(s_inv, s, out=s_inv, where=keep)
     xty = np.einsum("eni,en->ei", x, y)
-    beta = np.einsum("eji,ej->ei", vt * s_inv[:, :, None], np.einsum("enj,en->ej", u, xty))
+    tol = len(cols) * np.finfo(np.float64).eps
+    beta = np.zeros_like(xty)
+    ranks = np.full(len(gram), len(cols))
+    uncertified = np.ones(len(gram), dtype=bool)
+    if cols:
+        try:
+            l_inv = np.linalg.inv(np.linalg.cholesky(gram))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            gram_norm = np.sqrt(np.einsum("eij,eij->e", gram, gram))
+            bound = gram_norm * np.einsum("eij,eij->e", l_inv, l_inv) * tol * CHOLESKY_MARGIN
+            uncertified = ~(bound < 1.0)
+            # G^-1 X'y = L^-T (L^-1 X'y)
+            beta = np.einsum("eji,ej->ei", l_inv, np.einsum("eij,ej->ei", l_inv, xty))
+    if uncertified.any():
+        u, s, vt = np.linalg.svd(gram[uncertified])
+        smax = s[:, :1]
+        keep = s > tol * np.where(smax > 0, smax, 1.0)
+        ranks[uncertified] = keep.sum(axis=1)
+        s_inv = np.where(keep, 1.0, 0.0)
+        np.divide(s_inv, s, out=s_inv, where=keep)
+        uty = np.einsum("enj,en->ej", u, xty[uncertified])
+        beta[uncertified] = np.einsum("eji,ej->ei", vt * s_inv[:, :, None], uty)
     resid = y - np.einsum("eni,ei->en", x, beta)
     norms = np.einsum("en,en->e", resid, resid)
-    return norms, ranks.astype(int)
+    return norms, ranks
 
 
 def phi_S(

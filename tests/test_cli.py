@@ -250,6 +250,13 @@ class TestNetwork:
         assert len(doc["counts"]) == 6
         assert doc["runs"] == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_refused(self, workers, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["network", "--runs", "1", "--workers", workers])
+        assert exc.value.code == EXIT_INPUT
+        assert "--workers: must be a positive integer" in capsys.readouterr().err
+
     def test_zero_window_refused(self, capsys):
         assert main(["network", "--window", "0", "--runs", "1"]) == EXIT_INPUT
         captured = capsys.readouterr()

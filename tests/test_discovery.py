@@ -84,6 +84,7 @@ class TestDiscover:
             discover(data, TestConfig(), max_dim=3)
 
     def test_early_stop_equals_full_enumeration(self):
+        skipped = []
         for seed in range(6):
             cfg = IndependentGenConfig(
                 num_envs=8, samples_per_env=12, dimension=4, parent_set=(1, 3)
@@ -95,6 +96,9 @@ class TestDiscover:
             fast = discover(data, tc, early_stop=True)
             assert full.estimated_parents == fast.estimated_parents
             assert full.status == fast.status
+            skipped.append(fast.subsets_tested < full.subsets_tested)
+            assert fast.early_stopped == skipped[-1]
+        assert any(skipped)
 
     def test_subset_order_does_not_change_reports(self):
         # Each subset's random streams come from (seed, subset) alone, so a

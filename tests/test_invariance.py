@@ -6,7 +6,13 @@ import pytest
 import scipy.stats
 
 from localicp import linalg
-from localicp.datagen import LorenzGenConfig, gen_lorenz, split_environments
+from localicp.datagen import (
+    IndependentGenConfig,
+    LorenzGenConfig,
+    gen_independent,
+    gen_lorenz,
+    split_environments,
+)
 from localicp.dataset import from_arrays
 from localicp.errors import InvalidInputError
 from localicp.invariance import (
@@ -234,8 +240,49 @@ def _no_intercept():
     return from_arrays(covs, tgts)
 
 
+def _straddling_certificate():
+    # Eleven columns with Gram condition numbers from 1e9 to 2e11, around the
+    # certificate's threshold 1 / (11 * eps * 1e4), about 4e10.  The bound
+    # overestimates the condition number by at most 11 ** 1.5, so the full
+    # column set is certified in some environments of the batch and not in
+    # others.  The noise is orthogonal to the columns and the range stops at
+    # 2e11: with noise along the weak directions, or near 1e12, the
+    # per-environment reference and the SVD solve already differ by more than
+    # the tolerance.
+    rng = np.random.default_rng(11)
+    covs, tgts = [], []
+    for cond in np.geomspace(1e9, 2e11, 8):
+        q1, _ = np.linalg.qr(rng.normal(size=(30, 11)))
+        q2, _ = np.linalg.qr(rng.normal(size=(11, 11)))
+        x = (q1 * np.geomspace(1.0, cond ** -0.5, 11)) @ q2.T
+        noise = rng.normal(size=30)
+        covs.append(x)
+        tgts.append(x @ rng.normal(size=11) + noise - q1 @ (q1.T @ noise))
+    return from_arrays(covs, tgts)
+
+
+def _collinear_among_full_rank():
+    # One environment whose first covariate is identically zero, so its Gram
+    # matrix has an exact zero pivot whenever that column is in the subset:
+    # the Cholesky factorization of the whole batch raises, and the full-rank
+    # environments beside it are fitted by the SVD too.
+    rng = np.random.default_rng(12)
+    covs = [rng.normal(size=(n, 3)) for n in (10, 14, 20, 15)]
+    covs[0][:, 0] = 0.0
+    tgts = [x @ np.array([1.0, -1.0, 2.0]) + rng.normal(size=x.shape[0]) for x in covs]
+    return from_arrays(covs, tgts).with_intercept()
+
+
 @pytest.mark.parametrize(
-    "make", [_lorenz_ragged, _collinear, _interpolating, _no_intercept]
+    "make",
+    [
+        _lorenz_ragged,
+        _collinear,
+        _interpolating,
+        _no_intercept,
+        _straddling_certificate,
+        _collinear_among_full_rank,
+    ],
 )
 def test_batched_fit_matches_per_env_oracle(make):
     # Every column subset of the physical matrix, so the intercept column is
@@ -250,6 +297,36 @@ def test_batched_fit_matches_per_env_oracle(make):
             assert ranks.tolist() == ref_ranks.tolist(), cols
             # Scaled by y'y: an exact fit's RSS is itself rounding noise.
             assert np.all(np.abs(norms - ref_norms) <= 1e-12 * yty), cols
+
+
+def _independent():
+    data, _ = gen_independent(IndependentGenConfig(num_envs=20, dimension=5), 4)
+    return data.with_intercept()
+
+
+def _lorenz_windows():
+    series = gen_lorenz(LorenzGenConfig(horizon=2000), 5)
+    return split_environments(series, 4, window=20, warmup=500, num_envs=75).with_intercept()
+
+
+def _refuse_cholesky(gram):
+    raise np.linalg.LinAlgError("Cholesky refused")
+
+
+@pytest.mark.parametrize("make", [_independent, _lorenz_windows])
+def test_cholesky_fit_matches_svd_fit(make, monkeypatch):
+    # With the factorization refused every environment takes the SVD solve,
+    # which is the reference for the certified Cholesky solve.
+    data = make()
+    width = data.environments[0].covariates.shape[1]
+    yty = np.array([e.target @ e.target for e in data.environments])
+    subsets = [list(c) for k in range(width + 1) for c in itertools.combinations(range(width), k)]
+    fast = [_fit_environments(data, cols) for cols in subsets]
+    monkeypatch.setattr(np.linalg, "cholesky", _refuse_cholesky)
+    for cols, (norms, ranks) in zip(subsets, fast):
+        ref_norms, ref_ranks = _fit_environments(data, cols)
+        assert ranks.tolist() == ref_ranks.tolist(), cols
+        assert np.all(np.abs(norms - ref_norms) <= 1e-12 * yty), cols
 
 
 def test_subset_rng_depends_on_subset_and_seed():
