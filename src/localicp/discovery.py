@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .dataset import MultiEnvDataset
 from .errors import CapacityError, InvalidInputError
@@ -73,7 +73,7 @@ def discover(
     *,
     max_dim: int = DEFAULT_MAX_DIM,
     early_stop: bool = False,
-    test: Callable[[MultiEnvDataset, Sequence[int], TestConfig], SubsetTestReport] = phi_S,
+    test: Callable[..., SubsetTestReport] = phi_S,
 ) -> DiscoveryResult:
     """Estimate the causal parents of the target by exhaustive subset testing.
 
@@ -94,8 +94,10 @@ def discover(
         was skipped.
 
     Subsets are tested one after another; the parallelism inside one search
-    is the batched fit over all environments of a subset.  Each subset's
-    random streams depend only on ``(config.seed, subset)``, so the reports
+    is the batched fit over all environments of a subset.  ``test`` gets a
+    ``nulls`` dict that lives for this call only, in which ``phi_S`` keeps
+    one sorted set of reference draws per distinct dof vector.  The draws
+    depend only on ``(config.seed, dofs, config.mc_samples)``, so the reports
     do not depend on the order in which subsets are tested.
     """
     d = dataset.num_covariates
@@ -108,10 +110,11 @@ def discover(
     subsets = list(enumerate_subsets(d))
     reports: list[SubsetTestReport] = []
     running: set[int] | None = None  # None until the first accepted subset
+    nulls: dict = {}
     for subset in subsets:
         if early_stop and running is not None and running <= set(subset):
             continue
-        report = test(dataset, subset, config)
+        report = test(dataset, subset, config, nulls=nulls)
         reports.append(report)
         if not report.rejected:
             running = set(subset) if running is None else running & set(subset)

@@ -6,7 +6,12 @@ data is interpolated).  Under the null the ratio is distributed like the
 min/max ratio of independent chi-squared variables whose degrees of freedom
 are ``n_e - rank(Gram)``, so the p-value is obtained by Monte-Carlo sampling
 of that reference ratio.  The conservative ``(1 + count) / (B + 1)`` estimator
-with strict inequality is exactly valid under exchangeability.
+with strict inequality is exactly valid under exchangeability.  The null law
+depends on the subset only through its dof vector, so the subsets of one
+search that share a dof vector share one sorted set of ``B`` reference draws.
+Each p-value stays exactly valid; those of subsets that share a dof vector
+become dependent, which the intersection does not need to avoid (it needs
+only a valid test of the true parent set).
 
 All environments of a subset are fitted at once.  Their Gram matrices are
 factored by one batched Cholesky; an environment keeps that solve only when a
@@ -15,9 +20,9 @@ the SVD cutoff, and every other environment (rank-deficient, ill-conditioned,
 or the empty column set) is solved by the batched SVD.  The residuals are then
 formed explicitly as ``y - X beta``.
 
-Reproducibility contract: the random stream used for subset S is derived
-deterministically from ``(config.seed, bitmask(S))``, so results do not depend
-on the order or parallelism in which subsets are tested.
+Reproducibility contract: the reference draws of a test are a pure function
+of ``(config.seed, dofs, config.mc_samples)``, so results do not depend on
+the order or parallelism in which subsets are tested.
 """
 
 from __future__ import annotations
@@ -61,10 +66,11 @@ class TestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("alpha", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise InvalidInputError(f"{name} must be a number, got {value!r}")
+        if not isinstance(self.alpha, numbers.Real):
+            raise InvalidInputError(f"alpha must be a number, got {self.alpha!r}")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
         if not (0.0 <= self.alpha < 1.0):
             raise InvalidInputError("alpha must lie in [0, 1)")
         check_counts(mc_samples=self.mc_samples)
@@ -93,7 +99,12 @@ class SubsetTestReport:
 
 
 def subset_rng(seed: int, subset: Sequence[int]) -> np.random.Generator:
-    """Random stream for a subset, a pure function of (seed, subset)."""
+    """Random stream for a subset, a pure function of (seed, subset).
+
+    The subset test no longer draws from it: its reference draws are keyed
+    on the dof vector (see ``mc_pvalue``).  ``perfbench/tracer.py`` still
+    wraps it by name.
+    """
     bitmask = sum(1 << (d - 1) for d in subset)
     return np.random.default_rng(np.random.SeedSequence([int(seed), bitmask]))
 
@@ -135,19 +146,36 @@ def mc_pvalue(
     statistic: float,
     dofs: Sequence[int],
     b: int,
-    rng: np.random.Generator,
+    seed: int,
+    *,
+    nulls: dict[tuple[int, ...], np.ndarray] | None = None,
 ) -> float:
     """Conservative Monte-Carlo p-value ``(1 + #{R < T}) / (B + 1)``.
 
+    The ``b`` reference ratios ``R`` are drawn from
+    ``SeedSequence([seed, *dofs])`` and sorted, so the count is a binary
+    search.  ``nulls`` memoizes the sorted, read-only draws by dof vector for
+    a caller that tests many subsets at one ``seed`` and ``b``; without it
+    the draws are made for this call alone.
+
     An infinite statistic signals interpolated data, which carries no
-    evidence against invariance; the p-value is then 1.
+    evidence against invariance; the p-value is then 1 and nothing is drawn.
     """
     if b < 1:
         raise InvalidInputError("the number of Monte-Carlo samples must be at least 1")
     if math.isinf(statistic):
         return 1.0
-    draws = sample_null_ratio(dofs, rng, size=b)
-    count = int(np.count_nonzero(draws < statistic))
+    key = tuple(int(d) for d in dofs)
+    memo = {} if nulls is None else nulls
+    draws = memo.get(key)
+    if draws is None:
+        if seed < 0 or any(d < 0 for d in key):
+            raise InvalidInputError("the seed and the dofs must be non-negative")
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), *key]))
+        draws = np.sort(sample_null_ratio(key, rng, size=b))
+        draws.flags.writeable = False
+        memo[key] = draws
+    count = int(np.searchsorted(draws, statistic, side="left"))
     return (1 + count) / (b + 1)
 
 
@@ -209,13 +237,17 @@ def phi_S(
     dataset: MultiEnvDataset,
     subset: Sequence[int],
     config: TestConfig,
+    *,
+    nulls: dict[tuple[int, ...], np.ndarray] | None = None,
 ) -> SubsetTestReport:
     """Test whether ``subset`` yields environment-invariant residuals.
 
     Per environment this regresses the target on the subset columns (plus the
     intercept column when the dataset carries one), forms the min/max residual
-    statistic, samples the chi-squared reference ratio and decides at level
-    ``config.alpha``.
+    statistic, compares it with the chi-squared reference ratio and decides at
+    level ``config.alpha``.  ``nulls`` is the memo of reference draws that
+    one search at this ``config`` shares among its subsets (see
+    ``mc_pvalue``); without it the draws are made for this call alone.
     """
     d = dataset.num_covariates
     subset = tuple(sorted(int(s) for s in subset))
@@ -238,8 +270,7 @@ def phi_S(
     # is exactly zero in exact arithmetic, so discard rounding noise.
     norms = np.where(np.asarray(dofs) == 0, 0.0, norms)
     statistic = test_statistic(norms)
-    rng = subset_rng(config.seed, subset)
-    p = mc_pvalue(statistic, dofs, config.mc_samples, rng)
+    p = mc_pvalue(statistic, dofs, config.mc_samples, config.seed, nulls=nulls)
     return SubsetTestReport(
         subset=subset,
         residual_norms_sq=tuple(float(v) for v in norms),

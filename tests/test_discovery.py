@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from localicp import invariance
 from localicp.datagen import IndependentGenConfig, gen_independent
 from localicp.dataset import from_arrays
 from localicp.discovery import (
@@ -26,11 +27,25 @@ def tiny_dataset(d=3, n=8, num_envs=3, seed=0):
     return from_arrays(covs, tgts)
 
 
+@pytest.fixture
+def drawn(monkeypatch):
+    """Dof vectors passed to ``sample_null_ratio``, one entry per call."""
+    calls = []
+    original = invariance.sample_null_ratio
+
+    def counting(dofs, rng, size):
+        calls.append(tuple(dofs))
+        return original(dofs, rng, size)
+
+    monkeypatch.setattr(invariance, "sample_null_ratio", counting)
+    return calls
+
+
 def accepting(family):
     """Fake subset test accepting exactly the subsets in `family`."""
     accepted = {tuple(sorted(s)) for s in family}
 
-    def fake(dataset, subset, config):
+    def fake(dataset, subset, config, *, nulls=None):
         subset = tuple(sorted(subset))
         ok = subset in accepted
         return SubsetTestReport(
@@ -101,7 +116,7 @@ class TestDiscover:
         assert any(skipped)
 
     def test_subset_order_does_not_change_reports(self):
-        # Each subset's random streams come from (seed, subset) alone, so a
+        # Each subset's reference draws come from (seed, dofs) alone, so a
         # subset tested out of order gets exactly the report discover gives it.
         data, _ = gen_independent(
             IndependentGenConfig(num_envs=6, samples_per_env=20, dimension=4), 3
@@ -115,6 +130,37 @@ class TestDiscover:
             result = discover(data, tc, early_stop=early_stop)
             assert result.reports == tuple(reversed_order[r.subset] for r in result.reports)
         assert discover(data, tc).subsets_tested == 16
+
+    @pytest.mark.parametrize("sizes, vectors", [((4, 4, 4), 3), ((12, 17, 25), 4)])
+    def test_one_null_draw_per_dof_vector(self, drawn, sizes, vectors):
+        # At (4, 4, 4) the full subset interpolates every environment
+        # (statistic +inf, nothing drawn) and each other size shares one
+        # dof vector; unequal sizes still give one vector per subset size.
+        rng = np.random.default_rng(4)
+        data = from_arrays(
+            [rng.normal(size=(n, 3)) for n in sizes], [rng.normal(size=n) for n in sizes]
+        ).with_intercept()
+        result = discover(data, TestConfig(seed=2))
+        finite = {r.dofs for r in result.reports if math.isfinite(r.statistic)}
+        assert sorted(drawn) == sorted(finite)
+        assert len(finite) == vectors < result.subsets_tested
+
+    def test_no_memo_outlives_a_search(self, drawn):
+        # A second search at the same seed draws its reference ratios again
+        # rather than reusing the first search's.
+        memos = []
+
+        def spy(dataset, subset, config, *, nulls):
+            memos.append(nulls)
+            return phi_S(dataset, subset, config, nulls=nulls)
+
+        data = tiny_dataset(d=3, n=10)
+        first = discover(data, TestConfig(seed=8), test=spy)
+        once = len(drawn)
+        second = discover(data, TestConfig(seed=8), test=spy)
+        assert first == second
+        assert once > 0 and len(drawn) == 2 * once
+        assert memos[0] is not memos[-1] and len(memos[0]) == once
 
     def test_permutation_equivariance(self):
         data, _ = gen_independent(

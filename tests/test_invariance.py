@@ -73,16 +73,46 @@ class TestNullRatio:
 
 class TestMcPvalue:
     def test_infinite_statistic(self):
-        assert mc_pvalue(math.inf, [3, 3], 100, np.random.default_rng(0)) == 1.0
+        assert mc_pvalue(math.inf, [3, 3], 100, 0) == 1.0
+
+    def test_rejects_negative_seed_or_dofs(self):
+        with pytest.raises(InvalidInputError):
+            mc_pvalue(0.5, [-1, 2], 10, 0)
+        with pytest.raises(InvalidInputError):
+            mc_pvalue(0.5, [1, 2], 10, -1)
 
     def test_statistic_below_all_draws(self):
-        assert mc_pvalue(0.0, [10, 10], 100, np.random.default_rng(0)) == 1 / 101
+        assert mc_pvalue(0.0, [10, 10], 100, 0) == 1 / 101
 
     def test_monotone_in_statistic_for_fixed_seed(self):
         dofs = [8, 8, 8]
         grid = [0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0]
-        pvals = [mc_pvalue(t, dofs, 200, np.random.default_rng(77)) for t in grid]
+        pvals = [mc_pvalue(t, dofs, 200, 77) for t in grid]
         assert pvals == sorted(pvals)
+
+    @pytest.mark.parametrize("dofs", [(4, 9, 6), (0, 5), (0, 0, 0)])
+    def test_sorted_count_matches_direct_count(self, dofs):
+        # The binary search over the sorted draws must count exactly the
+        # draws strictly below the statistic: a statistic equal to a draw
+        # does not count it, and the +inf draws of all-zero dofs never count.
+        b, seed = 50, 3
+        rng = np.random.default_rng(np.random.SeedSequence([seed, *dofs]))
+        draws = sample_null_ratio(dofs, rng, size=b)
+        grid = [0.0, 0.2, 0.5, 1.0, *draws[np.isfinite(draws)][:5]]
+        for t in grid:
+            expected = (1 + int(np.count_nonzero(draws < t))) / (b + 1)
+            assert mc_pvalue(t, dofs, b, seed) == expected
+
+    def test_memoized_draws_are_sorted_and_read_only(self):
+        nulls = {}
+        first = mc_pvalue(0.3, [7, 8], 20, 1, nulls=nulls)
+        draws = nulls[(7, 8)]
+        assert not draws.flags.writeable
+        with pytest.raises(ValueError):
+            draws[0] = 0.0
+        assert np.all(np.diff(draws) >= 0)
+        assert mc_pvalue(0.3, [7, 8], 20, 1, nulls=nulls) == first
+        assert mc_pvalue(0.3, [7, 8], 20, 1) == first
 
     def test_null_uniformity_bound(self):
         # Statistic drawn from the same law as the reference draws; by
@@ -92,7 +122,7 @@ class TestMcPvalue:
         rng = np.random.default_rng(31)
         stats_draws = sample_null_ratio(dofs, rng, size=reps)
         pvals = np.array(
-            [mc_pvalue(t, dofs, 100, np.random.default_rng((131, i))) for i, t in enumerate(stats_draws)]
+            [mc_pvalue(t, dofs, 100, 131 + i) for i, t in enumerate(stats_draws)]
         )
         for alpha in (0.05, 0.1):
             rate = float(np.mean(pvals <= alpha))
@@ -336,6 +366,12 @@ def test_subset_rng_depends_on_subset_and_seed():
     d = subset_rng(1, (1, 2)).integers(0, 2**32)
     assert a == d
     assert len({a, b, c}) == 3
+
+
+@pytest.mark.parametrize("seed", [-1, 1.7, True])
+def test_config_rejects_seed_that_is_not_a_non_negative_int(seed):
+    with pytest.raises(InvalidInputError, match="seed"):
+        TestConfig(seed=seed)
 
 
 def test_config_validation():
