@@ -97,20 +97,32 @@ class MultiEnvDataset:
 
     @cached_property
     def padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """All environments stacked, zero-padded to the largest sample size.
+        """All environments stacked, zero-padded, environment axis last.
 
-        Returns covariates of shape ``(E, n_max, width)`` and target of shape
-        ``(E, n_max)``.  Rows past an environment's own ``n_e`` are zero, so
-        they add nothing to its Gram matrix, ``X'y`` or residuals.
+        Returns covariates of shape ``(n_max, width, E)`` and target of shape
+        ``(n_max, E)``, where ``n_max`` is the largest sample size.  Rows past
+        an environment's own ``n_e`` are zero, so they add nothing to its
+        Gram matrix, ``X'y`` or residuals.
         """
         n_max = max(self.sample_sizes)
         width = self.environments[0].covariates.shape[1]
-        xs = np.zeros((self.num_envs, n_max, width))
-        ys = np.zeros((self.num_envs, n_max))
+        xs = np.zeros((n_max, width, self.num_envs))
+        ys = np.zeros((n_max, self.num_envs))
         for i, env in enumerate(self.environments):
-            xs[i, : env.num_samples] = env.covariates
-            ys[i, : env.num_samples] = env.target
+            xs[: env.num_samples, :, i] = env.covariates
+            ys[: env.num_samples, i] = env.target
         return xs, ys
+
+    @cached_property
+    def cross_products(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-environment Gram matrix and ``X'y`` of all columns.
+
+        Returns ``X'X`` of shape ``(width, width, E)`` and ``X'y`` of shape
+        ``(width, E)``, environment axis last like ``padded``.  A fit of any
+        column set reads its blocks from here.
+        """
+        xs, ys = self.padded
+        return np.einsum("nie,nje->ije", xs, xs), np.einsum("nie,ne->ie", xs, ys)
 
     def with_intercept(self) -> "MultiEnvDataset":
         """Append a constant-one column to every environment (idempotent)."""

@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 
 from .dataset import MultiEnvDataset
 from .errors import CapacityError, InvalidInputError
-from .invariance import SubsetTestReport, TestConfig, phi_S
+from .invariance import SubsetTestReport, TestConfig, fit_subsets, phi_S
 
 __all__ = [
     "DEFAULT_MAX_DIM",
@@ -93,12 +93,14 @@ def discover(
         the tested subsets, and ``early_stopped`` tells whether any subset
         was skipped.
 
-    Subsets are tested one after another; the parallelism inside one search
-    is the batched fit over all environments of a subset.  ``test`` gets a
-    ``nulls`` dict that lives for this call only, in which ``phi_S`` keeps
-    one sorted set of reference draws per distinct dof vector.  The draws
-    depend only on ``(config.seed, dofs, config.mc_samples)``, so the reports
-    do not depend on the order in which subsets are tested.
+    The subsets of one size that the running intersection leaves are
+    fitted in one call (``fit_subsets``) and then tested one after another,
+    in the order of ``enumerate_subsets``.  ``test`` gets each subset's
+    ``fit`` and a ``nulls`` dict that lives for this call only, in which
+    ``phi_S`` keeps one sorted set of reference draws per distinct dof
+    vector.  A subset's fit does not depend on the others fitted with it,
+    and its draws depend only on ``(config.seed, dofs, config.mc_samples)``,
+    so the reports do not depend on the order in which subsets are tested.
     """
     d = dataset.num_covariates
     if d > max_dim:
@@ -107,24 +109,33 @@ def discover(
             f"2^{max_dim}; reduce the dimensionality (e.g. cluster correlated "
             f"covariates) or raise the limit explicitly"
         )
-    subsets = list(enumerate_subsets(d))
     reports: list[SubsetTestReport] = []
     running: set[int] | None = None  # None until the first accepted subset
     nulls: dict = {}
-    for subset in subsets:
-        if early_stop and running is not None and running <= set(subset):
+
+    def covered(subset):
+        """Whether ``subset`` can no longer change the estimate."""
+        return early_stop and running is not None and running <= set(subset)
+
+    for _, level in itertools.groupby(enumerate_subsets(d), key=len):
+        if early_stop and running == set():
+            break
+        level = [s for s in level if not covered(s)]
+        if not level:
             continue
-        report = test(dataset, subset, config, nulls=nulls)
-        reports.append(report)
-        if not report.rejected:
-            running = set(subset) if running is None else running & set(subset)
-            if early_stop and not running:
-                break
+        norms, ranks = fit_subsets(dataset, level)
+        for subset, fit in zip(level, zip(norms, ranks)):
+            if covered(subset):
+                continue
+            report = test(dataset, subset, config, nulls=nulls, fit=fit)
+            reports.append(report)
+            if not report.rejected:
+                running = set(subset) if running is None else running & set(subset)
     return DiscoveryResult(
         estimated_parents=tuple(sorted(running or ())),
         reports=tuple(reports),
         subsets_tested=len(reports),
-        early_stopped=len(reports) < len(subsets),
+        early_stopped=len(reports) < 2**d,
         status=STATUS_MODEL_REJECTED if running is None else STATUS_OK,
     )
 

@@ -13,12 +13,16 @@ Each p-value stays exactly valid; those of subsets that share a dof vector
 become dependent, which the intersection does not need to avoid (it needs
 only a valid test of the true parent set).
 
-All environments of a subset are fitted at once.  Their Gram matrices are
-factored by one batched Cholesky; an environment keeps that solve only when a
-condition bound read off the factor proves its Gram matrix has full rank under
-the SVD cutoff, and every other environment (rank-deficient, ill-conditioned,
-or the empty column set) is solved by the batched SVD.  The residuals are then
-formed explicitly as ``y - X beta``.
+Many subsets of one size are fitted at once, in every environment, from the
+dataset's cached cross-products (``fit_subsets``, in chunks of bounded
+memory); ``phi_S`` alone fits its one subset the same way.  Each (subset,
+environment) Gram matrix is factored by Cholesky, by column recurrences with
+the pairs on the last axes.  A pair keeps that solve only when its pivots are
+positive and finite and a condition bound read off the factor proves full
+rank under the SVD cutoff; every other pair (rank-deficient, ill-conditioned,
+or the empty column set) is solved by the SVD.  The residuals are then formed
+explicitly as ``y - X beta``.  Every sum runs in a fixed order per element,
+so a subset's fit is bit-for-bit the same in any batch.
 
 Reproducibility contract: the reference draws of a test are a pure function
 of ``(config.seed, dofs, config.mc_samples)``, so results do not depend on
@@ -43,6 +47,7 @@ __all__ = [
     "test_statistic",
     "sample_null_ratio",
     "mc_pvalue",
+    "fit_subsets",
     "phi_S",
     "subset_rng",
 ]
@@ -51,6 +56,9 @@ __all__ = [
 # stay for its Cholesky solve to be kept; the margin absorbs the rounding in
 # the computed factor, its inverse and the SVD's own singular values.
 CHOLESKY_MARGIN = 1e4
+
+# Live doubles one chunk of ``fit_subsets`` may hold.
+FIT_CHUNK_DOUBLES = 2**16
 
 
 @dataclass(frozen=True)
@@ -165,7 +173,7 @@ def mc_pvalue(
         raise InvalidInputError("the number of Monte-Carlo samples must be at least 1")
     if math.isinf(statistic):
         return 1.0
-    key = tuple(int(d) for d in dofs)
+    key = tuple(map(int, dofs))
     memo = {} if nulls is None else nulls
     draws = memo.get(key)
     if draws is None:
@@ -179,58 +187,126 @@ def mc_pvalue(
     return (1 + count) / (b + 1)
 
 
-def _fit_environments(dataset: MultiEnvDataset, cols: list[int]):
-    """Per-environment squared residual norms and Gram ranks for the columns.
+def _cholesky_solve(gram_all: np.ndarray, cols: np.ndarray, xty: np.ndarray, tol: float):
+    """Certified Cholesky solve of ``G beta = X'y`` for a batch of pairs.
 
-    The Gram matrices and ``X'y`` come from the dataset's zero-padded stack;
-    padded rows are zero and so leave every Gram matrix, ``X'y`` and residual
-    unchanged.  The rank rule is the SVD's: singular values at most
-    ``tol * sigma_max``, with ``tol = width * eps``, count as zero, both for
-    the rank and in the pseudo-inverse solve.
-
-    All Gram matrices are first factored at once by Cholesky, ``G = L L'``.
-    An environment keeps that solve only under the certificate
-    ``||G||_F * ||L^-1||_F^2 * tol * CHOLESKY_MARGIN < 1``: it bounds the
-    condition number of ``G`` a margin below ``1 / tol``, so every singular
-    value clears the cutoff and the rank is the full width.  These go to the
-    batched SVD instead: every environment when the factorization raises
-    (one Gram matrix that is not positive definite fails the whole batch),
-    an environment whose bound is not below 1 (which includes a non-finite
-    factor), and the empty column set, whose factors are empty: rank 0 and
-    RSS ``y'y``.  Both solves give the coefficients; the residual is then
-    formed once, as ``y - X beta``, for every environment.
+    ``G`` is gathered from ``gram_all`` for the ``(w, S)`` column sets
+    ``cols``; ``xty`` is ``(w, S, E)``, pairs on the trailing axes.  The rows
+    of ``[G | X'y | I]`` are reduced one column at a time: step ``j`` divides
+    row ``j`` by ``L[j, j] = sqrt(pivot)`` and subtracts its outer product
+    from the rows below, so row ``j`` ends as ``[L'[j] | (L^-1 X'y)[j] |
+    L^-1[j]]``.  Returns ``beta = L^-T L^-1 X'y`` and the mask of certified
+    pairs: every pivot positive and finite, and
+    ``||G||_F * ||L^-1||_F^2 * tol * CHOLESKY_MARGIN < 1``.
     """
+    width, pairs, count = len(cols), xty.shape[1:], xty[0].size
+    a = np.zeros((width, 2 * width + 1) + pairs)
+    a[:, :width] = gram_all[cols[:, None], cols[None]]
+    a[:, width] = xty
+    a[np.arange(width), np.arange(width + 1, 2 * width + 1)] = 1.0
+    # One scratch block holds each step's update and every (w, w) product.
+    work = np.empty(width * (width + 1) * count)
+    square = work[: width * width * count].reshape((width, width) + pairs)
+    np.multiply(a[:, :width], a[:, :width], out=square)
+    gram_norm = np.sqrt(square.sum((0, 1)))
+    roots = np.empty_like(xty)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for j in range(width):
+            # Row j is zero past column width + 1 + j, the rows below past
+            # their own identity entry, so the window below is all that moves.
+            end = width + 2 + j
+            roots[j] = np.sqrt(a[j, j])
+            a[j, j:end] /= roots[j]
+            outer = work[: (width - 1 - j) * (width + 1) * count]
+            outer = outer.reshape((width - 1 - j, width + 1) + pairs)
+            np.multiply(a[j, j + 1 : width, None], a[j, None, j + 1 : end], out=outer)
+            a[j + 1 :, j + 1 : end] -= outer
+        z, l_inv = a[:, width], a[:, width + 1 :]
+        np.multiply(l_inv, l_inv, out=square)
+        certified = ((roots > 0.0) & (roots < math.inf)).all(0)
+        certified &= gram_norm * square.sum((0, 1)) * (tol * CHOLESKY_MARGIN) < 1.0
+        np.multiply(l_inv, z[:, None], out=square)
+        return square.sum(0), certified
+
+
+def _fit_environments(dataset: MultiEnvDataset, col_sets):
+    """Squared residual norms and Gram ranks, each of shape ``(S, E)``.
+
+    ``col_sets`` is an ``(S, w)`` array: row ``s`` names the ``w`` physical
+    columns of one column set.  The Gram blocks and ``X'y`` are gathered from
+    the dataset's cached cross-products, with the (column set, environment)
+    pair axes last.  The rank rule is the SVD's: singular values at most
+    ``tol * sigma_max``, with ``tol = w * eps``, count as zero, both for the
+    rank and in the pseudo-inverse solve.
+
+    All pairs are first solved by ``_cholesky_solve``.  Its certificate
+    bounds the condition number of ``G`` a margin below ``1 / tol``, so a
+    certified pair has every singular value above the cutoff and full rank.
+    Every other pair (rank-deficient, ill-conditioned, a failed pivot, or the
+    empty column set, whose rank is 0 and RSS ``y'y``) is solved by the SVD
+    on its own.  The residual is then formed explicitly as ``y - X beta``,
+    one column at a time.
+
+    Every step is elementwise, one matrix at a time (the SVD), or a sum over
+    a leading axis, which numpy runs in a fixed order for each element when
+    the trailing pair axes hold at least two pairs (two environments do).
+    So a pair's bits do not depend on the other pairs in the batch.
+    """
+    col_sets = np.asarray(col_sets, dtype=np.intp)
     xs, y = dataset.padded
-    x = xs[:, :, cols]
-    gram = np.einsum("eni,enj->eij", x, x)
-    xty = np.einsum("eni,en->ei", x, y)
-    tol = len(cols) * np.finfo(np.float64).eps
-    beta = np.zeros_like(xty)
-    ranks = np.full(len(gram), len(cols))
-    uncertified = np.ones(len(gram), dtype=bool)
-    if cols:
-        try:
-            l_inv = np.linalg.inv(np.linalg.cholesky(gram))
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            gram_norm = np.sqrt(np.einsum("eij,eij->e", gram, gram))
-            bound = gram_norm * np.einsum("eij,eij->e", l_inv, l_inv) * tol * CHOLESKY_MARGIN
-            uncertified = ~(bound < 1.0)
-            # G^-1 X'y = L^-T (L^-1 X'y)
-            beta = np.einsum("eji,ej->ei", l_inv, np.einsum("eij,ej->ei", l_inv, xty))
+    gram_all, xty_all = dataset.cross_products
+    cols = col_sets.T  # (w, S)
+    width = len(cols)
+    tol = width * np.finfo(np.float64).eps
+    xty = xty_all[cols]  # (w, S, E)
+    ranks = np.full(xty.shape[1:], width)
+    if width:
+        beta, certified = _cholesky_solve(gram_all, cols, xty, tol)
+        uncertified = ~certified
+    else:
+        beta, uncertified = np.zeros_like(xty), np.ones(xty.shape[1:], dtype=bool)
     if uncertified.any():
-        u, s, vt = np.linalg.svd(gram[uncertified])
+        sets, envs = np.nonzero(uncertified)
+        c = cols[:, sets]
+        u, s, vt = np.linalg.svd(np.moveaxis(gram_all[c[:, None], c[None], envs], -1, 0))
         smax = s[:, :1]
         keep = s > tol * np.where(smax > 0, smax, 1.0)
         ranks[uncertified] = keep.sum(axis=1)
         s_inv = np.where(keep, 1.0, 0.0)
         np.divide(s_inv, s, out=s_inv, where=keep)
-        uty = np.einsum("enj,en->ej", u, xty[uncertified])
-        beta[uncertified] = np.einsum("eji,ej->ei", vt * s_inv[:, :, None], uty)
-    resid = y - np.einsum("eni,ei->en", x, beta)
-    norms = np.einsum("en,en->e", resid, resid)
-    return norms, ranks
+        # u[i, j] and vt[j, i] with the pairs last: beta = V S^+ U' X'y
+        uty = (np.moveaxis(u, 0, -1) * xty_all[c, envs][:, None]).sum(0)
+        beta[:, uncertified] = (np.moveaxis(vt, 0, -1) * (s_inv.T * uty)[:, None]).sum(0)
+    resid = np.repeat(y[:, None], len(col_sets), axis=1)  # (n, S, E)
+    term = np.empty_like(resid)
+    for c, b in zip(cols, beta):
+        np.take(xs, c, axis=1, out=term)
+        term *= b
+        resid -= term
+    resid *= resid
+    return resid.sum(0), ranks
+
+
+def fit_subsets(dataset: MultiEnvDataset, subsets: Sequence[Sequence[int]]):
+    """``_fit_environments`` for 1-based subsets of one size, in chunks.
+
+    Returns squared residual norms and Gram ranks, each of shape ``(S, E)``.
+    The intercept column is added to every subset when the dataset carries
+    one.  A chunk holds at most ``FIT_CHUNK_DOUBLES`` live doubles, counted
+    per (subset, environment) pair: the solve holds the reduced rows and one
+    scratch block, ``3 w^2 + 4 w`` with ``X'y`` and the pivots; the residual
+    holds two ``n_max``-long slabs, ``X'y`` and the coefficients.  The two
+    are never live at once.  A subset's result does not depend on its chunk.
+    """
+    cols = np.array(subsets, dtype=np.intp) - 1
+    if dataset.intercept_added:
+        cols = np.column_stack([cols, np.full(len(cols), dataset.num_covariates)])
+    width = cols.shape[1]
+    n_max = max(dataset.sample_sizes)
+    per_subset = dataset.num_envs * max(width * (3 * width + 4), 2 * (n_max + width))
+    step = max(1, FIT_CHUNK_DOUBLES // per_subset)
+    parts = [_fit_environments(dataset, cols[i : i + step]) for i in range(0, len(cols), step)]
+    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def phi_S(
@@ -239,6 +315,7 @@ def phi_S(
     config: TestConfig,
     *,
     nulls: dict[tuple[int, ...], np.ndarray] | None = None,
+    fit: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SubsetTestReport:
     """Test whether ``subset`` yields environment-invariant residuals.
 
@@ -248,6 +325,8 @@ def phi_S(
     level ``config.alpha``.  ``nulls`` is the memo of reference draws that
     one search at this ``config`` shares among its subsets (see
     ``mc_pvalue``); without it the draws are made for this call alone.
+    ``fit`` is this subset's row of ``fit_subsets`` when the caller fitted
+    it with others; without it the subset is fitted alone.
     """
     d = dataset.num_covariates
     subset = tuple(sorted(int(s) for s in subset))
@@ -260,20 +339,19 @@ def phi_S(
             "testing invariance requires at least two environments; a single "
             "environment permits no causal conclusion"
         )
-    cols = [s - 1 for s in subset]
-    if dataset.intercept_added:
-        cols = cols + [d]
-
-    norms, ranks = _fit_environments(dataset, cols)
-    dofs = tuple(max(0, n - int(r)) for n, r in zip(dataset.sample_sizes, ranks))
+    if fit is None:
+        fit = [part[0] for part in fit_subsets(dataset, [subset])]
+    norms, ranks = fit
+    dofs = np.maximum(np.subtract(dataset.sample_sizes, ranks), 0)
     # Zero degrees of freedom means the regression interpolates; the residual
     # is exactly zero in exact arithmetic, so discard rounding noise.
-    norms = np.where(np.asarray(dofs) == 0, 0.0, norms)
+    norms = np.where(dofs == 0, 0.0, norms)
+    dofs = tuple(dofs.tolist())
     statistic = test_statistic(norms)
     p = mc_pvalue(statistic, dofs, config.mc_samples, config.seed, nulls=nulls)
     return SubsetTestReport(
         subset=subset,
-        residual_norms_sq=tuple(float(v) for v in norms),
+        residual_norms_sq=tuple(norms.tolist()),
         dofs=dofs,
         statistic=statistic,
         p_value=p,

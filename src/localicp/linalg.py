@@ -6,9 +6,9 @@ All routines go through a single SVD convention: singular values below
 matrix explicitly and pseudo-inverts it, so the rank used for degrees of
 freedom downstream and the rank implicit in the solve are the same quantity.
 
-The subset test does not call these one-matrix routines: it fits all
-environments at once in ``invariance._fit_environments``, which computes the
-same cutoff itself.  They are the reference that batched fit is tested
+The subset test does not call these one-matrix routines: it fits many
+subsets in all environments at once in ``invariance._fit_environments``,
+which computes the same cutoff itself.  They are the reference that batched fit is tested
 against.
 """
 

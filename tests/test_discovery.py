@@ -45,7 +45,7 @@ def accepting(family):
     """Fake subset test accepting exactly the subsets in `family`."""
     accepted = {tuple(sorted(s)) for s in family}
 
-    def fake(dataset, subset, config, *, nulls=None):
+    def fake(dataset, subset, config, *, nulls=None, fit=None):
         subset = tuple(sorted(subset))
         ok = subset in accepted
         return SubsetTestReport(
@@ -150,9 +150,9 @@ class TestDiscover:
         # rather than reusing the first search's.
         memos = []
 
-        def spy(dataset, subset, config, *, nulls):
+        def spy(dataset, subset, config, *, nulls, fit):
             memos.append(nulls)
-            return phi_S(dataset, subset, config, nulls=nulls)
+            return phi_S(dataset, subset, config, nulls=nulls, fit=fit)
 
         data = tiny_dataset(d=3, n=10)
         first = discover(data, TestConfig(seed=8), test=spy)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from localicp import linalg
+from localicp import invariance, linalg
 from localicp.datagen import (
     IndependentGenConfig,
     LorenzGenConfig,
@@ -18,6 +19,7 @@ from localicp.errors import InvalidInputError
 from localicp.invariance import (
     TestConfig,
     _fit_environments,
+    fit_subsets,
     mc_pvalue,
     phi_S,
     sample_null_ratio,
@@ -293,9 +295,9 @@ def _straddling_certificate():
 
 def _collinear_among_full_rank():
     # One environment whose first covariate is identically zero, so its Gram
-    # matrix has an exact zero pivot whenever that column is in the subset:
-    # the Cholesky factorization of the whole batch raises, and the full-rank
-    # environments beside it are fitted by the SVD too.
+    # matrix has an exact zero pivot whenever that column is in the subset.
+    # That pair goes to the SVD; the full-rank environments beside it keep
+    # the Cholesky solve (test_one_failing_pivot_stays_local).
     rng = np.random.default_rng(12)
     covs = [rng.normal(size=(n, 3)) for n in (10, 14, 20, 15)]
     covs[0][:, 0] = 0.0
@@ -303,27 +305,39 @@ def _collinear_among_full_rank():
     return from_arrays(covs, tgts).with_intercept()
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        _lorenz_ragged,
-        _collinear,
-        _interpolating,
-        _no_intercept,
-        _straddling_certificate,
-        _collinear_among_full_rank,
-    ],
-)
+ORACLE_DATASETS = [
+    _lorenz_ragged,
+    _collinear,
+    _interpolating,
+    _no_intercept,
+    _straddling_certificate,
+    _collinear_among_full_rank,
+]
+
+
+def _levels(width):
+    """Every set of the columns 0..width-1, as one (S, k) array per size k."""
+    return [
+        np.array(list(itertools.combinations(range(width), k)), dtype=np.intp)
+        for k in range(width + 1)
+    ]
+
+
+def _width_and_yty(data):
+    yty = np.array([e.target @ e.target for e in data.environments])
+    return data.environments[0].covariates.shape[1], yty
+
+
+@pytest.mark.parametrize("make", ORACLE_DATASETS)
 def test_batched_fit_matches_per_env_oracle(make):
     # Every column subset of the physical matrix, so the intercept column is
-    # also left out and the empty subset is fitted without any column.
+    # also left out and the empty subset is fitted without any column; each
+    # size is fitted in one call.
     data = make()
-    width = data.environments[0].covariates.shape[1]
-    yty = np.array([e.target @ e.target for e in data.environments])
-    for k in range(width + 1):
-        for cols in map(list, itertools.combinations(range(width), k)):
-            norms, ranks = _fit_environments(data, cols)
-            ref_norms, ref_ranks = _per_env_oracle(data, cols)
+    width, yty = _width_and_yty(data)
+    for level in _levels(width):
+        for cols, norms, ranks in zip(level, *_fit_environments(data, level)):
+            ref_norms, ref_ranks = _per_env_oracle(data, list(cols))
             assert ranks.tolist() == ref_ranks.tolist(), cols
             # Scaled by y'y: an exact fit's RSS is itself rounding noise.
             assert np.all(np.abs(norms - ref_norms) <= 1e-12 * yty), cols
@@ -339,24 +353,115 @@ def _lorenz_windows():
     return split_environments(series, 4, window=20, warmup=500, num_envs=75).with_intercept()
 
 
-def _refuse_cholesky(gram):
-    raise np.linalg.LinAlgError("Cholesky refused")
-
-
 @pytest.mark.parametrize("make", [_independent, _lorenz_windows])
 def test_cholesky_fit_matches_svd_fit(make, monkeypatch):
-    # With the factorization refused every environment takes the SVD solve,
-    # which is the reference for the certified Cholesky solve.
+    # With an infinite margin no environment is certified and every one
+    # takes the SVD solve, which is the reference for the Cholesky solve.
+    data = make()
+    width, yty = _width_and_yty(data)
+    fast = [_fit_environments(data, level) for level in _levels(width)]
+    monkeypatch.setattr(invariance, "CHOLESKY_MARGIN", math.inf)
+    for level, (norms, ranks) in zip(_levels(width), fast):
+        ref_norms, ref_ranks = _fit_environments(data, level)
+        assert ranks.tolist() == ref_ranks.tolist(), level
+        assert np.all(np.abs(norms - ref_norms) <= 1e-12 * yty), level
+
+
+@pytest.mark.parametrize("make", ORACLE_DATASETS + [_lorenz_windows])
+def test_batch_does_not_change_a_subsets_bits(make, monkeypatch):
+    # Every physical column becomes a candidate, so column sets without the
+    # intercept go through fit_subsets too.  A level fitted in one call, in
+    # chunks of one subset, and subset by subset must give the same bits.
     data = make()
     width = data.environments[0].covariates.shape[1]
-    yty = np.array([e.target @ e.target for e in data.environments])
-    subsets = [list(c) for k in range(width + 1) for c in itertools.combinations(range(width), k)]
-    fast = [_fit_environments(data, cols) for cols in subsets]
-    monkeypatch.setattr(np.linalg, "cholesky", _refuse_cholesky)
-    for cols, (norms, ranks) in zip(subsets, fast):
-        ref_norms, ref_ranks = _fit_environments(data, cols)
-        assert ranks.tolist() == ref_ranks.tolist(), cols
-        assert np.all(np.abs(norms - ref_norms) <= 1e-12 * yty), cols
+    data = dataclasses.replace(data, num_covariates=width, intercept_added=False)
+    whole = [_fit_environments(data, level) for level in _levels(width)]
+    monkeypatch.setattr(invariance, "FIT_CHUNK_DOUBLES", 1)
+    for level, (norms, ranks) in zip(_levels(width), whole):
+        subsets = [tuple(cols + 1) for cols in level]
+        chunked = fit_subsets(data, subsets)
+        alone = [fit_subsets(data, [s]) for s in subsets]
+        for fit in (chunked, tuple(np.concatenate(part) for part in zip(*alone))):
+            assert np.array_equal(fit[0], norms)
+            assert np.array_equal(fit[1], ranks)
+
+
+def test_one_failing_pivot_stays_local(monkeypatch):
+    # Only the environment whose column is zero fails its pivot; the others
+    # of the same subset keep the Cholesky solve.  The SVD gets exactly the
+    # singular (column set, environment) pairs and the E empty-set pairs.
+    data = _collinear_among_full_rank()
+    width = data.environments[0].covariates.shape[1]
+    singular = sum(
+        int(np.sum(_per_env_oracle(data, list(cols))[1] < len(cols)))
+        for level in _levels(width)[1:]
+        for cols in level
+    )
+    assert singular > 0
+    seen = []
+    svd = np.linalg.svd
+
+    def counting(a, *args, **kwargs):
+        seen.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    for level in _levels(width):
+        _fit_environments(data, level)
+    assert sum(seen) == singular + data.num_envs
+
+
+def _parent_fit(dataset, cols):
+    """The fit of one column set as it was before subsets were batched.
+
+    Kept as the reference for the batched kernel: one batched Cholesky,
+    certified per environment, else the batched SVD, on the environments of
+    one column set.
+    """
+    xs = np.moveaxis(dataset.padded[0], -1, 0)  # (E, n_max, width)
+    y = dataset.padded[1].T  # (E, n_max)
+    x = xs[:, :, cols]
+    gram = np.einsum("eni,enj->eij", x, x)
+    xty = np.einsum("eni,en->ei", x, y)
+    tol = len(cols) * np.finfo(np.float64).eps
+    beta = np.zeros_like(xty)
+    ranks = np.full(len(gram), len(cols))
+    uncertified = np.ones(len(gram), dtype=bool)
+    if cols:
+        try:
+            l_inv = np.linalg.inv(np.linalg.cholesky(gram))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            gram_norm = np.sqrt(np.einsum("eij,eij->e", gram, gram))
+            bound = gram_norm * np.einsum("eij,eij->e", l_inv, l_inv) * tol * invariance.CHOLESKY_MARGIN
+            uncertified = ~(bound < 1.0)
+            beta = np.einsum("eji,ej->ei", l_inv, np.einsum("eij,ej->ei", l_inv, xty))
+    if uncertified.any():
+        u, s, vt = np.linalg.svd(gram[uncertified])
+        smax = s[:, :1]
+        keep = s > tol * np.where(smax > 0, smax, 1.0)
+        ranks[uncertified] = keep.sum(axis=1)
+        s_inv = np.where(keep, 1.0, 0.0)
+        np.divide(s_inv, s, out=s_inv, where=keep)
+        uty = np.einsum("enj,en->ej", u, xty[uncertified])
+        beta[uncertified] = np.einsum("eji,ej->ei", vt * s_inv[:, :, None], uty)
+    resid = y - np.einsum("eni,ei->en", x, beta)
+    norms = np.einsum("en,en->e", resid, resid)
+    return norms, ranks
+
+
+@pytest.mark.parametrize("make", ORACLE_DATASETS + [_independent, _lorenz_windows])
+def test_batched_fit_matches_parent_fit(make):
+    # The batched kernel against the per-subset kernel it replaced, on every
+    # column set: identical ranks, RSS within 1e-12 of y'y.
+    data = make()
+    width, yty = _width_and_yty(data)
+    for level in _levels(width):
+        for cols, norms, ranks in zip(level, *_fit_environments(data, level)):
+            ref_norms, ref_ranks = _parent_fit(data, list(cols))
+            assert ranks.tolist() == ref_ranks.tolist(), cols
+            assert np.all(np.abs(norms - ref_norms) <= 1e-12 * yty), cols
 
 
 def test_subset_rng_depends_on_subset_and_seed():
