@@ -17,7 +17,7 @@ import numpy as np
 from scipy import stats
 
 from .datagen import IndependentGenConfig, gen_independent
-from .dataset import from_arrays
+from .dataset import MultiEnvDataset
 from .errors import InvalidInputError
 from .experiments import derived_seed
 from .invariance import TestConfig, phi_S
@@ -66,7 +66,7 @@ def residual_chi2_sample(replications: int, seed: int) -> tuple[np.ndarray, int]
     x = rng.normal(0.5, 2.0, size=(replications, n, k))
     noise = RESID_SIGMA_Y * rng.standard_normal((replications, n))
     y = np.einsum("rnk,k->rn", x, beta) + noise
-    dataset = from_arrays(list(x), list(y)).with_intercept()
+    dataset = MultiEnvDataset(x.transpose(1, 2, 0), y.T, (n,) * replications, k).with_intercept()
     # Only the residuals are read, so one Monte-Carlo draw is enough.
     report = phi_S(dataset, tuple(range(1, k + 1)), TestConfig(mc_samples=1))
     return np.asarray(report.residual_norms_sq) / RESID_SIGMA_Y**2, n - k - 1

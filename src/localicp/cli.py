@@ -43,7 +43,7 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _workers(text: str) -> int:
+def _positive(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
@@ -59,7 +59,7 @@ OPTIONS = {
     ),
     "--seed": dict(type=_seed, default=0, help="base random seed (a non-negative integer)"),
     "--workers": dict(
-        type=_workers, default=os.cpu_count() or 1,
+        type=_positive, default=os.cpu_count() or 1,
         help="threads over the independent runs of simulate and network; discover "
         "runs serially (results are identical for any value)",
     ),
@@ -67,7 +67,7 @@ OPTIONS = {
         action="store_true", help="do not append a constant-one column before regression"
     ),
     "--max-dim": dict(
-        type=int, default=DEFAULT_MAX_DIM,
+        type=_positive, default=DEFAULT_MAX_DIM,
         help=f"refuse more candidate covariates than this (default {DEFAULT_MAX_DIM})",
     ),
     "--output": dict(default=None, help="write results here instead of stdout"),

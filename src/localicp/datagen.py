@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import EnvironmentData, MultiEnvDataset, from_arrays
+from .dataset import MultiEnvDataset, from_arrays
 from .errors import CapacityError, DivergenceError, InvalidInputError, ShapeError, check_counts
 
 __all__ = [
@@ -334,14 +334,6 @@ def split_environments(
             f"series has {series.shape[0]} steps but warmup={warmup}, "
             f"{num_envs} windows of {window} require at least {required}"
         )
-    envs = []
-    for w in range(num_envs):
-        start = warmup + w * window
-        stop = start + window
-        envs.append(
-            EnvironmentData(
-                covariates=series[start:stop],
-                target=series[start + 1 : stop + 1, target - 1],
-            )
-        )
-    return MultiEnvDataset(environments=tuple(envs), num_covariates=d)
+    xs = series[warmup : required - 1].reshape(num_envs, window, d).transpose(1, 2, 0)
+    ys = series[warmup + 1 : required, target - 1].reshape(num_envs, window).T
+    return MultiEnvDataset(xs, ys, (window,) * num_envs, d)

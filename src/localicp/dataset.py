@@ -1,5 +1,8 @@
 """Multi-environment dataset container and its CSV/JSON serialization.
 
+A dataset is stored once, zero-padded with the environment axis last; the
+batched fit reads these arrays directly.
+
 CSV layout: header ``env,x1,...,xD,y``, one row per observation, rows in any
 order.  Environment labels are arbitrary strings mapped to indices by first
 appearance; the mapping is preserved on the dataset for traceability.
@@ -16,7 +19,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,117 +28,89 @@ from .errors import InvalidInputError, ShapeError
 DATASET_SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
-class EnvironmentData:
-    """One environment: covariate matrix (n x D) and target vector (n)."""
+class EnvironmentData(NamedTuple):
+    """One environment's rows, views into its dataset: ``(n_e, width)`` and ``(n_e,)``."""
 
     covariates: np.ndarray
     target: np.ndarray
 
-    def __post_init__(self):
-        cov = np.asarray(self.covariates, dtype=np.float64)
-        tgt = np.asarray(self.target, dtype=np.float64)
-        if cov.ndim != 2 or tgt.ndim != 1:
-            raise ShapeError("covariates must be a matrix and target a vector")
-        if cov.shape[0] != tgt.shape[0]:
-            raise ShapeError(
-                f"covariates have {cov.shape[0]} rows but target has {tgt.shape[0]} entries"
-            )
-        if cov.shape[0] < 1:
-            raise InvalidInputError("an environment must contain at least one observation")
-        # A finite sum of squares bounds every Gram-matrix entry; the SVD does
-        # not return on an overflowed one.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if not np.isfinite(np.vdot(cov, cov) + np.dot(tgt, tgt)):
-                raise InvalidInputError("environment data contains non-finite or overflowing entries")
-        object.__setattr__(self, "covariates", cov)
-        object.__setattr__(self, "target", tgt)
-
-    @property
-    def num_samples(self) -> int:
-        return self.covariates.shape[0]
-
 
 @dataclass(frozen=True)
 class MultiEnvDataset:
-    """Ordered collection of environments sharing a covariate layout.
+    """Environments sharing a covariate layout, zero-padded, environment axis last.
 
-    ``num_covariates`` counts candidate causal parents only; when
-    ``intercept_added`` the physical matrices carry one extra trailing
-    column of ones that is never a candidate.  ``env_labels`` defaults to
-    ``"1"`` .. ``"E"``.
+    ``covariates`` is ``(n_max, width, E)`` and ``target`` ``(n_max, E)``, C-contiguous,
+    with ``n_max`` the largest of ``sample_sizes``.  Rows past an environment's own
+    ``n_e`` are zero, so they add nothing to its Gram matrix, ``X'y`` or residuals.
+    ``num_covariates`` counts candidate causal parents only; when ``intercept_added``
+    the width carries a trailing constant column that is never a candidate.
+    ``env_labels`` defaults to ``"1"`` .. ``"E"``.
     """
 
-    environments: tuple[EnvironmentData, ...]
+    covariates: np.ndarray
+    target: np.ndarray
+    sample_sizes: tuple[int, ...]
     num_covariates: int
     intercept_added: bool = False
     env_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        envs = tuple(self.environments)
-        if len(envs) < 1:
+        xs = np.ascontiguousarray(self.covariates, dtype=np.float64)
+        ys = np.ascontiguousarray(self.target, dtype=np.float64)
+        sizes = tuple(int(n) for n in self.sample_sizes)
+        if not sizes:
             raise InvalidInputError("a dataset must contain at least one environment")
+        if min(sizes) < 1:
+            raise InvalidInputError("an environment must contain at least one observation")
         width = self.num_covariates + (1 if self.intercept_added else 0)
-        for i, env in enumerate(envs):
-            if env.covariates.shape[1] != width:
-                raise ShapeError(
-                    f"environment {i} has {env.covariates.shape[1]} columns, expected {width}"
-                )
-        if self.env_labels is None:
-            object.__setattr__(self, "env_labels", tuple(str(i + 1) for i in range(len(envs))))
-        elif len(self.env_labels) != len(envs):
+        shape = (max(sizes), width, len(sizes))
+        if xs.shape != shape or ys.shape != shape[::2]:
+            raise ShapeError(f"covariates {xs.shape}, target {ys.shape}; expected {shape}, {shape[::2]}")
+        padding = np.arange(shape[0])[:, None] >= np.array(sizes)
+        if ys[padding].any() or xs.transpose(0, 2, 1)[padding].any():
+            raise ShapeError("rows past an environment's sample size must be zero")
+        # A finite sum of squares bounds every Gram-matrix entry; the SVD does
+        # not return on an overflowed one.
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares = np.einsum("nie,nie->e", xs, xs) + np.einsum("ne,ne->e", ys, ys)
+        if not np.isfinite(squares).all():
+            raise InvalidInputError("environment data contains non-finite or overflowing entries")
+        labels = self.env_labels
+        labels = tuple(str(i + 1) for i in range(len(sizes))) if labels is None else tuple(labels)
+        if len(labels) != len(sizes):
             raise ShapeError("env_labels length must match the number of environments")
-        object.__setattr__(self, "environments", envs)
+        fields = dict(covariates=xs, target=ys, sample_sizes=sizes, env_labels=labels)
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
     @property
     def num_envs(self) -> int:
-        return len(self.environments)
+        return len(self.sample_sizes)
 
-    @cached_property
-    def sample_sizes(self) -> tuple[int, ...]:
-        return tuple(env.num_samples for env in self.environments)
-
-    @cached_property
-    def padded(self) -> tuple[np.ndarray, np.ndarray]:
-        """All environments stacked, zero-padded, environment axis last.
-
-        Returns covariates of shape ``(n_max, width, E)`` and target of shape
-        ``(n_max, E)``, where ``n_max`` is the largest sample size.  Rows past
-        an environment's own ``n_e`` are zero, so they add nothing to its
-        Gram matrix, ``X'y`` or residuals.
-        """
-        n_max = max(self.sample_sizes)
-        width = self.environments[0].covariates.shape[1]
-        xs = np.zeros((n_max, width, self.num_envs))
-        ys = np.zeros((n_max, self.num_envs))
-        for i, env in enumerate(self.environments):
-            xs[: env.num_samples, :, i] = env.covariates
-            ys[: env.num_samples, i] = env.target
-        return xs, ys
+    @property
+    def environments(self) -> tuple[EnvironmentData, ...]:
+        """Each environment's own rows, as views into the padded arrays."""
+        return tuple(
+            EnvironmentData(self.covariates[:n, :, e], self.target[:n, e])
+            for e, n in enumerate(self.sample_sizes)
+        )
 
     @cached_property
     def cross_products(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-environment Gram matrix and ``X'y`` of all columns.
+        """``X'X`` ``(width, width, E)`` and ``X'y`` ``(width, E)`` of all columns.
 
-        Returns ``X'X`` of shape ``(width, width, E)`` and ``X'y`` of shape
-        ``(width, E)``, environment axis last like ``padded``.  A fit of any
-        column set reads its blocks from here.
+        A fit of any column set reads its blocks from here.
         """
-        xs, ys = self.padded
+        xs, ys = self.covariates, self.target
         return np.einsum("nie,nje->ije", xs, xs), np.einsum("nie,ne->ie", xs, ys)
 
     def with_intercept(self) -> "MultiEnvDataset":
-        """Append a constant-one column to every environment (idempotent)."""
+        """Append a constant column, one below each ``n_e`` and zero past it (idempotent)."""
         if self.intercept_added:
             return self
-        envs = tuple(
-            EnvironmentData(
-                np.hstack([env.covariates, np.ones((env.num_samples, 1))]),
-                env.target,
-            )
-            for env in self.environments
-        )
-        return replace(self, environments=envs, intercept_added=True)
+        ones = np.arange(len(self.target))[:, None, None] < np.array(self.sample_sizes)
+        xs = np.concatenate([self.covariates, ones], axis=1)
+        return replace(self, covariates=xs, intercept_added=True)
 
 
 def from_arrays(
@@ -148,12 +123,22 @@ def from_arrays(
         raise ShapeError("covariates and targets must have the same number of environments")
     if not covariates:
         raise InvalidInputError("empty dataset")
-    envs = tuple(EnvironmentData(x, y) for x, y in zip(covariates, targets))
-    return MultiEnvDataset(
-        environments=envs,
-        num_covariates=envs[0].covariates.shape[1],
-        env_labels=tuple(env_labels) if env_labels is not None else None,
-    )
+    covs = [np.asarray(x, dtype=np.float64) for x in covariates]
+    tgts = [np.asarray(y, dtype=np.float64) for y in targets]
+    for i, (x, y) in enumerate(zip(covs, tgts)):
+        if x.ndim != 2 or y.ndim != 1:
+            raise ShapeError("covariates must be a matrix and target a vector")
+        if x.shape[0] != y.shape[0]:
+            raise ShapeError(f"covariates have {x.shape[0]} rows but target has {y.shape[0]} entries")
+        if x.shape[1] != covs[0].shape[1]:
+            raise ShapeError(f"environment {i} has {x.shape[1]} columns, expected {covs[0].shape[1]}")
+    sizes = [len(y) for y in tgts]
+    xs = np.zeros((max(sizes), covs[0].shape[1], len(sizes)))
+    ys = np.zeros((max(sizes), len(sizes)))
+    for e, (x, y) in enumerate(zip(covs, tgts)):
+        xs[: len(y), :, e] = x
+        ys[: len(y), e] = y
+    return MultiEnvDataset(xs, ys, tuple(sizes), covs[0].shape[1], env_labels=env_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -168,9 +153,8 @@ def write_csv(dataset: MultiEnvDataset, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(["env"] + [f"x{j + 1}" for j in range(d)] + ["y"])
         for label, env in zip(dataset.env_labels, dataset.environments):
-            for i in range(env.num_samples):
-                row = [label] + [repr(float(v)) for v in env.covariates[i]] + [repr(float(env.target[i]))]
-                writer.writerow(row)
+            for x, y in zip(*env):
+                writer.writerow([label] + [repr(float(v)) for v in x] + [repr(float(y))])
 
 
 def _read_text(path) -> str:

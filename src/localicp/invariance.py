@@ -6,12 +6,13 @@ data is interpolated).  Under the null the ratio is distributed like the
 min/max ratio of independent chi-squared variables whose degrees of freedom
 are ``n_e - rank(Gram)``, so the p-value is obtained by Monte-Carlo sampling
 of that reference ratio.  The conservative ``(1 + count) / (B + 1)`` estimator
-with strict inequality is exactly valid under exchangeability.  The null law
-depends on the subset only through its dof vector, so the subsets of one
-search that share a dof vector share one sorted set of ``B`` reference draws.
-Each p-value stays exactly valid; those of subsets that share a dof vector
-become dependent, which the intersection does not need to avoid (it needs
-only a valid test of the true parent set).
+counts the draws at or below the statistic, so it stays valid under
+exchangeability when they tie (a zero-dof environment makes both exactly 0).
+The null law depends on the subset only through its dof vector, so the
+subsets of one search that share a dof vector share one sorted set of ``B``
+reference draws.  Each p-value stays valid; those of subsets that share a dof
+vector become dependent, which the intersection does not need to avoid (it
+needs only a valid test of the true parent set).
 
 Many subsets of one size are fitted at once, in every environment, from the
 dataset's cached cross-products (``fit_subsets``, in chunks of bounded
@@ -158,7 +159,7 @@ def mc_pvalue(
     *,
     nulls: dict[tuple[int, ...], np.ndarray] | None = None,
 ) -> float:
-    """Conservative Monte-Carlo p-value ``(1 + #{R < T}) / (B + 1)``.
+    """Conservative Monte-Carlo p-value ``(1 + #{R <= T}) / (B + 1)``.
 
     The ``b`` reference ratios ``R`` are drawn from
     ``SeedSequence([seed, *dofs])`` and sorted, so the count is a binary
@@ -183,7 +184,7 @@ def mc_pvalue(
         draws = np.sort(sample_null_ratio(key, rng, size=b))
         draws.flags.writeable = False
         memo[key] = draws
-    count = int(np.searchsorted(draws, statistic, side="left"))
+    count = int(np.searchsorted(draws, statistic, side="right"))
     return (1 + count) / (b + 1)
 
 
@@ -253,7 +254,7 @@ def _fit_environments(dataset: MultiEnvDataset, col_sets):
     So a pair's bits do not depend on the other pairs in the batch.
     """
     col_sets = np.asarray(col_sets, dtype=np.intp)
-    xs, y = dataset.padded
+    xs, y = dataset.covariates, dataset.target
     gram_all, xty_all = dataset.cross_products
     cols = col_sets.T  # (w, S)
     width = len(cols)
@@ -302,8 +303,7 @@ def fit_subsets(dataset: MultiEnvDataset, subsets: Sequence[Sequence[int]]):
     if dataset.intercept_added:
         cols = np.column_stack([cols, np.full(len(cols), dataset.num_covariates)])
     width = cols.shape[1]
-    n_max = max(dataset.sample_sizes)
-    per_subset = dataset.num_envs * max(width * (3 * width + 4), 2 * (n_max + width))
+    per_subset = dataset.num_envs * max(width * (3 * width + 4), 2 * (len(dataset.target) + width))
     step = max(1, FIT_CHUNK_DOUBLES // per_subset)
     parts = [_fit_environments(dataset, cols[i : i + step]) for i in range(0, len(cols), step)]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])

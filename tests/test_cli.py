@@ -86,6 +86,16 @@ class TestDiscover:
             [line] = capsys.readouterr().err.splitlines()
             assert line.startswith(f"error: {path}: ") and message in line
 
+    def test_overflowing_csv(self, tmp_path, capsys):
+        # Every entry is finite, but 1e200 squared overflows the Gram matrix.
+        path = tmp_path / "huge.csv"
+        path.write_text("env,x1,y\n1,1e200,1.0\n1,2.0,1.0\n2,1.0,1.0\n2,2.0,3.0\n")
+        assert main(["discover", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line == "error: environment data contains non-finite or overflowing entries"
+
     def test_single_environment_refused_with_explanation(self, tmp_path, capsys):
         path = tmp_path / "one.csv"
         path.write_text("env,x1,y\n1,1.0,2.0\n1,2.0,3.0\n1,3.0,4.0\n")
@@ -252,10 +262,16 @@ class TestNetwork:
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_refused(self, workers, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["network", "--runs", "1", "--workers", workers])
-        assert exc.value.code == EXIT_INPUT
-        assert "--workers: must be a positive integer" in capsys.readouterr().err
+        # --max-dim shares the positive-integer type; below 1 it is a
+        # malformed value, not a capacity error.
+        for argv in (
+            ["network", "--runs", "1", "--workers", workers],
+            ["discover", "data.csv", "--max-dim", workers],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == EXIT_INPUT
+            assert f"{argv[-2]}: must be a positive integer" in capsys.readouterr().err
 
     def test_zero_window_refused(self, capsys):
         assert main(["network", "--window", "0", "--runs", "1"]) == EXIT_INPUT

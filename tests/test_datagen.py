@@ -12,6 +12,7 @@ from localicp.datagen import (
     sem_cascade,
     split_environments,
 )
+from localicp.dataset import from_arrays
 from localicp.errors import CapacityError, DivergenceError, InvalidInputError, ShapeError
 
 
@@ -230,6 +231,21 @@ class TestSplitEnvironments:
         data = split_environments(series, target=1, window=4, warmup=1, num_envs=5)
         starts = [int(e.covariates[0, 0]) for e in data.environments]
         assert starts == [2, 10, 18, 26, 34]
+
+    def test_equals_from_arrays_of_window_slices(self):
+        series = gen_lorenz(LorenzGenConfig(horizon=300), 1)
+        starts = range(100, 300, 20)
+        ref = from_arrays(
+            [series[s : s + 20] for s in starts], [series[s + 1 : s + 21, 2] for s in starts]
+        )
+        data = split_environments(series, target=3, window=20, warmup=100, num_envs=10)
+        for a, b in ((data, ref), (data.with_intercept(), ref.with_intercept())):
+            assert a.sample_sizes == b.sample_sizes == (20,) * 10
+            assert a.covariates.flags.c_contiguous
+            assert np.array_equal(a.covariates, b.covariates)
+            assert np.array_equal(a.target, b.target)
+            for x, y in zip(a.cross_products, b.cross_products):
+                assert np.array_equal(x, y)
 
     def test_too_short_series(self):
         series = np.zeros((10, 3))

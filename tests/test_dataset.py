@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from localicp.dataset import (
-    EnvironmentData,
     MultiEnvDataset,
     dataset_from_dict,
     dataset_to_dict,
@@ -27,9 +26,28 @@ def sample_dataset(labels=None):
 class TestContainers:
     def test_environment_validation(self):
         with pytest.raises(ShapeError):
-            EnvironmentData(np.zeros((3, 2)), np.zeros(4))
+            from_arrays([np.zeros((3, 2))], [np.zeros(4)])
         with pytest.raises(InvalidInputError):
-            EnvironmentData(np.array([[np.nan, 1.0]]), np.zeros(1))
+            from_arrays([np.array([[np.nan, 1.0]])], [np.zeros(1)])
+        with pytest.raises(InvalidInputError, match="at least one observation"):
+            from_arrays([np.zeros((2, 1)), np.zeros((0, 1))], [np.zeros(2), np.zeros(0)])
+
+    def test_overflowing_entries_rejected(self):
+        # Finite entries whose sum of squares overflows, in one environment.
+        x = np.ones((3, 2))
+        with pytest.raises(InvalidInputError, match="non-finite or overflowing"):
+            from_arrays([x, np.full((3, 2), 1e200)], [np.ones(3), np.ones(3)])
+        with pytest.raises(InvalidInputError, match="non-finite or overflowing"):
+            from_arrays([x, x], [np.ones(3), np.full(3, 1e200)])
+
+    def test_padding_must_be_zero(self):
+        data = sample_dataset()
+        xs = data.covariates.copy()
+        xs[-1, 0, 0] = 1.0  # row 5 of an environment with 4 rows
+        with pytest.raises(ShapeError, match="must be zero"):
+            MultiEnvDataset(xs, data.target, data.sample_sizes, data.num_covariates)
+        with pytest.raises(ShapeError):
+            MultiEnvDataset(xs[:-1], data.target[:-1], data.sample_sizes, data.num_covariates)
 
     def test_basic_properties(self):
         data = sample_dataset()
@@ -48,20 +66,46 @@ class TestContainers:
         # The covariate count excludes the constant column.
         assert data.num_covariates == 2
 
+    def test_padded_layout(self):
+        data = sample_dataset()
+        assert data.covariates.shape == (6, 2, 2) and data.target.shape == (6, 2)
+        assert data.covariates.flags.c_contiguous and data.target.flags.c_contiguous
+        np.testing.assert_array_equal(data.covariates[4:, :, 0], 0.0)
+        np.testing.assert_array_equal(data.target[4:, 0], 0.0)
+
+    def test_with_intercept_leaves_padding_zero(self):
+        # Unequal n_e: the ones column stops at each environment's own rows,
+        # so the cross-products match a per-environment reference.
+        rng = np.random.default_rng(3)
+        covs = [rng.normal(size=(n, 2)) for n in (5, 9, 7)]
+        tgts = [rng.normal(size=n) for n in (5, 9, 7)]
+        data = from_arrays(covs, tgts).with_intercept()
+        np.testing.assert_array_equal(data.covariates[:, 2], np.arange(9)[:, None] < [5, 9, 7])
+        explicit = from_arrays([np.column_stack([x, np.ones(len(x))]) for x in covs], tgts)
+        assert np.array_equal(data.covariates, explicit.covariates)
+        gram, xty = data.cross_products
+        assert np.array_equal(gram, explicit.cross_products[0])
+        assert np.array_equal(xty, explicit.cross_products[1])
+        for e, (x, y) in enumerate(zip(covs, tgts)):
+            x1 = np.column_stack([x, np.ones(len(y))])
+            np.testing.assert_allclose(gram[:, :, e], x1.T @ x1, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(xty[:, e], x1.T @ y, rtol=1e-13, atol=1e-13)
+        assert data.sample_sizes == (5, 9, 7)
+
     def test_with_intercept_idempotent(self):
         data = sample_dataset().with_intercept()
         assert data.with_intercept() is data
 
     def test_mixed_covariate_width_rejected(self):
         rng = np.random.default_rng(1)
-        with pytest.raises(ShapeError):
-            MultiEnvDataset(
-                environments=(
-                    EnvironmentData(rng.normal(size=(3, 2)), rng.normal(size=3)),
-                    EnvironmentData(rng.normal(size=(3, 4)), rng.normal(size=3)),
-                ),
-                num_covariates=2,
+        with pytest.raises(ShapeError, match="environment 1 has 4 columns, expected 2"):
+            from_arrays(
+                [rng.normal(size=(3, 2)), rng.normal(size=(3, 4))],
+                [rng.normal(size=3), rng.normal(size=3)],
             )
+        data = sample_dataset()
+        with pytest.raises(ShapeError, match=r"\(6, 2, 2\), .*expected \(6, 3, 2\)"):
+            MultiEnvDataset(data.covariates, data.target, data.sample_sizes, num_covariates=3)
 
 
 class TestCsv:

@@ -95,14 +95,15 @@ class TestMcPvalue:
     @pytest.mark.parametrize("dofs", [(4, 9, 6), (0, 5), (0, 0, 0)])
     def test_sorted_count_matches_direct_count(self, dofs):
         # The binary search over the sorted draws must count exactly the
-        # draws strictly below the statistic: a statistic equal to a draw
-        # does not count it, and the +inf draws of all-zero dofs never count.
+        # draws at or below the statistic: a statistic equal to a draw
+        # counts it (ties go against the statistic), and the +inf draws of
+        # all-zero dofs never count.
         b, seed = 50, 3
         rng = np.random.default_rng(np.random.SeedSequence([seed, *dofs]))
         draws = sample_null_ratio(dofs, rng, size=b)
         grid = [0.0, 0.2, 0.5, 1.0, *draws[np.isfinite(draws)][:5]]
         for t in grid:
-            expected = (1 + int(np.count_nonzero(draws < t))) / (b + 1)
+            expected = (1 + int(np.count_nonzero(draws <= t))) / (b + 1)
             assert mc_pvalue(t, dofs, b, seed) == expected
 
     def test_memoized_draws_are_sorted_and_read_only(self):
@@ -155,6 +156,22 @@ class TestPhiS:
             accepted += not report.rejected
         se = math.sqrt(alpha * (1 - alpha) / reps)
         assert accepted / reps >= 1 - alpha - 3 * se
+
+    def test_null_acceptance_with_one_interpolated_environment(self):
+        # n_e = 3 in the first environment leaves it zero dof at the true
+        # parents with intercept, so the statistic and every draw are 0.
+        # A tie is no evidence against invariance and must not reject.
+        alpha, reps = 0.1, 200
+        rejected = 0
+        for i in range(reps):
+            rng = np.random.default_rng(i)
+            covs = [rng.normal(size=(n, 2)) for n in (3, 30, 30, 30, 30)]
+            tgts = [x @ np.array([2.0, 1.0]) + rng.normal(size=len(x)) for x in covs]
+            report = phi_S(from_arrays(covs, tgts).with_intercept(), (1, 2), TestConfig(seed=i))
+            assert report.dofs == (0, 27, 27, 27, 27)
+            rejected += report.rejected
+        se = math.sqrt(alpha * (1 - alpha) / reps)
+        assert rejected / reps <= alpha + 3 * se
 
     def test_interpolation_regime_never_rejects(self):
         rng = np.random.default_rng(8)
@@ -418,8 +435,8 @@ def _parent_fit(dataset, cols):
     certified per environment, else the batched SVD, on the environments of
     one column set.
     """
-    xs = np.moveaxis(dataset.padded[0], -1, 0)  # (E, n_max, width)
-    y = dataset.padded[1].T  # (E, n_max)
+    xs = np.moveaxis(dataset.covariates, -1, 0)  # (E, n_max, width)
+    y = dataset.target.T  # (E, n_max)
     x = xs[:, :, cols]
     gram = np.einsum("eni,enj->eij", x, x)
     xty = np.einsum("eni,en->ei", x, y)
