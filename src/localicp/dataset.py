@@ -39,9 +39,9 @@ class EnvironmentData(NamedTuple):
 class MultiEnvDataset:
     """Environments sharing a covariate layout, zero-padded, environment axis last.
 
-    ``covariates`` is ``(n_max, width, E)`` and ``target`` ``(n_max, E)``, C-contiguous,
-    with ``n_max`` the largest of ``sample_sizes``.  Rows past an environment's own
-    ``n_e`` are zero, so they add nothing to its Gram matrix, ``X'y`` or residuals.
+    ``covariates`` is ``(n_max, width, E)`` and ``target`` ``(n_max, E)``, C-contiguous and
+    read-only, with ``n_max`` the largest of ``sample_sizes``.  Rows past an environment's
+    own ``n_e`` are zero, so they add nothing to its Gram matrix, ``X'y`` or residuals.
     ``num_covariates`` counts candidate causal parents only; when ``intercept_added``
     the width carries a trailing constant column that is never a candidate.
     ``env_labels`` defaults to ``"1"`` .. ``"E"``.
@@ -79,6 +79,10 @@ class MultiEnvDataset:
         labels = tuple(str(i + 1) for i in range(len(sizes))) if labels is None else tuple(labels)
         if len(labels) != len(sizes):
             raise ShapeError("env_labels length must match the number of environments")
+        # Read-only views: a write would leave ``cross_products`` stale.  The
+        # caller's own arrays stay writable and nothing is copied.
+        xs, ys = xs.view(), ys.view()
+        xs.flags.writeable = ys.flags.writeable = False
         fields = dict(covariates=xs, target=ys, sample_sizes=sizes, env_labels=labels)
         for name, value in fields.items():
             object.__setattr__(self, name, value)

@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 
 from .dataset import MultiEnvDataset
 from .errors import CapacityError, InvalidInputError
-from .invariance import SubsetTestReport, TestConfig, fit_subsets, phi_S
+from .invariance import SubsetTestReport, TestConfig, fit_subsets, test_subsets
 
 __all__ = [
     "DEFAULT_MAX_DIM",
@@ -73,7 +73,7 @@ def discover(
     *,
     max_dim: int = DEFAULT_MAX_DIM,
     early_stop: bool = False,
-    test: Callable[..., SubsetTestReport] = phi_S,
+    test: Callable[..., list[SubsetTestReport]] = test_subsets,
 ) -> DiscoveryResult:
     """Estimate the causal parents of the target by exhaustive subset testing.
 
@@ -94,13 +94,14 @@ def discover(
         was skipped.
 
     The subsets of one size that the running intersection leaves are
-    fitted in one call (``fit_subsets``) and then tested one after another,
-    in the order of ``enumerate_subsets``.  ``test`` gets each subset's
-    ``fit`` and a ``nulls`` dict that lives for this call only, in which
-    ``phi_S`` keeps one sorted set of reference draws per distinct dof
-    vector.  A subset's fit does not depend on the others fitted with it,
-    and its draws depend only on ``(config.seed, dofs, config.mc_samples)``,
-    so the reports do not depend on the order in which subsets are tested.
+    fitted in one call (``fit_subsets``) and tested in one call of ``test``
+    with that ``fit`` and a ``nulls`` dict that lives for this call only (one
+    sorted set of reference draws per distinct dof vector).  The reports are
+    then walked in the order of ``enumerate_subsets``, dropping those of
+    subsets the intersection covers by then.  A subset's fit does not depend
+    on the others fitted with it, and its draws depend only on
+    ``(config.seed, dofs, config.mc_samples)``, so the reports do not depend
+    on the order in which subsets are tested.
     """
     d = dataset.num_covariates
     if d > max_dim:
@@ -123,14 +124,12 @@ def discover(
         level = [s for s in level if not covered(s)]
         if not level:
             continue
-        norms, ranks = fit_subsets(dataset, level)
-        for subset, fit in zip(level, zip(norms, ranks)):
-            if covered(subset):
+        for report in test(dataset, level, config, nulls=nulls, fit=fit_subsets(dataset, level)):
+            if covered(report.subset):
                 continue
-            report = test(dataset, subset, config, nulls=nulls, fit=fit)
             reports.append(report)
             if not report.rejected:
-                running = set(subset) if running is None else running & set(subset)
+                running = set(report.subset) if running is None else running & set(report.subset)
     return DiscoveryResult(
         estimated_parents=tuple(sorted(running or ())),
         reports=tuple(reports),

@@ -1,4 +1,4 @@
-"""Invariance test for a candidate parent subset.
+"""Invariance test for candidate parent subsets.
 
 For a subset S the statistic is the min/max ratio of per-environment sums of
 squared regression residuals (``+inf`` when every residual vanishes, i.e. the
@@ -14,10 +14,11 @@ reference draws.  Each p-value stays valid; those of subsets that share a dof
 vector become dependent, which the intersection does not need to avoid (it
 needs only a valid test of the true parent set).
 
-Many subsets of one size are fitted at once, in every environment, from the
-dataset's cached cross-products (``fit_subsets``, in chunks of bounded
-memory); ``phi_S`` alone fits its one subset the same way.  Each (subset,
-environment) Gram matrix is factored by Cholesky, by column recurrences with
+The subsets of one size are fitted and tested at once, in every
+environment (``fit_subsets``, ``test_subsets``); ``phi_S`` is the one-subset
+call.  The fit reads the dataset's cached cross-products, in chunks of
+bounded memory.  Each (subset, environment) Gram matrix is factored by
+Cholesky, by column recurrences with
 the pairs on the last axes.  A pair keeps that solve only when its pivots are
 positive and finite and a condition bound read off the factor proves full
 rank under the SVD cutoff; every other pair (rank-deficient, ill-conditioned,
@@ -27,7 +28,7 @@ so a subset's fit is bit-for-bit the same in any batch.
 
 Reproducibility contract: the reference draws of a test are a pure function
 of ``(config.seed, dofs, config.mc_samples)``, so results do not depend on
-the order or parallelism in which subsets are tested.
+the order, the batch or the parallelism in which subsets are tested.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "sample_null_ratio",
     "mc_pvalue",
     "fit_subsets",
+    "test_subsets",
     "phi_S",
     "subset_rng",
 ]
@@ -108,27 +110,25 @@ class SubsetTestReport:
 
 
 def subset_rng(seed: int, subset: Sequence[int]) -> np.random.Generator:
-    """Random stream for a subset, a pure function of (seed, subset).
-
-    The subset test no longer draws from it: its reference draws are keyed
-    on the dof vector (see ``mc_pvalue``).  ``perfbench/tracer.py`` still
-    wraps it by name.
-    """
+    """Random stream of ``(seed, subset)``.  The subset test does not draw from
+    it (see ``mc_pvalue``); ``perfbench/tracer.py`` wraps it by name."""
     bitmask = sum(1 << (d - 1) for d in subset)
     return np.random.default_rng(np.random.SeedSequence([int(seed), bitmask]))
 
 
-def test_statistic(residual_norms_sq: Sequence[float]) -> float:
-    """Min/max ratio of squared residual norms; ``+inf`` when all are zero."""
+def test_statistic(residual_norms_sq: Sequence[float] | np.ndarray) -> float | np.ndarray:
+    """Min/max ratio of squared residual norms along the last axis; ``+inf`` where all are zero.
+
+    A float for one vector, an array of one ratio per row otherwise."""
     norms = np.asarray(residual_norms_sq, dtype=np.float64)
     if norms.size == 0:
         raise InvalidInputError("residual norms must be non-empty")
     if not np.all(np.isfinite(norms)) or np.any(norms < 0):
         raise InvalidInputError("residual norms must be finite and non-negative")
-    top = norms.max()
-    if top == 0.0:
-        return math.inf
-    return float(norms.min() / top)
+    top = norms.max(axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = np.where(top > 0.0, norms.min(axis=-1) / top, math.inf)
+    return float(ratio) if ratio.ndim == 0 else ratio
 
 
 def sample_null_ratio(dofs: Sequence[int], rng: np.random.Generator, size: int) -> np.ndarray:
@@ -149,6 +149,23 @@ def sample_null_ratio(dofs: Sequence[int], rng: np.random.Generator, size: int) 
     top = z.max(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(top > 0.0, z.min(axis=1) / top, math.inf)
+
+
+def _reference_draws(seed: int, dofs: np.ndarray, b: int) -> np.ndarray:
+    """The ``b`` sorted, read-only reference ratios of the dof vector ``dofs``.
+
+    They are drawn from ``SeedSequence([seed, *dofs])``, its entropy given as
+    the ``uint32`` array it makes of that list: the seed's 32-bit
+    little-endian words, then the dofs (each below 2^32)."""
+    seed = int(seed)
+    if seed < 0 or np.any(dofs < 0):
+        raise InvalidInputError("the seed and the dofs must be non-negative")
+    words = [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.concatenate([np.array(words, dtype=np.uint32), dofs.astype(np.uint32)])
+    rng = np.random.default_rng(np.random.SeedSequence(entropy))
+    draws = np.sort(sample_null_ratio(dofs, rng, size=b))
+    draws.flags.writeable = False
+    return draws
 
 
 def mc_pvalue(
@@ -176,15 +193,9 @@ def mc_pvalue(
         return 1.0
     key = tuple(map(int, dofs))
     memo = {} if nulls is None else nulls
-    draws = memo.get(key)
-    if draws is None:
-        if seed < 0 or any(d < 0 for d in key):
-            raise InvalidInputError("the seed and the dofs must be non-negative")
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), *key]))
-        draws = np.sort(sample_null_ratio(key, rng, size=b))
-        draws.flags.writeable = False
-        memo[key] = draws
-    count = int(np.searchsorted(draws, statistic, side="right"))
+    if key not in memo:
+        memo[key] = _reference_draws(seed, np.array(key, dtype=np.int64), b)
+    count = int(np.searchsorted(memo[key], statistic, side="right"))
     return (1 + count) / (b + 1)
 
 
@@ -309,51 +320,61 @@ def fit_subsets(dataset: MultiEnvDataset, subsets: Sequence[Sequence[int]]):
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-def phi_S(
+def test_subsets(
     dataset: MultiEnvDataset,
-    subset: Sequence[int],
+    subsets: Sequence[Sequence[int]],
     config: TestConfig,
     *,
     nulls: dict[tuple[int, ...], np.ndarray] | None = None,
     fit: tuple[np.ndarray, np.ndarray] | None = None,
-) -> SubsetTestReport:
-    """Test whether ``subset`` yields environment-invariant residuals.
+) -> list[SubsetTestReport]:
+    """Test whether each of ``subsets``, all of one size, yields invariant residuals.
 
     Per environment this regresses the target on the subset columns (plus the
     intercept column when the dataset carries one), forms the min/max residual
     statistic, compares it with the chi-squared reference ratio and decides at
-    level ``config.alpha``.  ``nulls`` is the memo of reference draws that
-    one search at this ``config`` shares among its subsets (see
-    ``mc_pvalue``); without it the draws are made for this call alone.
-    ``fit`` is this subset's row of ``fit_subsets`` when the caller fitted
-    it with others; without it the subset is fitted alone.
+    level ``config.alpha``; reports come in the order of ``subsets``.  ``fit``
+    is ``fit_subsets`` of ``subsets`` when the caller has it.  The subsets are
+    tested as ``(S, E)`` arrays: rows that share a dof vector share one draw
+    of the reference ratios (as in ``mc_pvalue``), kept in ``nulls``, the memo
+    one search at this ``config`` shares, and each row's count is one binary
+    search.  An infinite statistic gets p = 1 without a draw.
     """
     d = dataset.num_covariates
-    subset = tuple(sorted(int(s) for s in subset))
-    if len(set(subset)) != len(subset):
-        raise InvalidInputError(f"subset contains repeated indices: {subset}")
-    if any(s < 1 or s > d for s in subset):
-        raise InvalidInputError(f"subset {subset} is not contained in 1..{d}")
+    subsets = [tuple(sorted(int(s) for s in subset)) for subset in subsets]
+    for subset in subsets:
+        if len(set(subset)) != len(subset):
+            raise InvalidInputError(f"subset contains repeated indices: {subset}")
+        if any(s < 1 or s > d for s in subset):
+            raise InvalidInputError(f"subset {subset} is not contained in 1..{d}")
     if dataset.num_envs < 2:
         raise InvalidInputError(
             "testing invariance requires at least two environments; a single "
             "environment permits no causal conclusion"
         )
-    if fit is None:
-        fit = [part[0] for part in fit_subsets(dataset, [subset])]
-    norms, ranks = fit
+    norms, ranks = fit_subsets(dataset, subsets) if fit is None else fit
     dofs = np.maximum(np.subtract(dataset.sample_sizes, ranks), 0)
     # Zero degrees of freedom means the regression interpolates; the residual
     # is exactly zero in exact arithmetic, so discard rounding noise.
     norms = np.where(dofs == 0, 0.0, norms)
-    dofs = tuple(dofs.tolist())
-    statistic = test_statistic(norms)
-    p = mc_pvalue(statistic, dofs, config.mc_samples, config.seed, nulls=nulls)
-    return SubsetTestReport(
-        subset=subset,
-        residual_norms_sq=tuple(norms.tolist()),
-        dofs=dofs,
-        statistic=statistic,
-        p_value=p,
-        rejected=bool(p <= config.alpha),
-    )
+    statistics = test_statistic(norms)
+    b, memo = config.mc_samples, {} if nulls is None else nulls
+    groups: dict[bytes, list[int]] = {}
+    for i in np.flatnonzero(np.isfinite(statistics)).tolist():
+        groups.setdefault(dofs[i].tobytes(), []).append(i)
+    p_values = np.ones(len(subsets))
+    for rows in groups.values():
+        key = tuple(dofs[rows[0]].tolist())
+        if key not in memo:
+            memo[key] = _reference_draws(config.seed, dofs[rows[0]], b)
+        p_values[rows] = (1 + np.searchsorted(memo[key], statistics[rows], side="right")) / (b + 1)
+    columns = zip(norms.tolist(), dofs.tolist(), statistics.tolist(), p_values.tolist())
+    return [
+        SubsetTestReport(subset, tuple(n), tuple(k), t, p, p <= config.alpha)
+        for subset, (n, k, t, p) in zip(subsets, columns)
+    ]
+
+
+def phi_S(dataset: MultiEnvDataset, subset: Sequence[int], config: TestConfig) -> SubsetTestReport:
+    """``test_subsets`` of the one subset ``subset``, fitted alone, its draws made for this call."""
+    return test_subsets(dataset, [subset], config)[0]

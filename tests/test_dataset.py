@@ -92,6 +92,23 @@ class TestContainers:
             np.testing.assert_allclose(xty[:, e], x1.T @ y, rtol=1e-13, atol=1e-13)
         assert data.sample_sizes == (5, 9, 7)
 
+    def test_arrays_are_read_only_views(self):
+        # A write through an environment view would leave the cached Gram
+        # matrices stale, so it is refused; the caller's arrays stay
+        # writable and are shared, not copied.
+        data = sample_dataset()
+        gram, xty = (a.copy() for a in data.cross_products)
+        with pytest.raises(ValueError):
+            data.environments[0].covariates[0, 0] = 100.0
+        with pytest.raises(ValueError):
+            data.target[0, 0] = 100.0
+        assert np.array_equal(data.cross_products[0], gram)
+        assert np.array_equal(data.cross_products[1], xty)
+        xs, ys = np.zeros((3, 1, 2)), np.ones((3, 2))
+        wrapped = MultiEnvDataset(xs, ys, (3, 3), 1)
+        assert xs.flags.writeable and ys.flags.writeable
+        assert np.shares_memory(wrapped.covariates, xs) and np.shares_memory(wrapped.target, ys)
+
     def test_with_intercept_idempotent(self):
         data = sample_dataset().with_intercept()
         assert data.with_intercept() is data

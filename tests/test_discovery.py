@@ -45,7 +45,7 @@ def accepting(family):
     """Fake subset test accepting exactly the subsets in `family`."""
     accepted = {tuple(sorted(s)) for s in family}
 
-    def fake(dataset, subset, config, *, nulls=None, fit=None):
+    def report(subset):
         subset = tuple(sorted(subset))
         ok = subset in accepted
         return SubsetTestReport(
@@ -56,6 +56,9 @@ def accepting(family):
             p_value=1.0 if ok else 0.001,
             rejected=not ok,
         )
+
+    def fake(dataset, subsets, config, *, nulls=None, fit=None):
+        return [report(s) for s in subsets]
 
     return fake
 
@@ -150,9 +153,9 @@ class TestDiscover:
         # rather than reusing the first search's.
         memos = []
 
-        def spy(dataset, subset, config, *, nulls, fit):
+        def spy(dataset, subsets, config, *, nulls, fit):
             memos.append(nulls)
-            return phi_S(dataset, subset, config, nulls=nulls, fit=fit)
+            return invariance.test_subsets(dataset, subsets, config, nulls=nulls, fit=fit)
 
         data = tiny_dataset(d=3, n=10)
         first = discover(data, TestConfig(seed=8), test=spy)

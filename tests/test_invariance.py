@@ -19,6 +19,7 @@ from localicp.errors import InvalidInputError
 from localicp.invariance import (
     TestConfig,
     _fit_environments,
+    _reference_draws,
     fit_subsets,
     mc_pvalue,
     phi_S,
@@ -133,6 +134,80 @@ class TestMcPvalue:
             assert rate <= alpha + band
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 + 5, 2**64 - 1])
+def test_reference_draws_seed_the_listed_entropy(seed, monkeypatch):
+    # The uint32 entropy must seed the stream that SeedSequence([seed, *dofs])
+    # seeds: one 32-bit word below 2^32, two for a 64-bit seed, then the dofs.
+    dofs = (0, 7, 3, 0, 12)
+    streams = []
+    original = invariance.sample_null_ratio
+
+    def recording(dofs, rng, size):
+        streams.append(rng.bit_generator.seed_seq)
+        return original(dofs, rng, size)
+
+    monkeypatch.setattr(invariance, "sample_null_ratio", recording)
+    draws = _reference_draws(seed, np.array(dofs), 40)
+    listed = np.random.SeedSequence([seed, *dofs])
+    assert np.array_equal(streams[0].generate_state(8), listed.generate_state(8))
+    expected = original(dofs, np.random.default_rng(np.random.SeedSequence([seed, *dofs])), 40)
+    assert np.array_equal(draws, np.sort(expected)) and not draws.flags.writeable
+
+
+def _assert_reports_match_scalar_path(data, subsets, config, fit):
+    """Each report of ``test_subsets`` equals the one-row statistic and p-value."""
+    reports = invariance.test_subsets(data, subsets, config, fit=fit)
+    assert [r.subset for r in reports] == [tuple(s) for s in subsets]
+    for report, norms, ranks in zip(reports, *fit):
+        dofs = np.maximum(np.subtract(data.sample_sizes, ranks), 0)
+        norms = np.where(dofs == 0, 0.0, norms)
+        statistic = min_max_statistic(norms)
+        p = mc_pvalue(statistic, dofs, config.mc_samples, config.seed)
+        assert report.dofs == tuple(dofs.tolist())
+        assert report.residual_norms_sq == tuple(norms.tolist())
+        assert report.statistic == statistic and report.p_value == p
+        assert report.rejected == (p <= config.alpha)
+    return reports
+
+
+def test_level_reports_match_the_scalar_path(monkeypatch):
+    # One level of ten subsets with five distinct finite dof vectors (two of
+    # them shared by several rows), zero-dof rows, a rank above n_e that is
+    # clipped, and a row that interpolates every environment (+inf, p = 1).
+    rng = np.random.default_rng(21)
+    sizes = (6, 9, 9, 12)
+    data = from_arrays(
+        [rng.normal(size=(n, 5)) for n in sizes], [rng.normal(size=n) for n in sizes]
+    ).with_intercept()
+    subsets = list(itertools.combinations(range(1, 6), 2))
+    ranks = np.array(
+        [[3, 3, 3, 3], [3, 3, 3, 3], [2, 3, 3, 3], [6, 3, 3, 3], [6, 9, 9, 12],
+         [7, 3, 3, 3], [3, 3, 3, 3], [3, 2, 3, 1], [1, 1, 1, 1], [3, 3, 3, 3]]
+    )
+    norms = rng.uniform(0.5, 2.0, size=ranks.shape)
+    drawn = []
+    original = invariance.sample_null_ratio
+
+    def counting(dofs, rng, size):
+        drawn.append(tuple(dofs))
+        return original(dofs, rng, size)
+
+    monkeypatch.setattr(invariance, "sample_null_ratio", counting)
+    config = TestConfig(alpha=0.3, mc_samples=50, seed=4)
+    reports = _assert_reports_match_scalar_path(data, subsets, config, (norms, ranks))
+    assert math.isinf(reports[4].statistic) and reports[4].p_value == 1.0
+    assert reports[3].statistic == 0.0 and reports[3].p_value == 1.0
+    assert reports[0].dofs == reports[1].dofs and reports[3].dofs == reports[5].dofs
+    assert len({r.p_value for r in reports}) > 2
+    # The level drew each finite dof vector once; the scalar calls drew again.
+    nulls = {}
+    drawn.clear()
+    invariance.test_subsets(data, subsets, config, nulls=nulls, fit=(norms, ranks))
+    assert len(drawn) == len(set(drawn)) == len(nulls) == 5
+    invariance.test_subsets(data, subsets, config, nulls=nulls, fit=(norms, ranks))
+    assert len(drawn) == 5
+
+
 def make_dataset(rng, n, num_envs, beta_by_env, noise_std=1.0, d=None):
     d = d if d is not None else len(beta_by_env[0])
     covs, tgts = [], []
@@ -213,16 +288,21 @@ class TestPhiS:
     def test_rejects_bad_subsets(self):
         rng = np.random.default_rng(1)
         data = make_dataset(rng, n=10, num_envs=3, beta_by_env=[[1.0, 1.0]])
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"subset \(0,\) is not contained in 1..2"):
             phi_S(data, (0,), TestConfig())
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match=r"subset \(3,\) is not contained in 1..2"):
             phi_S(data, (3,), TestConfig())
+        with pytest.raises(InvalidInputError, match=r"repeated indices: \(2, 2\)"):
+            phi_S(data, (2, 2), TestConfig())
+        # One bad subset among good ones fails the whole level the same way.
+        with pytest.raises(InvalidInputError, match=r"subset \(1, 3\) is not contained"):
+            invariance.test_subsets(data, [(1, 2), (3, 1)], TestConfig())
 
     def test_single_environment_rejected(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(10, 2))
         data = from_arrays([x], [x @ np.array([1.0, 1.0])])
-        with pytest.raises(InvalidInputError):
+        with pytest.raises(InvalidInputError, match="at least two environments"):
             phi_S(data, (1,), TestConfig())
 
     def test_deterministic_and_order_free_stream(self):
@@ -358,6 +438,58 @@ def test_batched_fit_matches_per_env_oracle(make):
             assert ranks.tolist() == ref_ranks.tolist(), cols
             # Scaled by y'y: an exact fit's RSS is itself rounding noise.
             assert np.all(np.abs(norms - ref_norms) <= 1e-12 * yty), cols
+
+
+@pytest.mark.parametrize("make", [_collinear, _interpolating])
+def test_fitted_levels_match_the_scalar_path(make):
+    # Rank-deficient and interpolated environments, one fitted level at a time.
+    data = make()
+    config = TestConfig(seed=6)
+    for k in range(data.num_covariates + 1):
+        subsets = list(itertools.combinations(range(1, data.num_covariates + 1), k))
+        _assert_reports_match_scalar_path(data, subsets, config, fit_subsets(data, subsets))
+
+
+def _qr_oracle(dataset, cols):
+    """Residual norms from a QR factorization of each environment's design.
+
+    Unlike the normal equations, the error of ``y - Q Q'y`` grows with the
+    condition number of X, not of X'X, so this stays a reference where the
+    Gram matrix is too ill-conditioned for ``_per_env_oracle``.  Full column
+    rank only.
+    """
+    norms = []
+    for env in dataset.environments:
+        q, _ = np.linalg.qr(env.covariates[:, cols])
+        r = env.target - q @ (q.T @ env.target)
+        norms.append(float(r @ r))
+    return np.array(norms)
+
+
+def _straddling_to_1e12():
+    # As _straddling_certificate, with Gram condition numbers up to 1e12.
+    rng = np.random.default_rng(14)
+    covs, tgts = [], []
+    for cond in np.geomspace(1e9, 1e12, 8):
+        q1, _ = np.linalg.qr(rng.normal(size=(30, 11)))
+        q2, _ = np.linalg.qr(rng.normal(size=(11, 11)))
+        x = (q1 * np.geomspace(1.0, cond ** -0.5, 11)) @ q2.T
+        noise = rng.normal(size=30)
+        covs.append(x)
+        tgts.append(x @ rng.normal(size=11) + noise - q1 @ (q1.T @ noise))
+    return from_arrays(covs, tgts)
+
+
+def test_ill_conditioned_fit_matches_qr_oracle():
+    # Every column set is of full rank, so the fit must give rank |cols| and
+    # the QR residual within 1e-12 of y'y, on Gram conditions where the
+    # normal equations of _per_env_oracle can miss that bound themselves.
+    data = _straddling_to_1e12()
+    width, yty = _width_and_yty(data)
+    for level in _levels(width)[1:]:
+        for cols, norms, ranks in zip(level, *_fit_environments(data, level)):
+            assert np.all(ranks == len(cols)), cols
+            assert np.all(np.abs(norms - _qr_oracle(data, list(cols))) <= 1e-12 * yty), cols
 
 
 def _independent():
