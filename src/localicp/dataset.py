@@ -79,8 +79,9 @@ class MultiEnvDataset:
         labels = tuple(str(i + 1) for i in range(len(sizes))) if labels is None else tuple(labels)
         if len(labels) != len(sizes):
             raise ShapeError("env_labels length must match the number of environments")
-        # Read-only views: a write would leave ``cross_products`` stale.  The
-        # caller's own arrays stay writable and nothing is copied.
+        # Read-only views, so no write through the dataset leaves
+        # ``cross_products`` stale.  They share the caller's arrays, which
+        # stay writable: the caller must not write to them afterwards.
         xs, ys = xs.view(), ys.view()
         xs.flags.writeable = ys.flags.writeable = False
         fields = dict(covariates=xs, target=ys, sample_sizes=sizes, env_labels=labels)
@@ -103,10 +104,12 @@ class MultiEnvDataset:
     def cross_products(self) -> tuple[np.ndarray, np.ndarray]:
         """``X'X`` ``(width, width, E)`` and ``X'y`` ``(width, E)`` of all columns.
 
-        A fit of any column set reads its blocks from here.
+        A fit of any column set reads its blocks from here; both are read-only.
         """
         xs, ys = self.covariates, self.target
-        return np.einsum("nie,nje->ije", xs, xs), np.einsum("nie,ne->ie", xs, ys)
+        gram, xty = np.einsum("nie,nje->ije", xs, xs), np.einsum("nie,ne->ie", xs, ys)
+        gram.flags.writeable = xty.flags.writeable = False
+        return gram, xty
 
     def with_intercept(self) -> "MultiEnvDataset":
         """Append a constant column, one below each ``n_e`` and zero past it (idempotent)."""

@@ -168,21 +168,12 @@ def _reference_draws(seed: int, dofs: np.ndarray, b: int) -> np.ndarray:
     return draws
 
 
-def mc_pvalue(
-    statistic: float,
-    dofs: Sequence[int],
-    b: int,
-    seed: int,
-    *,
-    nulls: dict[tuple[int, ...], np.ndarray] | None = None,
-) -> float:
+def mc_pvalue(statistic: float, dofs: Sequence[int], b: int, seed: int) -> float:
     """Conservative Monte-Carlo p-value ``(1 + #{R <= T}) / (B + 1)``.
 
     The ``b`` reference ratios ``R`` are drawn from
     ``SeedSequence([seed, *dofs])`` and sorted, so the count is a binary
-    search.  ``nulls`` memoizes the sorted, read-only draws by dof vector for
-    a caller that tests many subsets at one ``seed`` and ``b``; without it
-    the draws are made for this call alone.
+    search.  ``test_subsets`` gives the same p-value for a whole level.
 
     An infinite statistic signals interpolated data, which carries no
     evidence against invariance; the p-value is then 1 and nothing is drawn.
@@ -191,11 +182,8 @@ def mc_pvalue(
         raise InvalidInputError("the number of Monte-Carlo samples must be at least 1")
     if math.isinf(statistic):
         return 1.0
-    key = tuple(map(int, dofs))
-    memo = {} if nulls is None else nulls
-    if key not in memo:
-        memo[key] = _reference_draws(seed, np.array(key, dtype=np.int64), b)
-    count = int(np.searchsorted(memo[key], statistic, side="right"))
+    draws = _reference_draws(seed, np.asarray(dofs, dtype=np.int64), b)
+    count = int(np.searchsorted(draws, statistic, side="right"))
     return (1 + count) / (b + 1)
 
 

@@ -93,15 +93,19 @@ class TestContainers:
         assert data.sample_sizes == (5, 9, 7)
 
     def test_arrays_are_read_only_views(self):
-        # A write through an environment view would leave the cached Gram
-        # matrices stale, so it is refused; the caller's arrays stay
-        # writable and are shared, not copied.
+        # A write through an environment view or into the cached Gram
+        # matrices would leave later fits stale, so it is refused; the
+        # caller's arrays stay writable and are shared, not copied.
         data = sample_dataset()
         gram, xty = (a.copy() for a in data.cross_products)
         with pytest.raises(ValueError):
             data.environments[0].covariates[0, 0] = 100.0
         with pytest.raises(ValueError):
             data.target[0, 0] = 100.0
+        with pytest.raises(ValueError):
+            data.cross_products[1][0, :] += 50.0
+        with pytest.raises(ValueError):
+            data.cross_products[0][0, 0] = 50.0
         assert np.array_equal(data.cross_products[0], gram)
         assert np.array_equal(data.cross_products[1], xty)
         xs, ys = np.zeros((3, 1, 2)), np.ones((3, 2))

@@ -108,14 +108,21 @@ class TestMcPvalue:
             assert mc_pvalue(t, dofs, b, seed) == expected
 
     def test_memoized_draws_are_sorted_and_read_only(self):
+        # The level test keeps its draws in the caller's memo, sorted and
+        # read-only, and a reused memo gives the scalar p-value again.
+        rng = np.random.default_rng(5)
+        data = from_arrays([rng.normal(size=(n, 1)) for n in (8, 9)], [rng.normal(size=n) for n in (8, 9)])
+        fit = (np.array([[0.3, 1.0]]), np.array([[1, 1]]))
+        config = TestConfig(mc_samples=20, seed=1)
         nulls = {}
-        first = mc_pvalue(0.3, [7, 8], 20, 1, nulls=nulls)
+        first = invariance.test_subsets(data, [(1,)], config, nulls=nulls, fit=fit)[0].p_value
         draws = nulls[(7, 8)]
         assert not draws.flags.writeable
         with pytest.raises(ValueError):
             draws[0] = 0.0
         assert np.all(np.diff(draws) >= 0)
-        assert mc_pvalue(0.3, [7, 8], 20, 1, nulls=nulls) == first
+        assert invariance.test_subsets(data, [(1,)], config, nulls=nulls, fit=fit)[0].p_value == first
+        assert nulls[(7, 8)] is draws
         assert mc_pvalue(0.3, [7, 8], 20, 1) == first
 
     def test_null_uniformity_bound(self):
