@@ -276,8 +276,9 @@ def gen_lorenz(config: LorenzGenConfig, seed: int) -> np.ndarray:
     """Iterate the noisy discrete Lorenz map; returns a (horizon + 1, 6) series.
 
     Coordinates 1..5 form the chaotic system, coordinate 6 an independent
-    random walk.  Raises :class:`DivergenceError` if the state leaves the
-    representable range.
+    random walk.  Raises :class:`DivergenceError` at the first step whose state
+    exceeds ``LORENZ_OVERFLOW`` in magnitude or is nan; the loop's Python floats
+    overflow to inf or nan without raising, so the series is checked once.
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     eps = config.noise_std * rng.standard_normal((config.horizon, 6))
@@ -285,20 +286,20 @@ def gen_lorenz(config: LorenzGenConfig, seed: int) -> np.ndarray:
     out[0] = config.initial_state
     x1, x2, x3, x4, x5, x6 = (float(v) for v in config.initial_state)
     for t in range(config.horizon):
-        e = eps[t]
-        n1 = 0.9 * x1 + 0.1 * x2 + e[0]
-        n2 = 0.28 * x1 - 0.01 * x1 * x3 + 0.99 * x2 + e[1]
-        n3 = 0.01 * x1 * (x2 - x4) + 0.9733 * x3 + e[2]
-        n4 = 0.01 * x1 * (x3 - 2.0 * x5) + 0.9366 * x4 + e[3]
-        n5 = 0.02 * x1 * x4 + 0.96 * x5 + e[4]
-        n6 = x6 + e[5]
-        x1, x2, x3, x4, x5, x6 = n1, n2, n3, n4, n5, n6
-        if max(abs(x1), abs(x2), abs(x3), abs(x4), abs(x5), abs(x6)) > LORENZ_OVERFLOW:
-            raise DivergenceError(
-                f"trajectory diverged at step {t + 1} (state magnitude above {LORENZ_OVERFLOW:g})",
-                step=t + 1,
-            )
+        e1, e2, e3, e4, e5, e6 = eps[t].tolist()
+        n1 = 0.9 * x1 + 0.1 * x2 + e1
+        n2 = 0.28 * x1 - 0.01 * x1 * x3 + 0.99 * x2 + e2
+        n3 = 0.01 * x1 * (x2 - x4) + 0.9733 * x3 + e3
+        n4 = 0.01 * x1 * (x3 - 2.0 * x5) + 0.9366 * x4 + e4
+        n5 = 0.02 * x1 * x4 + 0.96 * x5 + e5
+        x1, x2, x3, x4, x5, x6 = n1, n2, n3, n4, n5, x6 + e6
         out[t + 1] = (x1, x2, x3, x4, x5, x6)
+    diverged = np.flatnonzero(~(np.abs(out[1:]) <= LORENZ_OVERFLOW).all(axis=1)).tolist()
+    if diverged:
+        raise DivergenceError(
+            f"trajectory diverged at step {diverged[0] + 1} (state magnitude above {LORENZ_OVERFLOW:g})",
+            step=diverged[0] + 1,
+        )
     return out
 
 

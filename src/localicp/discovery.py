@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 
 from .dataset import MultiEnvDataset
 from .errors import CapacityError, InvalidInputError
-from .invariance import SubsetTestReport, TestConfig, fit_subsets, test_subsets
+from .invariance import SubsetTestReport, TestConfig, test_subsets
 
 __all__ = [
     "DEFAULT_MAX_DIM",
@@ -94,14 +94,13 @@ def discover(
         was skipped.
 
     The subsets of one size that the running intersection leaves are
-    fitted in one call (``fit_subsets``) and tested in one call of ``test``
-    with that ``fit`` and a ``nulls`` dict that lives for this call only (one
-    sorted set of reference draws per distinct dof vector).  The reports are
-    then walked in the order of ``enumerate_subsets``, dropping those of
-    subsets the intersection covers by then.  A subset's fit does not depend
-    on the others fitted with it, and its draws depend only on
-    ``(config.seed, dofs, config.mc_samples)``, so the reports do not depend
-    on the order in which subsets are tested.
+    tested in one call, ``test(dataset, level, config)``, which fits them and
+    draws one sorted set of reference ratios per distinct dof vector of that
+    level.  The reports are then walked in the order of
+    ``enumerate_subsets``, dropping those of subsets the intersection covers
+    by then.  A subset's fit does not depend on the others fitted with it,
+    and its draws depend only on ``(config.seed, dofs, config.mc_samples)``,
+    so the reports do not depend on the order in which subsets are tested.
     """
     d = dataset.num_covariates
     if d > max_dim:
@@ -112,7 +111,6 @@ def discover(
         )
     reports: list[SubsetTestReport] = []
     running: set[int] | None = None  # None until the first accepted subset
-    nulls: dict = {}
 
     def covered(subset):
         """Whether ``subset`` can no longer change the estimate."""
@@ -124,7 +122,7 @@ def discover(
         level = [s for s in level if not covered(s)]
         if not level:
             continue
-        for report in test(dataset, level, config, nulls=nulls, fit=fit_subsets(dataset, level)):
+        for report in test(dataset, level, config):
             if covered(report.subset):
                 continue
             reports.append(report)

@@ -9,22 +9,21 @@ of that reference ratio.  The conservative ``(1 + count) / (B + 1)`` estimator
 counts the draws at or below the statistic, so it stays valid under
 exchangeability when they tie (a zero-dof environment makes both exactly 0).
 The null law depends on the subset only through its dof vector, so the
-subsets of one search that share a dof vector share one sorted set of ``B``
-reference draws.  Each p-value stays valid; those of subsets that share a dof
-vector become dependent, which the intersection does not need to avoid (it
-needs only a valid test of the true parent set).
+subsets of one level call that share a dof vector share one sorted set of
+``B`` reference draws, drawn in that call.  Each p-value stays valid; those
+of subsets that share a dof vector become dependent, which the intersection
+does not need to avoid (it needs only a valid test of the true parent set).
 
-The subsets of one size are fitted and tested at once, in every
-environment (``fit_subsets``, ``test_subsets``); ``phi_S`` is the one-subset
-call.  The fit reads the dataset's cached cross-products, in chunks of
-bounded memory.  Each (subset, environment) Gram matrix is factored by
-Cholesky, by column recurrences with
-the pairs on the last axes.  A pair keeps that solve only when its pivots are
-positive and finite and a condition bound read off the factor proves full
-rank under the SVD cutoff; every other pair (rank-deficient, ill-conditioned,
-or the empty column set) is solved by the SVD.  The residuals are then formed
-explicitly as ``y - X beta``.  Every sum runs in a fixed order per element,
-so a subset's fit is bit-for-bit the same in any batch.
+The subsets of one size are fitted and tested at once, in every environment
+(``fit_subsets``, ``test_subsets``); ``phi_S`` is the one-subset call.  The
+fit reads the dataset's cached cross-products, in chunks of bounded size.
+Each (subset, environment) Gram matrix is factored by Cholesky, by column
+recurrences with the pairs on the last axes.  A pair keeps that solve only
+when its pivots are positive and finite and a condition bound read off the
+factor proves full rank under the SVD cutoff; every other pair (rank-deficient,
+ill-conditioned, or the empty column set) is solved by the SVD.  Residuals
+are formed explicitly as ``y - X beta``.  Every sum runs in a fixed order per
+element, so a subset's fit is bit-for-bit the same in any batch.
 
 Reproducibility contract: the reference draws of a test are a pure function
 of ``(config.seed, dofs, config.mc_samples)``, so results do not depend on
@@ -309,60 +308,61 @@ def fit_subsets(dataset: MultiEnvDataset, subsets: Sequence[Sequence[int]]):
 
 
 def test_subsets(
-    dataset: MultiEnvDataset,
-    subsets: Sequence[Sequence[int]],
-    config: TestConfig,
-    *,
-    nulls: dict[tuple[int, ...], np.ndarray] | None = None,
-    fit: tuple[np.ndarray, np.ndarray] | None = None,
+    dataset: MultiEnvDataset, subsets: Sequence[Sequence[int]], config: TestConfig
 ) -> list[SubsetTestReport]:
     """Test whether each of ``subsets``, all of one size, yields invariant residuals.
 
     Per environment this regresses the target on the subset columns (plus the
-    intercept column when the dataset carries one), forms the min/max residual
-    statistic, compares it with the chi-squared reference ratio and decides at
-    level ``config.alpha``; reports come in the order of ``subsets``.  ``fit``
-    is ``fit_subsets`` of ``subsets`` when the caller has it.  The subsets are
-    tested as ``(S, E)`` arrays: rows that share a dof vector share one draw
-    of the reference ratios (as in ``mc_pvalue``), kept in ``nulls``, the memo
-    one search at this ``config`` shares, and each row's count is one binary
-    search.  An infinite statistic gets p = 1 without a draw.
+    intercept column when the dataset carries one) by ``fit_subsets``, forms
+    the min/max residual statistic, compares it with the chi-squared reference
+    ratio and decides at level ``config.alpha``; reports come in the order of
+    ``subsets``, and an empty level gets none.  Rows that share a dof vector
+    share one sorted set of reference draws, drawn in this call as
+    ``mc_pvalue`` draws them; each row's count is one binary search.  An
+    infinite statistic gets p = 1 without a draw.
     """
     d = dataset.num_covariates
-    subsets = [tuple(sorted(int(s) for s in subset)) for subset in subsets]
-    for subset in subsets:
+    level = []
+    for given in map(tuple, subsets):
+        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in given):
+            raise InvalidInputError(f"subset {given} holds an index that is not an integer")
+        subset = tuple(sorted(int(s) for s in given))
         if len(set(subset)) != len(subset):
             raise InvalidInputError(f"subset contains repeated indices: {subset}")
         if any(s < 1 or s > d for s in subset):
             raise InvalidInputError(f"subset {subset} is not contained in 1..{d}")
+        level.append(subset)
+    sizes = sorted({len(s) for s in level})
+    if len(sizes) > 1:
+        raise InvalidInputError(f"the subsets of one level must share one size, got sizes {sizes}")
     if dataset.num_envs < 2:
         raise InvalidInputError(
             "testing invariance requires at least two environments; a single "
             "environment permits no causal conclusion"
         )
-    norms, ranks = fit_subsets(dataset, subsets) if fit is None else fit
+    if not level:
+        return []
+    norms, ranks = fit_subsets(dataset, level)
     dofs = np.maximum(np.subtract(dataset.sample_sizes, ranks), 0)
     # Zero degrees of freedom means the regression interpolates; the residual
     # is exactly zero in exact arithmetic, so discard rounding noise.
     norms = np.where(dofs == 0, 0.0, norms)
     statistics = test_statistic(norms)
-    b, memo = config.mc_samples, {} if nulls is None else nulls
+    b = config.mc_samples
     groups: dict[bytes, list[int]] = {}
     for i in np.flatnonzero(np.isfinite(statistics)).tolist():
         groups.setdefault(dofs[i].tobytes(), []).append(i)
-    p_values = np.ones(len(subsets))
+    p_values = np.ones(len(level))
     for rows in groups.values():
-        key = tuple(dofs[rows[0]].tolist())
-        if key not in memo:
-            memo[key] = _reference_draws(config.seed, dofs[rows[0]], b)
-        p_values[rows] = (1 + np.searchsorted(memo[key], statistics[rows], side="right")) / (b + 1)
+        draws = _reference_draws(config.seed, dofs[rows[0]], b)
+        p_values[rows] = (1 + np.searchsorted(draws, statistics[rows], side="right")) / (b + 1)
     columns = zip(norms.tolist(), dofs.tolist(), statistics.tolist(), p_values.tolist())
     return [
         SubsetTestReport(subset, tuple(n), tuple(k), t, p, p <= config.alpha)
-        for subset, (n, k, t, p) in zip(subsets, columns)
+        for subset, (n, k, t, p) in zip(level, columns)
     ]
 
 
 def phi_S(dataset: MultiEnvDataset, subset: Sequence[int], config: TestConfig) -> SubsetTestReport:
-    """``test_subsets`` of the one subset ``subset``, fitted alone, its draws made for this call."""
+    """``test_subsets`` of the one subset ``subset``: fitted alone, its draws made for this call."""
     return test_subsets(dataset, [subset], config)[0]

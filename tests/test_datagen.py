@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -190,12 +192,19 @@ class TestLorenz:
         np.testing.assert_allclose(np.diff(series[:, 5]), eps[:, 5], atol=1e-12)
 
     def test_divergence_reported_with_step(self):
-        cfg = LorenzGenConfig(
-            horizon=50, initial_state=(1e9, 1e9, 1e9, 1e9, 1e9, 0.0), noise_std=0.0
-        )
-        with pytest.raises(DivergenceError) as err:
-            gen_lorenz(cfg, 0)
-        assert err.value.step >= 1
+        # The first step whose state leaves the bound is reported, also when
+        # the state overflows to inf or nan later, and nothing warns.
+        cases = [
+            (LorenzGenConfig(horizon=50, initial_state=(1e9,) * 5 + (0.0,), noise_std=0.0), 0, 1),
+            (LorenzGenConfig(horizon=3000, noise_std=1e3), 3, 7),
+            (LorenzGenConfig(horizon=500, noise_std=1e200), 3, 1),
+        ]
+        for cfg, seed, step in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DivergenceError, match=f"diverged at step {step} ") as err:
+                    gen_lorenz(cfg, seed)
+            assert err.value.step == step
 
     def test_config_validation(self):
         for horizon in (2.5, 0, True):

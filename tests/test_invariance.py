@@ -107,23 +107,33 @@ class TestMcPvalue:
             expected = (1 + int(np.count_nonzero(draws <= t))) / (b + 1)
             assert mc_pvalue(t, dofs, b, seed) == expected
 
-    def test_memoized_draws_are_sorted_and_read_only(self):
-        # The level test keeps its draws in the caller's memo, sorted and
-        # read-only, and a reused memo gives the scalar p-value again.
+    def test_memoized_draws_are_sorted_and_read_only(self, monkeypatch):
+        # Two rows of one level call share the dof vector (7, 8): they share
+        # one sorted, read-only draw and each gets the scalar p-value.  A
+        # second call draws again and gives the same p-values.
         rng = np.random.default_rng(5)
-        data = from_arrays([rng.normal(size=(n, 1)) for n in (8, 9)], [rng.normal(size=n) for n in (8, 9)])
-        fit = (np.array([[0.3, 1.0]]), np.array([[1, 1]]))
+        data = from_arrays([rng.normal(size=(n, 2)) for n in (8, 9)], [rng.normal(size=n) for n in (8, 9)])
+        fit = (np.array([[0.3, 1.0], [1.0, 0.6]]), np.array([[1, 1], [1, 1]]))
+        monkeypatch.setattr(invariance, "fit_subsets", lambda dataset, subsets: fit)
+        made = []
+        original = invariance._reference_draws
+
+        def recording(seed, dofs, b):
+            made.append(original(seed, dofs, b))
+            return made[-1]
+
+        monkeypatch.setattr(invariance, "_reference_draws", recording)
         config = TestConfig(mc_samples=20, seed=1)
-        nulls = {}
-        first = invariance.test_subsets(data, [(1,)], config, nulls=nulls, fit=fit)[0].p_value
-        draws = nulls[(7, 8)]
+        first = [r.p_value for r in invariance.test_subsets(data, [(1,), (2,)], config)]
+        assert len(made) == 1
+        draws = made[0]
         assert not draws.flags.writeable
         with pytest.raises(ValueError):
             draws[0] = 0.0
         assert np.all(np.diff(draws) >= 0)
-        assert invariance.test_subsets(data, [(1,)], config, nulls=nulls, fit=fit)[0].p_value == first
-        assert nulls[(7, 8)] is draws
-        assert mc_pvalue(0.3, [7, 8], 20, 1) == first
+        assert [r.p_value for r in invariance.test_subsets(data, [(1,), (2,)], config)] == first
+        assert len(made) == 2 and np.array_equal(made[1], draws)
+        assert [mc_pvalue(t, [7, 8], 20, 1) for t in (0.3, 0.6)] == first
 
     def test_null_uniformity_bound(self):
         # Statistic drawn from the same law as the reference draws; by
@@ -161,11 +171,12 @@ def test_reference_draws_seed_the_listed_entropy(seed, monkeypatch):
     assert np.array_equal(draws, np.sort(expected)) and not draws.flags.writeable
 
 
-def _assert_reports_match_scalar_path(data, subsets, config, fit):
-    """Each report of ``test_subsets`` equals the one-row statistic and p-value."""
-    reports = invariance.test_subsets(data, subsets, config, fit=fit)
+def _assert_reports_match_scalar_path(data, subsets, config):
+    """Each report of ``test_subsets`` equals the one-row statistic and p-value
+    of the fit that ``invariance.fit_subsets`` gives for its level."""
+    reports = invariance.test_subsets(data, subsets, config)
     assert [r.subset for r in reports] == [tuple(s) for s in subsets]
-    for report, norms, ranks in zip(reports, *fit):
+    for report, norms, ranks in zip(reports, *invariance.fit_subsets(data, subsets)):
         dofs = np.maximum(np.subtract(data.sample_sizes, ranks), 0)
         norms = np.where(dofs == 0, 0.0, norms)
         statistic = min_max_statistic(norms)
@@ -200,19 +211,20 @@ def test_level_reports_match_the_scalar_path(monkeypatch):
         return original(dofs, rng, size)
 
     monkeypatch.setattr(invariance, "sample_null_ratio", counting)
+    monkeypatch.setattr(invariance, "fit_subsets", lambda dataset, level: (norms, ranks))
     config = TestConfig(alpha=0.3, mc_samples=50, seed=4)
-    reports = _assert_reports_match_scalar_path(data, subsets, config, (norms, ranks))
+    reports = _assert_reports_match_scalar_path(data, subsets, config)
     assert math.isinf(reports[4].statistic) and reports[4].p_value == 1.0
     assert reports[3].statistic == 0.0 and reports[3].p_value == 1.0
     assert reports[0].dofs == reports[1].dofs and reports[3].dofs == reports[5].dofs
     assert len({r.p_value for r in reports}) > 2
-    # The level drew each finite dof vector once; the scalar calls drew again.
-    nulls = {}
+    # A level call draws each finite dof vector once; the next call draws
+    # the same five vectors again, since no draws outlive a call.
     drawn.clear()
-    invariance.test_subsets(data, subsets, config, nulls=nulls, fit=(norms, ranks))
-    assert len(drawn) == len(set(drawn)) == len(nulls) == 5
-    invariance.test_subsets(data, subsets, config, nulls=nulls, fit=(norms, ranks))
-    assert len(drawn) == 5
+    invariance.test_subsets(data, subsets, config)
+    assert len(drawn) == len(set(drawn)) == 5
+    invariance.test_subsets(data, subsets, config)
+    assert len(drawn) == 10 and drawn[5:] == drawn[:5]
 
 
 def make_dataset(rng, n, num_envs, beta_by_env, noise_std=1.0, d=None):
@@ -292,7 +304,7 @@ class TestPhiS:
         assert a.p_value == b.p_value
         assert a.rejected == b.rejected
 
-    def test_rejects_bad_subsets(self):
+    def test_rejects_bad_subsets(self, monkeypatch):
         rng = np.random.default_rng(1)
         data = make_dataset(rng, n=10, num_envs=3, beta_by_env=[[1.0, 1.0]])
         with pytest.raises(InvalidInputError, match=r"subset \(0,\) is not contained in 1..2"):
@@ -304,6 +316,18 @@ class TestPhiS:
         # One bad subset among good ones fails the whole level the same way.
         with pytest.raises(InvalidInputError, match=r"subset \(1, 3\) is not contained"):
             invariance.test_subsets(data, [(1, 2), (3, 1)], TestConfig())
+        with pytest.raises(InvalidInputError, match=r"subset \(1.5,\) holds an index that is not an integer"):
+            phi_S(data, (1.5,), TestConfig())
+        with pytest.raises(InvalidInputError, match=r"subset \(2, True\) holds an index that is not"):
+            phi_S(data, (2, True), TestConfig())
+        with pytest.raises(InvalidInputError, match=r"one size, got sizes \[1, 2\]"):
+            invariance.test_subsets(data, [(1,), (1, 2)], TestConfig())
+        # numpy integers are indices; an empty level fits and draws nothing.
+        assert phi_S(data, (np.int64(2), np.int32(1)), TestConfig()) == phi_S(data, (1, 2), TestConfig())
+        monkeypatch.setattr(invariance, "fit_subsets", None)
+        monkeypatch.setattr(invariance, "_reference_draws", None)
+        for level_data in (data, data.with_intercept()):
+            assert invariance.test_subsets(level_data, [], TestConfig()) == []
 
     def test_single_environment_rejected(self):
         rng = np.random.default_rng(1)
@@ -454,7 +478,7 @@ def test_fitted_levels_match_the_scalar_path(make):
     config = TestConfig(seed=6)
     for k in range(data.num_covariates + 1):
         subsets = list(itertools.combinations(range(1, data.num_covariates + 1), k))
-        _assert_reports_match_scalar_path(data, subsets, config, fit_subsets(data, subsets))
+        _assert_reports_match_scalar_path(data, subsets, config)
 
 
 def _qr_oracle(dataset, cols):
