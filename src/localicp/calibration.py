@@ -7,6 +7,9 @@ Two empirical properties are exercised on simulated null data:
   included), checked by a Kolmogorov-Smirnov test;
 * the rejection frequency of the subset test at the true parent set stays
   within three binomial standard errors of the nominal level.
+
+The KS test imports scipy.stats on first use, so importing this module does
+not load scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from .datagen import IndependentGenConfig, gen_independent
 from .dataset import MultiEnvDataset
@@ -73,6 +75,8 @@ def residual_chi2_sample(replications: int, seed: int) -> tuple[np.ndarray, int]
 
 
 def residual_ks_pvalue(values: np.ndarray, dof: int) -> float:
+    from scipy import stats
+
     return float(stats.kstest(values, stats.chi2(dof).cdf).pvalue)
 
 

@@ -255,7 +255,7 @@ def dataset_from_dict(doc: dict) -> MultiEnvDataset:
         raise InvalidInputError(f"malformed dataset document: {exc}") from None
     if not isinstance(envs, list):
         raise InvalidInputError(f"environments must be a list, got {envs!r}")
-    if not isinstance(d, int):
+    if not isinstance(d, int) or isinstance(d, bool):
         raise InvalidInputError(f"num_covariates must be an integer, got {d!r}")
     covs, tgts, labels = [], [], []
     for i, env in enumerate(envs):

@@ -6,6 +6,8 @@ false-positive rates with exact Clopper-Pearson intervals.  The network
 study iterates the Lorenz trajectory, treats each coordinate in turn as the
 target and counts how often each covariate is reported as a parent; edges
 are declared by an exact one-sided binomial test against a 10% null rate.
+Both exact computations import scipy.stats on first use, so importing this
+module does not load scipy.
 
 Parallelism runs over independent runs only: ``run_trials`` and
 ``network_detect`` map their runs over one thread pool (``_map_runs``), while
@@ -29,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .datagen import (
     IndependentGenConfig,
@@ -87,6 +88,8 @@ def clopper_pearson(successes: int, trials: int, level: float = 0.95) -> tuple[f
         raise InvalidInputError(f"need 0 <= successes <= trials, got {successes}/{trials}")
     if not (0.0 < level < 1.0):
         raise InvalidInputError("level must lie in (0, 1)")
+    from scipy import stats
+
     tail = (1.0 - level) / 2.0
     lower = 0.0 if successes == 0 else float(stats.beta.ppf(tail, successes, trials - successes + 1))
     upper = 1.0 if successes == trials else float(stats.beta.ppf(1.0 - tail, successes + 1, trials - successes))
@@ -101,6 +104,8 @@ def binomial_test_greater(successes: int, trials: int, p0: float) -> float:
         raise InvalidInputError("p0 must lie in (0, 1)")
     if successes == 0:
         return 1.0
+    from scipy import stats
+
     return float(stats.binom.sf(successes - 1, trials, p0))
 
 

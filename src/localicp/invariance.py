@@ -76,7 +76,7 @@ class TestConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.alpha, numbers.Real):
+        if not isinstance(self.alpha, numbers.Real) or isinstance(self.alpha, bool):
             raise InvalidInputError(f"alpha must be a number, got {self.alpha!r}")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:

@@ -15,6 +15,12 @@ from localicp.datagen import IndependentGenConfig, gen_independent
 from localicp.dataset import write_csv, write_json
 
 
+def _source_env():
+    """The environment for a fresh interpreter that imports this checkout's package."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 @pytest.fixture
 def dataset_csv(tmp_path):
     data, _ = gen_independent(
@@ -74,6 +80,19 @@ class TestDiscover:
             assert captured.out == ""
             [line] = captured.err.splitlines()
             assert line.startswith(f"error: {message}")
+
+    def test_discover_process_never_loads_scipy(self, dataset_csv):
+        # A fresh interpreter, since this test process has scipy loaded already.
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from localicp.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main(['discover', {dataset_csv!r}, '--mc-samples', '5'])\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_source_env())
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [EXIT_OK, []]
 
     def test_malformed_csv(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -192,9 +211,6 @@ class TestSimulate:
 
         # A fresh interpreter, so an escaping exception would show up as a
         # traceback on stderr rather than as a test error.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path_entries = [src, os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path_entries)))
         no_parameter = json.loads(Path(self.scenario_file(tmp_path)).read_text())
         del no_parameter["sweep"]["parameter"]
         bad_grid = json.loads(Path(self.scenario_file(tmp_path)).read_text())
@@ -209,7 +225,7 @@ class TestSimulate:
             path.write_text(json.dumps(doc))
             proc = subprocess.run(
                 [sys.executable, "-m", "localicp.cli", "simulate", str(path)],
-                capture_output=True, text=True, env=env,
+                capture_output=True, text=True, env=_source_env(),
             )
             assert proc.returncode == EXIT_INPUT
             assert "Traceback" not in proc.stderr

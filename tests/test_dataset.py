@@ -214,6 +214,10 @@ class TestJson:
         for doc, field in (
             ({"environments": 5, "num_covariates": 1}, "environments"),
             ({"environments": [], "num_covariates": "x"}, "num_covariates"),
+            (
+                {"environments": [{"covariates": [[1.0]], "target": [2.0]}], "num_covariates": True},
+                "num_covariates must be an integer, got True",
+            ),
         ):
             with pytest.raises(InvalidInputError, match=field):
                 dataset_from_dict(doc)

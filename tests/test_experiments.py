@@ -161,6 +161,7 @@ class TestScenario:
         for test, field in (
             ({"alfa": 0.1}, "alfa"),
             ({"alpha": "0.1"}, "alpha"),
+            ({"alpha": False}, "alpha must be a number, got False"),
             ({"rank_tol": 1e-9}, "rank_tol"),
         ):
             doc = self.doc()

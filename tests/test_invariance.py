@@ -659,6 +659,12 @@ def test_config_rejects_seed_that_is_not_a_non_negative_int(seed):
         TestConfig(seed=seed)
 
 
+@pytest.mark.parametrize("alpha", [False, True])
+def test_config_rejects_alpha_that_is_not_a_number(alpha):
+    with pytest.raises(InvalidInputError, match=f"alpha must be a number, got {alpha!r}"):
+        TestConfig(alpha=alpha)
+
+
 def test_config_validation():
     with pytest.raises(InvalidInputError):
         TestConfig(alpha=1.0)

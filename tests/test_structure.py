@@ -10,6 +10,8 @@
 - ``linalg`` is the tests' reference for the batched fit: no module imports it.
 - No module imports another module's ``_``-prefixed name.
 - One seed derivation: ``generate_state`` appears in a single function.
+- No module imports scipy at module level, so ``import localicp`` and
+  ``discover`` never load it; the functions that need it import it inside.
 """
 
 import ast
@@ -139,3 +141,21 @@ def test_no_private_names_imported_across_modules():
         if name.startswith("_")
     ]
     assert offenders == []
+
+
+def _module_level_imports(node):
+    """Top-level names of the modules a file imports outside any function body."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(child, ast.Import):
+            yield from (alias.name.partition(".")[0] for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and not child.level:
+            yield (child.module or "").partition(".")[0]
+        yield from _module_level_imports(child)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_level_scipy_import(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "scipy" not in set(_module_level_imports(tree))
