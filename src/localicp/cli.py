@@ -14,8 +14,10 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
+from typing import Iterable, Iterator, Sequence
 
 from . import dataset as ds
 from .calibration import run_calibration
@@ -29,7 +31,7 @@ from .experiments import (
     run_trials,
     trials_to_dict,
 )
-from .invariance import TestConfig
+from .invariance import SubsetTestReport, TestConfig
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -85,16 +87,43 @@ def _test_config(args) -> TestConfig:
     return TestConfig(alpha=args.alpha, mc_samples=args.mc_samples, seed=args.seed)
 
 
-def _emit(text: str, output: str | None) -> None:
+def _emit(chunks: Iterable[str], output: str | None) -> None:
     if output:
         with open(output, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+
+
+_REPORT = (
+    '{}    {{\n      "subset": {},\n      "residual_norms_sq": [\n        {}\n      ],\n'
+    '      "dofs": [\n        {}\n      ],\n      "statistic": {},\n      "p_value": {},\n'
+    '      "rejected": {}\n    }}'
+)
+_ITEM = ",\n        "
+
+
+def _discover_json(doc: dict, reports: Sequence[SubsetTestReport]) -> Iterator[str]:
+    """``_dump_json({**doc, "reports": [...]})``, one report per chunk, without ``json``'s
+    pure-Python ``indent`` encoder: the reports are laid out here, each number written by
+    ``repr`` of its Python value as ``json`` writes it, an infinite statistic as ``"inf"``."""
+    head, tail = _dump_json({**doc, "reports": []}).rsplit("[]", 1)
+    yield head + "["
+    for i, r in enumerate(reports):
+        yield _REPORT.format(
+            ",\n" if i else "\n",
+            f"[\n        {_ITEM.join(map(repr, r.subset))}\n      ]" if r.subset else "[]",
+            _ITEM.join(map(repr, r.residual_norms_sq)),
+            _ITEM.join(map(repr, r.dofs)),
+            '"inf"' if math.isinf(r.statistic) else repr(r.statistic),
+            repr(r.p_value),
+            "true" if r.rejected else "false",
+        )
+    yield ("\n  ]" if reports else "]") + tail
 
 
 def _load_dataset(path: str, fmt: str | None) -> ds.MultiEnvDataset:
@@ -118,9 +147,12 @@ def cmd_discover(args) -> int:
             "intercept": not args.no_intercept,
         },
         "env_labels": {label: i + 1 for i, label in enumerate(data.env_labels)},
+        "estimated_parents": list(result.estimated_parents),
+        "status": result.status,
+        "subsets_tested": result.subsets_tested,
+        "early_stopped": result.early_stopped,
     }
-    doc.update(result.to_dict())
-    _emit(_dump_json(doc), args.output)
+    _emit(_discover_json(doc, result.reports), args.output)
     return EXIT_OK
 
 
@@ -131,11 +163,11 @@ def cmd_simulate(args) -> int:
     )
     metrics = run_trials(scenario, args.seed, workers=args.workers)
     if args.format == "json":
-        _emit(_dump_json(trials_to_dict(scenario, metrics, args.seed)), args.output)
+        _emit([_dump_json(trials_to_dict(scenario, metrics, args.seed))], args.output)
     else:
         buf = io.StringIO()
         metrics_to_csv(metrics, buf)
-        _emit(buf.getvalue(), args.output)
+        _emit([buf.getvalue()], args.output)
     return EXIT_OK
 
 
@@ -149,7 +181,7 @@ def cmd_network(args) -> int:
         warmup=args.warmup,
         workers=args.workers,
     )
-    _emit(_dump_json(result.to_dict()), args.output)
+    _emit([_dump_json(result.to_dict())], args.output)
     return EXIT_OK
 
 
@@ -162,7 +194,7 @@ def cmd_calibrate(args) -> int:
     )
     doc = {"schema_version": RESULTS_SCHEMA_VERSION}
     doc.update(report)
-    _emit(_dump_json(doc), args.output)
+    _emit([_dump_json(doc)], args.output)
     if not report["passed"]:
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
         print(f"calibration failed: {', '.join(failing)}", file=sys.stderr)

@@ -51,15 +51,6 @@ class DiscoveryResult:
     early_stopped: bool
     status: str
 
-    def to_dict(self) -> dict:
-        return {
-            "estimated_parents": list(self.estimated_parents),
-            "status": self.status,
-            "subsets_tested": self.subsets_tested,
-            "early_stopped": self.early_stopped,
-            "reports": [r.to_dict() for r in self.reports],
-        }
-
 
 def enumerate_subsets(d: int) -> Iterable[tuple[int, ...]]:
     """All subsets of {1..d} by increasing cardinality, lexicographic within."""

@@ -88,7 +88,7 @@ class TestConfig:
 
 @dataclass(frozen=True)
 class SubsetTestReport:
-    """Outcome of testing one subset, self-describing for serialization."""
+    """Outcome of testing one subset; ``localicp discover`` writes one per subset tested."""
 
     subset: tuple[int, ...]
     residual_norms_sq: tuple[float, ...]
@@ -96,16 +96,6 @@ class SubsetTestReport:
     statistic: float
     p_value: float
     rejected: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "subset": list(self.subset),
-            "residual_norms_sq": list(self.residual_norms_sq),
-            "dofs": list(self.dofs),
-            "statistic": "inf" if math.isinf(self.statistic) else self.statistic,
-            "p_value": self.p_value,
-            "rejected": self.rejected,
-        }
 
 
 def subset_rng(seed: int, subset: Sequence[int]) -> np.random.Generator:
@@ -324,7 +314,7 @@ def test_subsets(
     d = dataset.num_covariates
     level = []
     for given in map(tuple, subsets):
-        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in given):
+        if not all(type(s) is int or isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in given):
             raise InvalidInputError(f"subset {given} holds an index that is not an integer")
         subset = tuple(sorted(int(s) for s in given))
         if len(set(subset)) != len(subset):

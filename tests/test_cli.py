@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,12 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from localicp.cli import EXIT_CAPACITY, EXIT_INPUT, EXIT_OK, build_parser, main
+from localicp.cli import EXIT_CAPACITY, EXIT_INPUT, EXIT_OK, _discover_json, build_parser, main
 from localicp.datagen import IndependentGenConfig, gen_independent
-from localicp.dataset import write_csv, write_json
+from localicp.dataset import read_csv, write_csv, write_json
+from localicp.discovery import discover
+from localicp.invariance import SubsetTestReport, TestConfig
 
 
 def _source_env():
@@ -41,7 +44,95 @@ def dataset_json(tmp_path):
     return str(path)
 
 
+def _oracle_json(doc, reports):
+    """The reference for ``discover``'s output: ``json.dumps(indent=2)`` of the whole document."""
+    listed = [
+        {
+            "subset": list(r.subset),
+            "residual_norms_sq": list(r.residual_norms_sq),
+            "dofs": list(r.dofs),
+            "statistic": "inf" if math.isinf(r.statistic) else r.statistic,
+            "p_value": r.p_value,
+            "rejected": r.rejected,
+        }
+        for r in reports
+    ]
+    return json.dumps({**doc, "reports": listed}, indent=2) + "\n"
+
+
+def _discover_header(labels, subsets_tested, intercept=True):
+    return {
+        "schema_version": 1,
+        "config": {"alpha": 0.1, "mc_samples": 100, "seed": 1, "intercept": intercept},
+        "env_labels": {label: i + 1 for i, label in enumerate(labels)},
+        "estimated_parents": [1],
+        "status": "ok",
+        "subsets_tested": subsets_tested,
+        "early_stopped": False,
+    }
+
+
+# Floats whose repr takes each form: subnormal, the largest double, exponent
+# notation either way, and integral.
+EDGE_FLOATS = (5e-324, sys.float_info.max, 1e-07, 1e16, 1.0, 0.0)
+_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+
+
+@st.composite
+def discover_documents(draw):
+    labels = draw(st.lists(st.text(max_size=6), min_size=2, max_size=4, unique=True))
+    e = len(labels)
+    report = st.builds(
+        SubsetTestReport,
+        subset=st.lists(st.integers(1, 30), unique=True, max_size=4).map(lambda s: tuple(sorted(s))),
+        residual_norms_sq=st.lists(_floats, min_size=e, max_size=e).map(tuple),
+        dofs=st.lists(st.integers(0, 10**6), min_size=e, max_size=e).map(tuple),
+        statistic=_floats | st.just(math.inf),
+        p_value=_floats,
+        rejected=st.booleans(),
+    )
+    reports = tuple(draw(st.lists(report, max_size=4)))
+    return _discover_header(labels, len(reports)), reports
+
+
+_EDGE_REPORTS = tuple(
+    SubsetTestReport(subset, (x, 2.5), (0, 41), statistic, 1 / 101, rejected)
+    for subset, x, statistic, rejected in zip(
+        [(), (1,), (2, 3), (1, 2, 3), (), (4,)],
+        EDGE_FLOATS,
+        [math.inf, *EDGE_FLOATS[1:]],
+        [False, True] * 3,
+    )
+)
+
+
+@settings(deadline=None)
+@given(discover_documents())
+@example((_discover_header(['say "hi"', "back\\slash", "caf\u00e9 \u2603"], len(_EDGE_REPORTS)), _EDGE_REPORTS))
+@example((_discover_header(["a", "b"], 0), ()))
+def test_discover_json_matches_json_dumps(document):
+    doc, reports = document
+    assert "".join(_discover_json(doc, reports)) == _oracle_json(doc, reports)
+
+
 class TestDiscover:
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_output_equals_json_dumps_of_the_document(self, dataset_csv, intercept, capsys):
+        argv = ["discover", dataset_csv, "--seed", "1"] + ([] if intercept else ["--no-intercept"])
+        assert main(argv) == EXIT_OK
+        out = capsys.readouterr().out
+        data = read_csv(dataset_csv)
+        result = discover(data.with_intercept() if intercept else data, TestConfig(seed=1))
+        doc = _discover_header(data.env_labels, result.subsets_tested, intercept)
+        doc.update(
+            estimated_parents=list(result.estimated_parents),
+            status=result.status,
+            early_stopped=result.early_stopped,
+        )
+        expected = _oracle_json(doc, result.reports)
+        assert json.loads(out) == json.loads(expected)
+        assert out == expected
+
     def test_csv_input_writes_json_results(self, dataset_csv, capsys):
         code = main(["discover", dataset_csv, "--seed", "1", "--workers", "1"])
         assert code == EXIT_OK
@@ -63,6 +154,9 @@ class TestDiscover:
         assert capsys.readouterr().out == ""
         doc = json.loads(target.read_text())
         assert doc["estimated_parents"] == [1]
+        # The file holds exactly what the same call writes to standard output.
+        assert main(["discover", dataset_csv]) == EXIT_OK
+        assert target.read_bytes() == capsys.readouterr().out.encode()
 
     def test_missing_file(self, dataset_csv, tmp_path, capsys):
         assert main(["discover", "/nonexistent.csv"]) == EXIT_INPUT

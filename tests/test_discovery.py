@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from localicp import invariance
+from localicp.cli import _discover_json
 from localicp.datagen import IndependentGenConfig, gen_independent
 from localicp.dataset import from_arrays
 from localicp.discovery import (
@@ -292,8 +294,9 @@ class TestInfiniteEnvLimit:
 def test_result_serialization_round_trip_fields():
     data = tiny_dataset()
     res = discover(data, TestConfig(), test=accepting([(1,), (1, 2)]))
-    doc = res.to_dict()
-    assert doc["estimated_parents"] == [1]
-    assert doc["subsets_tested"] == 8
+    doc = json.loads("".join(_discover_json({}, res.reports)))
+    assert res.estimated_parents == (1,)
+    assert res.subsets_tested == 8
     assert len(doc["reports"]) == 8
+    assert [r["subset"] for r in doc["reports"]] == [list(s) for s in enumerate_subsets(3)]
     assert isinstance(res, DiscoveryResult)
