@@ -24,7 +24,6 @@ from .calibration import run_calibration
 from .discovery import DEFAULT_MAX_DIM, discover
 from .errors import CapacityError, InvalidInputError, ShapeError
 from .experiments import (
-    RESULTS_SCHEMA_VERSION,
     Scenario,
     metrics_to_csv,
     network_detect,
@@ -37,6 +36,8 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
+
+SCHEMA_VERSION = 1  # of discover and calibrate; simulate and network: RESULTS_SCHEMA_VERSION
 
 
 def _seed(text: str) -> int:
@@ -139,7 +140,7 @@ def cmd_discover(args) -> int:
     config = _test_config(args)
     result = discover(data, config, max_dim=args.max_dim)
     doc = {
-        "schema_version": RESULTS_SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "config": {
             "alpha": config.alpha,
             "mc_samples": config.mc_samples,
@@ -192,7 +193,7 @@ def cmd_calibrate(args) -> int:
         replications=args.replications,
         seed=args.seed,
     )
-    doc = {"schema_version": RESULTS_SCHEMA_VERSION}
+    doc = {"schema_version": SCHEMA_VERSION}
     doc.update(report)
     _emit([_dump_json(doc)], args.output)
     if not report["passed"]:

@@ -282,18 +282,17 @@ def gen_lorenz(config: LorenzGenConfig, seed: int) -> np.ndarray:
     """
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     eps = config.noise_std * rng.standard_normal((config.horizon, 6))
-    out = np.empty((config.horizon + 1, 6))
-    out[0] = config.initial_state
     x1, x2, x3, x4, x5, x6 = (float(v) for v in config.initial_state)
-    for t in range(config.horizon):
-        e1, e2, e3, e4, e5, e6 = eps[t].tolist()
+    states = [(x1, x2, x3, x4, x5, x6)]
+    for e1, e2, e3, e4, e5, e6 in eps.tolist():
         n1 = 0.9 * x1 + 0.1 * x2 + e1
         n2 = 0.28 * x1 - 0.01 * x1 * x3 + 0.99 * x2 + e2
         n3 = 0.01 * x1 * (x2 - x4) + 0.9733 * x3 + e3
         n4 = 0.01 * x1 * (x3 - 2.0 * x5) + 0.9366 * x4 + e4
         n5 = 0.02 * x1 * x4 + 0.96 * x5 + e5
         x1, x2, x3, x4, x5, x6 = n1, n2, n3, n4, n5, x6 + e6
-        out[t + 1] = (x1, x2, x3, x4, x5, x6)
+        states.append((x1, x2, x3, x4, x5, x6))
+    out = np.array(states)
     diverged = np.flatnonzero(~(np.abs(out[1:]) <= LORENZ_OVERFLOW).all(axis=1)).tolist()
     if diverged:
         raise DivergenceError(

@@ -6,8 +6,7 @@ false-positive rates with exact Clopper-Pearson intervals.  The network
 study iterates the Lorenz trajectory, treats each coordinate in turn as the
 target and counts how often each covariate is reported as a parent; edges
 are declared by an exact one-sided binomial test against a 10% null rate.
-Both exact computations import scipy.stats on first use, so importing this
-module does not load scipy.
+Both exact computations use numpy and the standard library only.
 
 Parallelism runs over independent runs only: ``run_trials`` and
 ``network_detect`` map their runs over one thread pool (``_map_runs``), while
@@ -15,17 +14,17 @@ each run's discovery tests its subsets serially.  Per-run seeds are derived
 from (scenario seed, grid index, run index), and aggregation folds runs in
 index order, so results are byte-identical for any worker count.
 
-A run is retried, with fresh derived seeds and ``MAX_ATTEMPTS`` attempts in
-all, only when the Lorenz trajectory diverges (``DivergenceError``); every
-other error is deterministic and propagates.  The sweep generators
-cannot diverge, so ``TrialMetrics.failures`` always reads 0; it stays so that
-the CSV and JSON sweep results keep schema version 1.
+A network run is retried, with fresh derived seeds and ``MAX_ATTEMPTS``
+attempts in all, only when the Lorenz trajectory diverges (``DivergenceError``);
+a run that fails them all is reported with each attempt's error.  Every other
+error is deterministic and propagates.  Sweep runs cannot diverge.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -59,7 +58,7 @@ __all__ = [
     "trials_to_dict",
 ]
 
-RESULTS_SCHEMA_VERSION = 1
+RESULTS_SCHEMA_VERSION = 2
 
 MAX_ATTEMPTS = 3
 
@@ -83,30 +82,40 @@ def derived_seed(*parts: int) -> int:
 
 
 def clopper_pearson(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
-    """Exact binomial confidence interval via Beta quantiles."""
+    """Exact binomial confidence interval: each endpoint bisected over doubles on the tail
+    ``P(Bin(n, p) >= s) = I_p(s, n - s + 1)``, summed as log-pmf terms."""
     if not (0 <= successes <= trials) or trials < 1:
         raise InvalidInputError(f"need 0 <= successes <= trials, got {successes}/{trials}")
     if not (0.0 < level < 1.0):
         raise InvalidInputError("level must lie in (0, 1)")
-    from scipy import stats
+    n, tail = trials, (1.0 - level) / 2.0
+    i = np.arange(n + 1)
+    log_comb = np.array([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) for k in range(n + 1)])
 
-    tail = (1.0 - level) / 2.0
-    lower = 0.0 if successes == 0 else float(stats.beta.ppf(tail, successes, trials - successes + 1))
-    upper = 1.0 if successes == trials else float(stats.beta.ppf(1.0 - tail, successes + 1, trials - successes))
-    return lower, upper
+    def lower(s: int) -> float:  # the least p with P(Bin(n, p) >= s) >= tail
+        lo, hi = 0.0, float(s > 0)
+        while lo < (p := (lo + hi) / 2) < hi:
+            log_pmf = log_comb[s:] + i[s:] * math.log(p) + (n - i[s:]) * math.log1p(-p)
+            lo, hi = (p, hi) if math.fsum(np.exp(log_pmf)) < tail else (lo, p)
+        return hi
+
+    return lower(successes), 1.0 - lower(n - successes)
 
 
 def binomial_test_greater(successes: int, trials: int, p0: float) -> float:
-    """Exact one-sided tail P(Bin(trials, p0) >= successes)."""
+    """Exact one-sided tail P(Bin(trials, p0) >= successes), correctly rounded: with
+    ``p0 = a / b`` exactly, the integer numerator of ``sum_k C(n, k) a^k (b - a)^(n - k) / b^n``
+    is summed in Horner form, and ``int / int`` rounds the one division correctly."""
     if not (0 <= successes <= trials) or trials < 1:
         raise InvalidInputError(f"need 0 <= successes <= trials, got {successes}/{trials}")
     if not (0.0 < p0 < 1.0):
         raise InvalidInputError("p0 must lie in (0, 1)")
-    if successes == 0:
-        return 1.0
-    from scipy import stats
-
-    return float(stats.binom.sf(successes - 1, trials, p0))
+    a, b = float(p0).as_integer_ratio()
+    total, power = 0, 1  # power = (b - a)^(n - k)
+    for k in range(trials, successes - 1, -1):
+        total = total * a + math.comb(trials, k) * power
+        power *= b - a
+    return total * a**successes / b**trials
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +234,6 @@ class TrialMetrics:
     fnr_ci: tuple[float, float]
     fpr_ci: tuple[float, float]
     runs: int
-    failures: int
     records: tuple[RunRecord, ...] = field(default_factory=tuple)
 
 
@@ -274,7 +282,6 @@ def run_trials(scenario: Scenario, seed: int, workers: int = 1) -> list[TrialMet
                 fnr_ci=clopper_pearson(fn, good),
                 fpr_ci=clopper_pearson(fp, good),
                 runs=good,
-                failures=0,
                 records=records,
             )
         )
@@ -285,7 +292,7 @@ def metrics_to_csv(metrics: Sequence[TrialMetrics], fh) -> None:
     """One row per grid point: sweep value, rates, interval endpoints, counts."""
     writer = csv.writer(fh)
     writer.writerow(
-        ["sweep", "fnr", "fnr_lo", "fnr_hi", "fpr", "fpr_lo", "fpr_hi", "runs", "failures"]
+        ["sweep", "fnr", "fnr_lo", "fnr_hi", "fpr", "fpr_lo", "fpr_hi", "runs"]
     )
     for m in metrics:
         writer.writerow(
@@ -298,7 +305,6 @@ def metrics_to_csv(metrics: Sequence[TrialMetrics], fh) -> None:
                 repr(m.fpr_ci[0]),
                 repr(m.fpr_ci[1]),
                 m.runs,
-                m.failures,
             ]
         )
 
@@ -316,7 +322,6 @@ def trials_to_dict(scenario: Scenario, metrics: Sequence[TrialMetrics], seed: in
                 "fpr": m.fpr,
                 "fpr_ci": list(m.fpr_ci),
                 "runs": m.runs,
-                "failures": m.failures,
                 "run_detail": [r.to_dict() for r in m.records],
             }
             for m in metrics
@@ -338,6 +343,8 @@ class NetworkResult:
     window: int
     failures: int
     per_run: tuple[tuple[tuple[int, ...], ...], ...] = field(default_factory=tuple)
+    # One {"run", "attempts"} entry per failed run; each attempt is {"type", "message"}.
+    failed_runs: tuple[dict, ...] = ()
 
     def to_dict(self) -> dict:
         return {
@@ -345,6 +352,7 @@ class NetworkResult:
             "window": self.window,
             "runs": self.runs,
             "failures": self.failures,
+            "failed_runs": list(self.failed_runs),
             "counts": [list(row) for row in self.counts],
             "edges": list(self.edges),
             "per_run": [[list(s) for s in run] for run in self.per_run],
@@ -369,8 +377,8 @@ def network_detect(
     target j in more than ``NULL_RATE`` (10%) of the runs and the exact
     one-sided binomial p-value against that rate is at most ``EDGE_ALPHA``
     (0.05).  A run whose trajectory diverges is retried with fresh seeds,
-    ``MAX_ATTEMPTS`` attempts in all, then counted as a failure; any other
-    error propagates.
+    ``MAX_ATTEMPTS`` attempts in all, then counted as a failure and listed
+    in ``failed_runs`` with each attempt's error; any other error propagates.
     """
     check_counts(runs=runs)
     try:
@@ -380,10 +388,12 @@ def network_detect(
     d = 6
 
     def one_run(run: int):
+        attempts = []
         for attempt in range(MAX_ATTEMPTS):
             try:
                 series = gen_lorenz(lorenz_config, derived_seed(seed, run, attempt, 0))
-            except DivergenceError:
+            except DivergenceError as exc:
+                attempts.append({"type": type(exc).__name__, "message": str(exc)})
                 continue
             found = []
             for target in range(1, d + 1):
@@ -396,9 +406,10 @@ def network_detect(
                 result = discover(dataset, config, early_stop=True)
                 found.append(result.estimated_parents)
             return tuple(found)
-        return None
+        return {"run": run, "attempts": attempts}
 
-    per_run = tuple(r for r in _map_runs(one_run, range(runs), workers) if r is not None)
+    outcomes = _map_runs(one_run, range(runs), workers)
+    per_run = tuple(r for r in outcomes if isinstance(r, tuple))
     good = len(per_run)
     if good == 0:
         raise InvalidInputError(
@@ -426,4 +437,5 @@ def network_detect(
         window=window,
         failures=runs - good,
         per_run=per_run,
+        failed_runs=tuple(r for r in outcomes if isinstance(r, dict)),
     )

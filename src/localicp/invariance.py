@@ -131,9 +131,12 @@ def sample_null_ratio(dofs: Sequence[int], rng: np.random.Generator, size: int) 
         raise InvalidInputError("dofs must be non-empty")
     if np.any(df < 0):
         raise InvalidInputError("dofs must be non-negative")
-    z = np.zeros((size, df.size))
     positive = df > 0
-    if positive.any():
+    if positive.all():
+        # A scalar df draws the same stream as an array of equal dfs, only faster.
+        z = rng.chisquare(df[0] if (df == df[0]).all() else df, size=(size, df.size))
+    else:
+        z = np.zeros((size, df.size))
         z[:, positive] = rng.chisquare(df[positive], size=(size, int(positive.sum())))
     top = z.max(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from localicp.cli import EXIT_CAPACITY, EXIT_INPUT, EXIT_OK, _discover_json, build_parser, main
+from localicp.cli import (
+    EXIT_CAPACITY,
+    EXIT_CHECK_FAILED,
+    EXIT_INPUT,
+    EXIT_OK,
+    _discover_json,
+    build_parser,
+    main,
+)
 from localicp.datagen import IndependentGenConfig, gen_independent
 from localicp.dataset import read_csv, write_csv, write_json
 from localicp.discovery import discover
@@ -22,6 +30,36 @@ def _source_env():
     """The environment for a fresh interpreter that imports this checkout's package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _fresh_commands(argvs, prelude=""):
+    """Exit code of each argv run through ``main`` in one fresh interpreter, and the
+    scipy modules loaded after it; ``prelude`` runs before the package is imported."""
+    script = (
+        "import contextlib, io, json, sys\n"
+        f"{prelude}"
+        "from localicp.cli import main\n"
+        "seen = []\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    seen.append([code, sorted(m for m, v in sys.modules.items() if v and m.split('.')[0] == 'scipy')])\n"
+        "print(json.dumps(seen))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_source_env())
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _all_commands(dataset_csv, tmp_path):
+    """One small call of each command: discover, network, simulate and calibrate."""
+    return [
+        ["discover", dataset_csv, "--mc-samples", "5"],
+        ["network", "--warmup", "200", "--window", "10", "--num-envs", "20", "--runs", "2",
+         "--mc-samples", "20"],
+        ["simulate", TestSimulate().scenario_file(tmp_path), "--format", "json"],
+        ["calibrate", "--replications", "20", "--mc-samples", "20"],
+    ]
 
 
 @pytest.fixture
@@ -175,18 +213,13 @@ class TestDiscover:
             [line] = captured.err.splitlines()
             assert line.startswith(f"error: {message}")
 
-    def test_discover_process_never_loads_scipy(self, dataset_csv):
+    def test_discover_process_never_loads_scipy(self, dataset_csv, tmp_path):
         # A fresh interpreter, since this test process has scipy loaded already.
-        script = (
-            "import contextlib, io, json, sys\n"
-            "from localicp.cli import main\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    code = main(['discover', {dataset_csv!r}, '--mc-samples', '5'])\n"
-            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
-        )
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_source_env())
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [EXIT_OK, []]
+        # None of the four commands, run one after another, loads it.
+        seen = _fresh_commands(_all_commands(dataset_csv, tmp_path))
+        assert [modules for _, modules in seen] == [[]] * 4
+        assert [code for code, _ in seen][:3] == [EXIT_OK] * 3
+        assert seen[3][0] in (EXIT_OK, EXIT_CHECK_FAILED)
 
     def test_malformed_csv(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -289,8 +322,9 @@ class TestSimulate:
             ["simulate", self.scenario_file(tmp_path), "--seed", "2", "--format", "json"]
         ) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert len(doc["points"]) == 2
+        assert "failures" not in doc["points"][0]
 
     def test_malformed_scenario_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -424,6 +458,13 @@ class TestCalibrate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: alpha must lie in [0, 1)"]
+
+
+def test_every_command_runs_with_scipy_blocked(dataset_csv, tmp_path):
+    # With None in sys.modules, any import of scipy raises ImportError.
+    seen = _fresh_commands(_all_commands(dataset_csv, tmp_path), prelude="sys.modules['scipy'] = None\n")
+    assert [code for code, _ in seen][:3] == [EXIT_OK] * 3
+    assert seen[3][0] in (EXIT_OK, EXIT_CHECK_FAILED)
 
 
 # Each subcommand declares only the options it reads; the scenario file sets

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from localicp.datagen import (
+    LORENZ_OVERFLOW,
     MAX_DOUBLES,
     IndependentGenConfig,
     LorenzGenConfig,
@@ -205,6 +206,44 @@ class TestLorenz:
                 with pytest.raises(DivergenceError, match=f"diverged at step {step} ") as err:
                     gen_lorenz(cfg, seed)
             assert err.value.step == step
+
+    def test_matches_the_array_filling_loop(self):
+        # The step loop writing each state into a preallocated array, with the
+        # same divergence check: the list-building loop must give its bits.
+        def filled(config, seed):
+            rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
+            eps = config.noise_std * rng.standard_normal((config.horizon, 6))
+            out = np.empty((config.horizon + 1, 6))
+            out[0] = config.initial_state
+            x1, x2, x3, x4, x5, x6 = (float(v) for v in config.initial_state)
+            for t in range(config.horizon):
+                e1, e2, e3, e4, e5, e6 = eps[t].tolist()
+                n1 = 0.9 * x1 + 0.1 * x2 + e1
+                n2 = 0.28 * x1 - 0.01 * x1 * x3 + 0.99 * x2 + e2
+                n3 = 0.01 * x1 * (x2 - x4) + 0.9733 * x3 + e3
+                n4 = 0.01 * x1 * (x3 - 2.0 * x5) + 0.9366 * x4 + e4
+                n5 = 0.02 * x1 * x4 + 0.96 * x5 + e5
+                x1, x2, x3, x4, x5, x6 = n1, n2, n3, n4, n5, x6 + e6
+                out[t + 1] = (x1, x2, x3, x4, x5, x6)
+            diverged = np.flatnonzero(~(np.abs(out[1:]) <= LORENZ_OVERFLOW).all(axis=1)).tolist()
+            if diverged:
+                raise DivergenceError(
+                    f"trajectory diverged at step {diverged[0] + 1} (state magnitude above {LORENZ_OVERFLOW:g})",
+                    step=diverged[0] + 1,
+                )
+            return out
+
+        cfg = LorenzGenConfig(horizon=2000)
+        for seed in (0, 5, 17, 2024):
+            expected, series = filled(cfg, seed), gen_lorenz(cfg, seed)
+            assert series.dtype == expected.dtype and series.flags.c_contiguous
+            np.testing.assert_array_equal(series, expected)
+        diverging = LorenzGenConfig(horizon=3000, noise_std=1e3)
+        with pytest.raises(DivergenceError) as want:
+            filled(diverging, 3)
+        with pytest.raises(DivergenceError) as got:
+            gen_lorenz(diverging, 3)
+        assert (got.value.step, str(got.value)) == (want.value.step, str(want.value))
 
     def test_config_validation(self):
         for horizon in (2.5, 0, True):

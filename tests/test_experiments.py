@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from scipy import stats
 
 from localicp import experiments
 from localicp.datagen import IndependentGenConfig, SemGenConfig, gen_lorenz
@@ -72,6 +73,17 @@ class TestCloppersPearson:
             lo, hi = clopper_pearson(s, n)
             assert lo <= s / n <= hi
 
+    def test_endpoints_match_scipy_beta_quantiles(self):
+        # scipy is the oracle here only; the package does not import it.
+        worst = 0.0
+        for n in (1, 2, 3, 5, 10, 20, 50, 100, 300, 500):
+            for s in sorted({0, 1, 2, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
+                lo, hi = clopper_pearson(s, n)
+                olo = 0.0 if s == 0 else stats.beta.ppf(0.025, s, n - s + 1)
+                ohi = 1.0 if s == n else stats.beta.ppf(0.975, s + 1, n - s)
+                worst = max(worst, abs(lo - olo), abs(hi - ohi))
+        assert worst <= 1e-12
+
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidInputError):
             clopper_pearson(5, 3)
@@ -88,6 +100,16 @@ class TestBinomialTestGreater:
             for i in range(k, n + 1)
         )
         assert binomial_test_greater(k, n, p0) == pytest.approx(float(exact), abs=1e-8)
+
+    def test_correctly_rounded_on_every_cell_up_to_sixty_runs(self):
+        # The exact tail at the double nearest 0.1, as a Fraction, then rounded once.
+        p0 = Fraction(0.1)
+        for n in range(1, 61):
+            pmf = [math.comb(n, i) * p0**i * (1 - p0) ** (n - i) for i in range(n + 1)]
+            tail = Fraction(0)
+            for k in range(n, 0, -1):
+                tail += pmf[k]
+                assert binomial_test_greater(k, n, 0.1) == float(tail), (k, n)
 
     def test_zero_successes(self):
         assert binomial_test_greater(0, 30, 0.1) == 1.0
@@ -213,7 +235,7 @@ class TestRunTrials:
             assert 0.0 <= m.fnr <= 1.0 and 0.0 <= m.fpr <= 1.0
             assert m.fnr_ci[0] <= m.fnr <= m.fnr_ci[1]
             assert m.fpr_ci[0] <= m.fpr <= m.fpr_ci[1]
-            assert m.runs + m.failures == 6
+            assert m.runs == 6
             assert len(m.records) == m.runs
 
     def test_byte_identical_across_worker_counts(self):
@@ -227,7 +249,7 @@ class TestRunTrials:
         buf = io.StringIO()
         metrics_to_csv(metrics, buf)
         lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == "sweep,fnr,fnr_lo,fnr_hi,fpr,fpr_lo,fpr_hi,runs,failures"
+        assert lines[0] == "sweep,fnr,fnr_lo,fnr_hi,fpr,fpr_lo,fpr_hi,runs"
         assert len(lines) == 1 + len(metrics)
         row = lines[1].split(",")
         assert float(row[1]) == metrics[0].fnr
@@ -237,13 +259,11 @@ class TestRunTrials:
         scenario = small_scenario(runs=3)
         metrics = run_trials(scenario, seed=1)
         doc = trials_to_dict(scenario, metrics, 1)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["sweep_parameter"] == "samples_per_env"
         assert len(doc["points"]) == 2
         point = doc["points"][0]
-        assert set(point) == {
-            "sweep", "fnr", "fnr_ci", "fpr", "fpr_ci", "runs", "failures", "run_detail"
-        }
+        assert set(point) == {"sweep", "fnr", "fnr_ci", "fpr", "fpr_ci", "runs", "run_detail"}
 
     def test_sem_scenario_runs(self):
         scenario = Scenario(
@@ -302,6 +322,7 @@ class TestNetworkDetect:
         monkeypatch.setattr(experiments, "gen_lorenz", flaky)
         result = self.small()
         assert result.failures == 0
+        assert result.failed_runs == ()
         assert result.runs == 2
         assert calls["n"] == 4
 
@@ -317,6 +338,9 @@ class TestNetworkDetect:
         monkeypatch.setattr(experiments, "gen_lorenz", first_run_diverges)
         result = self.small()
         assert (result.runs, result.failures) == (1, 1)
+        attempt = {"type": "DivergenceError", "message": "diverged"}
+        assert result.failed_runs == ({"run": 0, "attempts": [attempt] * MAX_ATTEMPTS},)
+        assert result.to_dict()["failed_runs"] == [{"run": 0, "attempts": [attempt] * MAX_ATTEMPTS}]
 
         def always_diverges(cfg, seed):
             raise DivergenceError("diverged", step=1)
@@ -362,5 +386,6 @@ class TestNetworkDetect:
         result = self.small()
         doc = result.to_dict()
         json.dumps(doc)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
+        assert (doc["failures"], doc["failed_runs"]) == (0, [])
         assert isinstance(result, NetworkResult)

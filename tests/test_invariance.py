@@ -63,6 +63,24 @@ class TestNullRatio:
         draws = sample_null_ratio([0, 5], rng, size=50)
         np.testing.assert_array_equal(draws, np.zeros(50))
 
+    @pytest.mark.parametrize("dofs", [[17] * 30, [5, 9, 17, 5], [0, 4, 4], [0, 3, 8], [6]])
+    def test_draws_equal_the_zero_filled_masked_draws(self, dofs):
+        # The fast path (no zero dof: one draw into the result, a scalar df when
+        # all are equal) must give the bits of filling zeros and drawing the
+        # positive dofs through a mask.
+        def masked(dofs, rng, size):
+            df = np.asarray(dofs, dtype=np.int64)
+            z = np.zeros((size, df.size))
+            positive = df > 0
+            z[:, positive] = rng.chisquare(df[positive], size=(size, int(positive.sum())))
+            top = z.max(axis=1)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                return np.where(top > 0.0, z.min(axis=1) / top, math.inf)
+
+        for seed in range(3):
+            expected = masked(dofs, np.random.default_rng(seed), 500)
+            np.testing.assert_array_equal(sample_null_ratio(dofs, np.random.default_rng(seed), 500), expected)
+
     def test_two_env_mean_matches_simulation_oracle(self):
         draws = sample_null_ratio([10, 10], np.random.default_rng(5), size=100_000)
         # Independent oracle: direct two-chi-squared simulation via scipy.
