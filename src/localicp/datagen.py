@@ -34,6 +34,7 @@ __all__ = [
     "gen_sem",
     "gen_lorenz",
     "split_environments",
+    "next_steps",
 ]
 
 FAMILIES = ("normal", "uniform", "student_t")
@@ -320,20 +321,28 @@ def split_environments(
     """Cut a trajectory into consecutive disjoint time-window environments.
 
     Within a window the covariate rows are the full state at time t and the
-    target is coordinate ``target`` (1-based) at t + 1.
+    target is coordinate ``target`` (1-based) at t + 1, as ``next_steps``
+    gives it.
     """
+    ys = next_steps(series, window, warmup, num_envs)
+    d = ys.shape[1]
+    if isinstance(target, bool) or not isinstance(target, numbers.Integral) or not 1 <= target <= d:
+        raise InvalidInputError(f"target must be an integer coordinate in 1..{d}, got {target!r}")
+    xs = np.asarray(series, dtype=np.float64)[warmup : warmup + num_envs * window]
+    xs = xs.reshape(num_envs, window, d).transpose(1, 2, 0)
+    return MultiEnvDataset(xs, ys[:, target - 1], (window,) * num_envs, d)
+
+
+def next_steps(series: np.ndarray, window: int, warmup: int, num_envs: int) -> np.ndarray:
+    """Every coordinate at t + 1 in each window, ``(window, coords, num_envs)``: the targets
+    ``split_environments`` takes, as a view of ``series``."""
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 2:
         raise ShapeError("series must be a (steps, coords) array")
-    d = series.shape[1]
-    if not (1 <= target <= d):
-        raise InvalidInputError(f"target coordinate must lie in 1..{d}")
     required = window_steps(window, num_envs, warmup) + 1
     if series.shape[0] < required:
         raise ShapeError(
             f"series has {series.shape[0]} steps but warmup={warmup}, "
             f"{num_envs} windows of {window} require at least {required}"
         )
-    xs = series[warmup : required - 1].reshape(num_envs, window, d).transpose(1, 2, 0)
-    ys = series[warmup + 1 : required, target - 1].reshape(num_envs, window).T
-    return MultiEnvDataset(xs, ys, (window,) * num_envs, d)
+    return series[warmup + 1 : required].reshape(num_envs, window, series.shape[1]).transpose(1, 2, 0)

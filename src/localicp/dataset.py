@@ -111,6 +111,11 @@ class MultiEnvDataset:
         gram.flags.writeable = xty.flags.writeable = False
         return gram, xty
 
+    def target_cross_products(self, targets: np.ndarray) -> np.ndarray:
+        """``X'y`` ``(width, T, E)`` of targets ``(n_max, T, E)``, each as ``cross_products`` forms it."""
+        xs, ys = self.covariates, targets.transpose(1, 0, 2)
+        return np.stack([np.einsum("nie,ne->ie", xs, np.ascontiguousarray(y)) for y in ys], axis=1)
+
     def with_intercept(self) -> "MultiEnvDataset":
         """Append a constant column, one below each ``n_e`` and zero past it (idempotent)."""
         if self.intercept_added:

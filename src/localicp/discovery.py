@@ -13,17 +13,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .dataset import MultiEnvDataset
 from .errors import CapacityError, InvalidInputError
-from .invariance import SubsetTestReport, TestConfig, test_subsets
+from .invariance import SubsetTestReport, TestConfig, fit_subsets, level_pvalues, test_subsets
 
 __all__ = [
     "DEFAULT_MAX_DIM",
     "DiscoveryResult",
     "HeterogeneityInput",
     "discover",
+    "discover_targets",
     "enumerate_subsets",
     "heterogeneity_index",
     "power_bound",
@@ -42,7 +45,8 @@ class DiscoveryResult:
 
     ``early_stopped`` is true when the search skipped at least one subset
     that could not change the estimate; ``reports`` then cover only the
-    subsets tested, and ``subsets_tested`` counts them.
+    subsets tested, and ``subsets_tested`` counts them (``discover_targets``
+    keeps none).
     """
 
     estimated_parents: tuple[int, ...]
@@ -56,6 +60,55 @@ def enumerate_subsets(d: int) -> Iterable[tuple[int, ...]]:
     """All subsets of {1..d} by increasing cardinality, lexicographic within."""
     for k in range(d + 1):
         yield from itertools.combinations(range(1, d + 1), k)
+
+
+def _search(dataset, configs, test_level, max_dim, early_stop) -> list[DiscoveryResult]:
+    """``discover``'s walk, for the targets of ``configs`` in lockstep.
+
+    Each level is tested once, ``test_level(level, live, needed)``: on the union of the subsets
+    some target still needs, for the targets ``live`` that need one (``needed``, ``(S, len(live))``,
+    says which).  It gives each live target one ``(subset, rejected, report or None)`` per subset,
+    in level order, and each target walks them with its own intersection and early stop.
+    """
+    d = dataset.num_covariates
+    if d > max_dim:
+        raise CapacityError(
+            f"{d} candidate covariates means {2 ** d} subsets, above the limit of "
+            f"2^{max_dim}; reduce the dimensionality (e.g. cluster correlated "
+            f"covariates) or raise the limit explicitly"
+        )
+    for config in configs:
+        config.check_null_size(dataset.num_envs)
+    running: list[set[int] | None] = [None] * len(configs)  # None until a target's first accepted subset
+    kept: list[list] = [[] for _ in configs]
+
+    def covered(t, subset):
+        """Whether ``subset`` can no longer change target ``t``'s estimate."""
+        return early_stop and running[t] is not None and running[t] <= set(subset)
+
+    for _, level in itertools.groupby(enumerate_subsets(d), key=len):
+        if early_stop and all(r == set() for r in running):
+            break
+        level = list(level)
+        needed = np.array([[not covered(t, s) for t in range(len(configs))] for s in level])
+        rows, live = needed.any(1), np.flatnonzero(needed.any(0)).tolist()
+        level = [s for s, row in zip(level, rows) if row]
+        if not level:
+            continue
+        for t, outcomes in zip(live, test_level(level, live, needed[rows][:, live])):
+            for subset, rejected, report in outcomes:
+                if covered(t, subset):
+                    continue
+                kept[t].append(report)
+                if not rejected:
+                    running[t] = set(subset) if running[t] is None else running[t] & set(subset)
+    return [
+        DiscoveryResult(
+            tuple(sorted(r or ())), tuple(x for x in k if x is not None), len(k), len(k) < 2**d,
+            STATUS_MODEL_REJECTED if r is None else STATUS_OK,
+        )
+        for r, k in zip(running, kept)
+    ]
 
 
 def discover(
@@ -92,40 +145,34 @@ def discover(
     by then.  A subset's fit does not depend on the others fitted with it,
     and its draws depend only on ``(config.seed, dofs, config.mc_samples)``,
     so the reports do not depend on the order in which subsets are tested.
+    This is the one-target case of ``discover_targets``'s lockstep search.
     """
-    d = dataset.num_covariates
-    if d > max_dim:
-        raise CapacityError(
-            f"{d} candidate covariates means {2 ** d} subsets, above the limit of "
-            f"2^{max_dim}; reduce the dimensionality (e.g. cluster correlated "
-            f"covariates) or raise the limit explicitly"
-        )
-    reports: list[SubsetTestReport] = []
-    running: set[int] | None = None  # None until the first accepted subset
 
-    def covered(subset):
-        """Whether ``subset`` can no longer change the estimate."""
-        return early_stop and running is not None and running <= set(subset)
+    def test_level(level, live, needed):
+        return [[(r.subset, r.rejected, r) for r in test(dataset, level, config)]]
 
-    for _, level in itertools.groupby(enumerate_subsets(d), key=len):
-        if early_stop and running == set():
-            break
-        level = [s for s in level if not covered(s)]
-        if not level:
-            continue
-        for report in test(dataset, level, config):
-            if covered(report.subset):
-                continue
-            reports.append(report)
-            if not report.rejected:
-                running = set(report.subset) if running is None else running & set(report.subset)
-    return DiscoveryResult(
-        estimated_parents=tuple(sorted(running or ())),
-        reports=tuple(reports),
-        subsets_tested=len(reports),
-        early_stopped=len(reports) < 2**d,
-        status=STATUS_MODEL_REJECTED if running is None else STATUS_OK,
-    )
+    return _search(dataset, [config], test_level, max_dim, early_stop)[0]
+
+
+def discover_targets(
+    dataset: MultiEnvDataset, targets: np.ndarray, configs: Sequence[TestConfig]
+) -> list[DiscoveryResult]:
+    """``discover`` of ``T`` targets ``(n_max, T, E)`` on the covariates of ``dataset``, in lockstep.
+
+    Target ``t``, tested under ``configs[t]``, replaces the dataset's own.
+    Each level's union is fitted in one call, so one factorization per
+    (subset, environment) serves every target; each keeps its own
+    intersection, early stop and draws, so result ``t`` equals ``discover``
+    of target ``t``'s own dataset with ``early_stop``, without reports.
+    """
+    xty = dataset.target_cross_products(targets)
+
+    def test_level(level, live, needed):
+        norms, ranks = fit_subsets(dataset, level, (targets[:, live], xty[:, live]))
+        rejected = level_pvalues(norms, ranks, dataset.sample_sizes, [configs[t] for t in live], needed)[-1]
+        return [[(s, r, None) for s, r in zip(level, column)] for column in rejected.T.tolist()]
+
+    return _search(dataset, configs, test_level, DEFAULT_MAX_DIM, True)
 
 
 # ---------------------------------------------------------------------------

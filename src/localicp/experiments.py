@@ -10,7 +10,9 @@ Both exact computations use numpy and the standard library only.
 
 Parallelism runs over independent runs only: ``run_trials`` and
 ``network_detect`` map their runs over one thread pool (``_map_runs``), while
-each run's discovery tests its subsets serially.  Per-run seeds are derived
+each run's discovery tests its subsets serially.  A network run searches its
+six targets in lockstep (``discover_targets``): one window stack, and one fit
+per subset-size level serves all six.  Per-run seeds are derived
 from (scenario seed, grid index, run index), and aggregation folds runs in
 index order, so results are byte-identical for any worker count.
 
@@ -38,10 +40,11 @@ from .datagen import (
     gen_independent,
     gen_lorenz,
     gen_sem,
+    next_steps,
     split_environments,
     window_steps,
 )
-from .discovery import DEFAULT_MAX_DIM, discover
+from .discovery import DEFAULT_MAX_DIM, discover, discover_targets
 from .errors import CapacityError, DivergenceError, InvalidInputError, check_counts
 from .invariance import TestConfig
 
@@ -373,18 +376,22 @@ def network_detect(
     Each run simulates an independent trajectory of exactly the
     ``warmup + num_envs * window`` steps its windows read, splits it into
     ``num_envs`` time windows and discovers parents for all six next-step
-    targets.  An edge i -> j is declared when covariate i was reported for
-    target j in more than ``NULL_RATE`` (10%) of the runs and the exact
-    one-sided binomial p-value against that rate is at most ``EDGE_ALPHA``
-    (0.05).  A run whose trajectory diverges is retried with fresh seeds,
-    ``MAX_ATTEMPTS`` attempts in all, then counted as a failure and listed
-    in ``failed_runs`` with each attempt's error; any other error propagates.
+    targets in lockstep, each level fitted once for all of them, each target
+    under its own derived seed.  A null of more than ``MAX_DOUBLES`` draws
+    per test is refused before anything is simulated.  An edge i -> j is
+    declared when covariate i was reported for target j in more than
+    ``NULL_RATE`` (10%) of the runs and the exact one-sided binomial p-value
+    against that rate is at most ``EDGE_ALPHA`` (0.05).  A run whose
+    trajectory diverges is retried with fresh seeds, ``MAX_ATTEMPTS``
+    attempts in all, then counted as a failure and listed in ``failed_runs``
+    with each attempt's error; any other error propagates.
     """
     check_counts(runs=runs)
     try:
         lorenz_config = LorenzGenConfig(horizon=window_steps(window, num_envs, warmup))
     except CapacityError as exc:
         raise CapacityError(f"warmup + num_envs x window = {warmup} + {num_envs} x {window}: {exc}") from None
+    test_config.check_null_size(num_envs)
     d = 6
 
     def one_run(run: int):
@@ -395,17 +402,12 @@ def network_detect(
             except DivergenceError as exc:
                 attempts.append({"type": type(exc).__name__, "message": str(exc)})
                 continue
-            found = []
-            for target in range(1, d + 1):
-                dataset = split_environments(
-                    series, target, window, warmup, num_envs
-                ).with_intercept()
-                config = dataclasses.replace(
-                    test_config, seed=derived_seed(seed, run, attempt, target)
-                )
-                result = discover(dataset, config, early_stop=True)
-                found.append(result.estimated_parents)
-            return tuple(found)
+            # One window stack, with the intercept, serves all d targets.
+            windows = split_environments(series, 1, window, warmup, num_envs).with_intercept()
+            seeds = [derived_seed(seed, run, attempt, target) for target in range(1, d + 1)]
+            configs = [dataclasses.replace(test_config, seed=s) for s in seeds]
+            results = discover_targets(windows, next_steps(series, window, warmup, num_envs), configs)
+            return tuple(result.estimated_parents for result in results)
         return {"run": run, "attempts": attempts}
 
     outcomes = _map_runs(one_run, range(runs), workers)

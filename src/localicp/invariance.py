@@ -16,7 +16,9 @@ does not need to avoid (it needs only a valid test of the true parent set).
 
 The subsets of one size are fitted and tested at once, in every environment
 (``fit_subsets``, ``test_subsets``); ``phi_S`` is the one-subset call.  The
-fit reads the dataset's cached cross-products, in chunks of bounded size.
+fit reads the dataset's cached cross-products, in chunks of bounded size;
+given several targets on the same covariates, one fit and one factorization
+serve them all (``level_pvalues`` tests each under its own seed).
 Each (subset, environment) Gram matrix is factored by Cholesky, by column
 recurrences with the pairs on the last axes.  A pair keeps that solve only
 when its pivots are positive and finite and a condition bound read off the
@@ -39,8 +41,9 @@ from typing import Sequence
 
 import numpy as np
 
+from .datagen import MAX_DOUBLES
 from .dataset import MultiEnvDataset
-from .errors import InvalidInputError, check_counts
+from .errors import CapacityError, InvalidInputError, check_counts
 
 __all__ = [
     "TestConfig",
@@ -50,6 +53,7 @@ __all__ = [
     "mc_pvalue",
     "fit_subsets",
     "test_subsets",
+    "level_pvalues",
     "phi_S",
     "subset_rng",
 ]
@@ -84,6 +88,14 @@ class TestConfig:
         if not (0.0 <= self.alpha < 1.0):
             raise InvalidInputError("alpha must lie in [0, 1)")
         check_counts(mc_samples=self.mc_samples)
+
+    def check_null_size(self, num_envs: int) -> None:
+        """Refuse a null of ``mc_samples x num_envs`` chi-squared draws above ``MAX_DOUBLES``."""
+        if (size := self.mc_samples * num_envs) > MAX_DOUBLES:
+            raise CapacityError(
+                f"mc_samples={self.mc_samples} x {num_envs} environments is {size} doubles "
+                f"per null draw, above the limit of {MAX_DOUBLES} (1 GiB)"
+            )
 
 
 @dataclass(frozen=True)
@@ -180,48 +192,49 @@ def mc_pvalue(statistic: float, dofs: Sequence[int], b: int, seed: int) -> float
 
 
 def _cholesky_solve(gram_all: np.ndarray, cols: np.ndarray, xty: np.ndarray, tol: float):
-    """Certified Cholesky solve of ``G beta = X'y`` for a batch of pairs.
+    """Certified Cholesky solve of ``G beta = X'y`` for a batch of pairs and ``T`` targets.
 
     ``G`` is gathered from ``gram_all`` for the ``(w, S)`` column sets
-    ``cols``; ``xty`` is ``(w, S, E)``, pairs on the trailing axes.  The rows
-    of ``[G | X'y | I]`` are reduced one column at a time: step ``j`` divides
-    row ``j`` by ``L[j, j] = sqrt(pivot)`` and subtracts its outer product
-    from the rows below, so row ``j`` ends as ``[L'[j] | (L^-1 X'y)[j] |
-    L^-1[j]]``.  Returns ``beta = L^-T L^-1 X'y`` and the mask of certified
-    pairs: every pivot positive and finite, and
-    ``||G||_F * ||L^-1||_F^2 * tol * CHOLESKY_MARGIN < 1``.
+    ``cols``; ``xty`` is ``(w, T, S, E)``, the pairs on the trailing axes.
+    The rows of ``[G | X'y_1 .. X'y_T | I]`` are reduced one column at a
+    time: step ``j`` divides row ``j`` by ``L[j, j] = sqrt(pivot)`` and
+    subtracts its outer product from the rows below, so row ``j`` ends as
+    ``[L'[j] | (L^-1 X'y)[j] | L^-1[j]]``; each target is one more column of
+    the same reduction.  Returns ``beta = L^-T L^-1 X'y``, ``(w, T, S, E)``,
+    and the ``(S, E)`` mask of certified pairs: every pivot positive and
+    finite, and ``||G||_F * ||L^-1||_F^2 * tol * CHOLESKY_MARGIN < 1``.
     """
-    width, pairs, count = len(cols), xty.shape[1:], xty[0].size
-    a = np.zeros((width, 2 * width + 1) + pairs)
+    width, targets, pairs, count = len(cols), xty.shape[1], xty.shape[2:], xty[0, 0].size
+    a = np.zeros((width, 2 * width + targets) + pairs)
     a[:, :width] = gram_all[cols[:, None], cols[None]]
-    a[:, width] = xty
-    a[np.arange(width), np.arange(width + 1, 2 * width + 1)] = 1.0
-    # One scratch block holds each step's update and every (w, w) product.
-    work = np.empty(width * (width + 1) * count)
+    a[:, width : width + targets] = xty
+    a[np.arange(width), np.arange(width + targets, 2 * width + targets)] = 1.0
+    # One scratch block holds each step's update and every product below.
+    work = np.empty(width * (width + 1) * targets * count)
     square = work[: width * width * count].reshape((width, width) + pairs)
     np.multiply(a[:, :width], a[:, :width], out=square)
     gram_norm = np.sqrt(square.sum((0, 1)))
-    roots = np.empty_like(xty)
+    roots = np.empty((width,) + pairs)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for j in range(width):
-            # Row j is zero past column width + 1 + j, the rows below past
-            # their own identity entry, so the window below is all that moves.
-            end = width + 2 + j
+            # Row j is zero past its identity entry, column width + targets + j,
+            # the rows below past their own, so the window below is all that moves.
+            end = width + targets + 1 + j
             roots[j] = np.sqrt(a[j, j])
             a[j, j:end] /= roots[j]
-            outer = work[: (width - 1 - j) * (width + 1) * count]
-            outer = outer.reshape((width - 1 - j, width + 1) + pairs)
+            outer = work[: (width - 1 - j) * (width + targets) * count]
+            outer = outer.reshape((width - 1 - j, width + targets) + pairs)
             np.multiply(a[j, j + 1 : width, None], a[j, None, j + 1 : end], out=outer)
             a[j + 1 :, j + 1 : end] -= outer
-        z, l_inv = a[:, width], a[:, width + 1 :]
+        z, l_inv = a[:, width : width + targets], a[:, width + targets :]
         np.multiply(l_inv, l_inv, out=square)
         certified = ((roots > 0.0) & (roots < math.inf)).all(0)
         certified &= gram_norm * square.sum((0, 1)) * (tol * CHOLESKY_MARGIN) < 1.0
-        np.multiply(l_inv, z[:, None], out=square)
-        return square.sum(0), certified
+        product = work[: width * width * targets * count].reshape((width, width, targets) + pairs)
+        return np.multiply(l_inv[:, :, None], z[:, None], out=product).sum(0), certified
 
 
-def _fit_environments(dataset: MultiEnvDataset, col_sets):
+def _fit_environments(dataset: MultiEnvDataset, col_sets, targets=None):
     """Squared residual norms and Gram ranks, each of shape ``(S, E)``.
 
     ``col_sets`` is an ``(S, w)`` array: row ``s`` names the ``w`` physical
@@ -231,32 +244,38 @@ def _fit_environments(dataset: MultiEnvDataset, col_sets):
     ``tol * sigma_max``, with ``tol = w * eps``, count as zero, both for the
     rank and in the pseudo-inverse solve.
 
+    ``targets``, ``(n_max, T, E)`` values and their ``(width, T, E)`` ``X'y``,
+    fits ``T`` targets in place of the dataset's own, on an axis of ``X'y``,
+    ``beta`` and the residual: one factorization of a Gram block serves them
+    all, and they share its rank.  The norms are then ``(S, E, T)``.
+
     All pairs are first solved by ``_cholesky_solve``.  Its certificate
     bounds the condition number of ``G`` a margin below ``1 / tol``, so a
     certified pair has every singular value above the cutoff and full rank.
     Every other pair (rank-deficient, ill-conditioned, a failed pivot, or the
     empty column set, whose rank is 0 and RSS ``y'y``) is solved by the SVD
-    on its own.  The residual is then formed explicitly as ``y - X beta``,
-    one column at a time.
+    on its own, ``U'X'y`` per target.  The residual is then formed
+    explicitly as ``y - X beta``, one column at a time.
 
     Every step is elementwise, one matrix at a time (the SVD), or a sum over
     a leading axis, which numpy runs in a fixed order for each element when
     the trailing pair axes hold at least two pairs (two environments do).
-    So a pair's bits do not depend on the other pairs in the batch.
+    So a (pair, target)'s bits do not depend on the rest of the batch.
     """
     col_sets = np.asarray(col_sets, dtype=np.intp)
-    xs, y = dataset.covariates, dataset.target
+    xs = dataset.covariates
     gram_all, xty_all = dataset.cross_products
+    y, xty_all = (dataset.target[:, None], xty_all[:, None]) if targets is None else targets
     cols = col_sets.T  # (w, S)
     width = len(cols)
     tol = width * np.finfo(np.float64).eps
-    xty = xty_all[cols]  # (w, S, E)
-    ranks = np.full(xty.shape[1:], width)
+    xty = np.moveaxis(xty_all[cols], 2, 1)  # (w, T, S, E)
+    ranks = np.full(xty.shape[2:], width)
     if width:
         beta, certified = _cholesky_solve(gram_all, cols, xty, tol)
         uncertified = ~certified
     else:
-        beta, uncertified = np.zeros_like(xty), np.ones(xty.shape[1:], dtype=bool)
+        beta, uncertified = np.zeros(xty.shape), np.ones(ranks.shape, dtype=bool)
     if uncertified.any():
         sets, envs = np.nonzero(uncertified)
         c = cols[:, sets]
@@ -266,38 +285,75 @@ def _fit_environments(dataset: MultiEnvDataset, col_sets):
         ranks[uncertified] = keep.sum(axis=1)
         s_inv = np.where(keep, 1.0, 0.0)
         np.divide(s_inv, s, out=s_inv, where=keep)
-        # u[i, j] and vt[j, i] with the pairs last: beta = V S^+ U' X'y
-        uty = (np.moveaxis(u, 0, -1) * xty_all[c, envs][:, None]).sum(0)
-        beta[:, uncertified] = (np.moveaxis(vt, 0, -1) * (s_inv.T * uty)[:, None]).sum(0)
-    resid = np.repeat(y[:, None], len(col_sets), axis=1)  # (n, S, E)
+        # u[i, j] and vt[j, i] with the targets, then the pairs, last: beta = V S^+ U' X'y
+        uty = (np.moveaxis(u, 0, -1)[:, :, None] * xty[:, :, sets, envs][:, None]).sum(0)
+        beta[:, :, uncertified] = (np.moveaxis(vt, 0, -1)[:, :, None] * (s_inv.T[:, None] * uty)[:, None]).sum(0)
+    resid = np.repeat(y[:, :, None], len(col_sets), axis=2)  # (n, T, S, E)
     term = np.empty_like(resid)
     for c, b in zip(cols, beta):
-        np.take(xs, c, axis=1, out=term)
-        term *= b
+        # The first target's slot holds the column, then every target's term.
+        np.take(xs, c, axis=1, out=term[:, 0], mode="clip")
+        np.multiply(term[:, :1], b, out=term)
         resid -= term
     resid *= resid
-    return resid.sum(0), ranks
+    norms = np.moveaxis(resid.sum(0), 0, -1)
+    return (norms[..., 0] if targets is None else norms), ranks
 
 
-def fit_subsets(dataset: MultiEnvDataset, subsets: Sequence[Sequence[int]]):
+def fit_subsets(dataset: MultiEnvDataset, subsets: Sequence[Sequence[int]], targets=None):
     """``_fit_environments`` for 1-based subsets of one size, in chunks.
 
-    Returns squared residual norms and Gram ranks, each of shape ``(S, E)``.
-    The intercept column is added to every subset when the dataset carries
-    one.  A chunk holds at most ``FIT_CHUNK_DOUBLES`` live doubles, counted
-    per (subset, environment) pair: the solve holds the reduced rows and one
-    scratch block, ``3 w^2 + 4 w`` with ``X'y`` and the pivots; the residual
-    holds two ``n_max``-long slabs, ``X'y`` and the coefficients.  The two
-    are never live at once.  A subset's result does not depend on its chunk.
+    Returns squared residual norms and Gram ranks, each of shape ``(S, E)``,
+    or ``(S, E, T)`` norms for ``T`` ``targets`` as ``_fit_environments``
+    takes them.  The intercept column is added to every subset when the
+    dataset carries one.  A chunk holds at most ``FIT_CHUNK_DOUBLES`` live
+    doubles, counted per (subset, environment) pair: the solve holds the
+    reduced rows and one scratch block, ``w (2 w + 1 + (w + 3) T)`` with
+    ``X'y`` and the pivots; the residual holds two ``n_max T`` slabs, ``X'y``
+    and the coefficients.  The two are never live at once.  A subset's
+    result does not depend on its chunk.
     """
     cols = np.array(subsets, dtype=np.intp) - 1
     if dataset.intercept_added:
         cols = np.column_stack([cols, np.full(len(cols), dataset.num_covariates)])
-    width = cols.shape[1]
-    per_subset = dataset.num_envs * max(width * (3 * width + 4), 2 * (len(dataset.target) + width))
-    step = max(1, FIT_CHUNK_DOUBLES // per_subset)
-    parts = [_fit_environments(dataset, cols[i : i + step]) for i in range(0, len(cols), step)]
+    width, t, n = cols.shape[1], 1 if targets is None else targets[0].shape[1], len(dataset.target)
+    per_pair = max(width * (2 * width + 1 + (width + 3) * t), 2 * t * (n + width))
+    step = max(1, FIT_CHUNK_DOUBLES // (dataset.num_envs * per_pair))
+    parts = [_fit_environments(dataset, cols[i : i + step], targets) for i in range(0, len(cols), step)]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
+
+
+def level_pvalues(norms, ranks, sample_sizes, configs: Sequence[TestConfig], needed=True):
+    """Test ``T`` targets of one fitted level: ``(S, E, T)`` norms, shared ``(S, E)`` ranks.
+
+    Per target, under ``configs[t]``, the rows that share a dof vector share
+    one sorted set of reference draws, drawn here as ``mc_pvalue`` draws
+    them; each row's count is one binary search.  An infinite statistic, or
+    a pair outside the ``(S, T)`` mask ``needed``, gets p = 1 without a draw.
+    Returns the norms with zero-dof entries zeroed, the ``(S, E)`` dofs, and
+    ``(S, T)`` statistics, p-values and rejections.
+    """
+    if len(sample_sizes) < 2:
+        raise InvalidInputError(
+            "testing invariance requires at least two environments; a single "
+            "environment permits no causal conclusion"
+        )
+    dofs = np.maximum(np.subtract(sample_sizes, ranks), 0)
+    # Zero degrees of freedom means the regression interpolates; the residual
+    # is exactly zero in exact arithmetic, so discard rounding noise.
+    norms = np.where(dofs[..., None] == 0, 0.0, norms)
+    statistics = test_statistic(np.moveaxis(norms, -1, 1))
+    drawn = np.isfinite(statistics) & needed
+    p_values = np.ones(statistics.shape)
+    for t, config in enumerate(configs):
+        b = config.mc_samples
+        groups: dict[bytes, list[int]] = {}
+        for i in np.flatnonzero(drawn[:, t]).tolist():
+            groups.setdefault(dofs[i].tobytes(), []).append(i)
+        for rows in groups.values():
+            draws = _reference_draws(config.seed, dofs[rows[0]], b)
+            p_values[rows, t] = (1 + np.searchsorted(draws, statistics[rows, t], side="right")) / (b + 1)
+    return norms, dofs, statistics, p_values, p_values <= np.array([config.alpha for config in configs])
 
 
 def test_subsets(
@@ -308,11 +364,8 @@ def test_subsets(
     Per environment this regresses the target on the subset columns (plus the
     intercept column when the dataset carries one) by ``fit_subsets``, forms
     the min/max residual statistic, compares it with the chi-squared reference
-    ratio and decides at level ``config.alpha``; reports come in the order of
-    ``subsets``, and an empty level gets none.  Rows that share a dof vector
-    share one sorted set of reference draws, drawn in this call as
-    ``mc_pvalue`` draws them; each row's count is one binary search.  An
-    infinite statistic gets p = 1 without a draw.
+    ratio and decides at level ``config.alpha`` by ``level_pvalues``;
+    reports come in the order of ``subsets``, and an empty level gets none.
     """
     d = dataset.num_covariates
     level = []
@@ -328,28 +381,11 @@ def test_subsets(
     sizes = sorted({len(s) for s in level})
     if len(sizes) > 1:
         raise InvalidInputError(f"the subsets of one level must share one size, got sizes {sizes}")
-    if dataset.num_envs < 2:
-        raise InvalidInputError(
-            "testing invariance requires at least two environments; a single "
-            "environment permits no causal conclusion"
-        )
     if not level:
         return []
     norms, ranks = fit_subsets(dataset, level)
-    dofs = np.maximum(np.subtract(dataset.sample_sizes, ranks), 0)
-    # Zero degrees of freedom means the regression interpolates; the residual
-    # is exactly zero in exact arithmetic, so discard rounding noise.
-    norms = np.where(dofs == 0, 0.0, norms)
-    statistics = test_statistic(norms)
-    b = config.mc_samples
-    groups: dict[bytes, list[int]] = {}
-    for i in np.flatnonzero(np.isfinite(statistics)).tolist():
-        groups.setdefault(dofs[i].tobytes(), []).append(i)
-    p_values = np.ones(len(level))
-    for rows in groups.values():
-        draws = _reference_draws(config.seed, dofs[rows[0]], b)
-        p_values[rows] = (1 + np.searchsorted(draws, statistics[rows], side="right")) / (b + 1)
-    columns = zip(norms.tolist(), dofs.tolist(), statistics.tolist(), p_values.tolist())
+    norms, dofs, statistics, p_values, _ = level_pvalues(norms[..., None], ranks, dataset.sample_sizes, [config])
+    columns = zip(norms[..., 0].tolist(), dofs.tolist(), statistics[:, 0].tolist(), p_values[:, 0].tolist())
     return [
         SubsetTestReport(subset, tuple(n), tuple(k), t, p, p <= config.alpha)
         for subset, (n, k, t, p) in zip(level, columns)

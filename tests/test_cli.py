@@ -20,7 +20,8 @@ from localicp.cli import (
     build_parser,
     main,
 )
-from localicp.datagen import IndependentGenConfig, gen_independent
+from localicp import experiments, invariance
+from localicp.datagen import MAX_DOUBLES, IndependentGenConfig, gen_independent
 from localicp.dataset import read_csv, write_csv, write_json
 from localicp.discovery import discover
 from localicp.invariance import SubsetTestReport, TestConfig
@@ -259,6 +260,18 @@ class TestDiscover:
         write_csv(data, path)
         assert main(["discover", str(path), "--max-dim", "3"]) == EXIT_CAPACITY
 
+    def test_null_above_capacity_refused_before_anything_is_drawn(self, dataset_csv, monkeypatch, capsys):
+        # 10^12 draws in each of the environments would ask numpy for hundreds
+        # of TiB; the search refuses them before it fits or draws anything.
+        monkeypatch.setattr(invariance, "fit_subsets", None)
+        monkeypatch.setattr(invariance, "sample_null_ratio", None)
+        assert main(["discover", dataset_csv, "--mc-samples", str(10**12)]) == EXIT_CAPACITY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: mc_samples=1000000000000 x ")
+        assert line.endswith(f"above the limit of {MAX_DOUBLES} (1 GiB)")
+
     def test_deterministic_output_across_worker_counts(self, dataset_csv, tmp_path, capsys):
         a = tmp_path / "a.json"
         b = tmp_path / "b.json"
@@ -422,6 +435,18 @@ class TestNetwork:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == ["error: window must be a positive integer, got 0"]
+
+    def test_null_above_capacity_refused_before_simulating(self, monkeypatch, capsys):
+        monkeypatch.setattr(experiments, "gen_lorenz", None)
+        monkeypatch.setattr(invariance, "sample_null_ratio", None)
+        argv = ["network", "--runs", "1", "--num-envs", "30", "--mc-samples", str(10**12)]
+        assert main(argv) == EXIT_CAPACITY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: mc_samples=1000000000000 x 30 environments is {30 * 10**12} doubles "
+            f"per null draw, above the limit of {MAX_DOUBLES} (1 GiB)"
+        ]
 
     def test_capacity_limit(self, capsys):
         # The trajectory is as long as its windows read, so the window counts

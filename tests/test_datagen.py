@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from localicp.datagen import (
     gen_independent,
     gen_lorenz,
     gen_sem,
+    next_steps,
     sem_cascade,
     split_environments,
 )
@@ -314,6 +316,24 @@ class TestSplitEnvironments:
         series = np.zeros((30, 3))
         with pytest.raises(InvalidInputError):
             split_environments(series, target=4, window=5, warmup=0, num_envs=2)
+
+    def test_target_must_be_an_integer(self):
+        # True is not coordinate 1, and 1.5 is no coordinate at all.
+        series = np.arange(90, dtype=float).reshape(30, 3)
+        for target in (True, False, 1.5, 2.0, "1"):
+            message = f"target must be an integer coordinate in 1..3, got {target!r}"
+            with pytest.raises(InvalidInputError, match=re.escape(message)):
+                split_environments(series, target=target, window=5, warmup=0, num_envs=2)
+        data = split_environments(series, target=np.int64(2), window=5, warmup=0, num_envs=2)
+        assert np.array_equal(data.environments[0].target, series[1:6, 1])
+
+    def test_next_steps_are_every_coordinates_target(self):
+        series = gen_lorenz(LorenzGenConfig(horizon=300), 2)
+        steps = next_steps(series, window=20, warmup=100, num_envs=10)
+        assert steps.shape == (20, 6, 10)
+        for target in range(1, 7):
+            data = split_environments(series, target=target, window=20, warmup=100, num_envs=10)
+            assert np.array_equal(steps[:, target - 1], data.target)
 
     def test_single_environment_allowed(self):
         series = np.arange(20, dtype=float).reshape(10, 2)

@@ -7,8 +7,17 @@ import mpmath
 import pytest
 from scipy import stats
 
-from localicp import experiments
-from localicp.datagen import IndependentGenConfig, SemGenConfig, gen_lorenz
+from localicp import experiments, invariance
+from localicp.datagen import (
+    IndependentGenConfig,
+    LorenzGenConfig,
+    SemGenConfig,
+    gen_lorenz,
+    next_steps,
+    split_environments,
+    window_steps,
+)
+from localicp.discovery import discover, discover_targets
 from localicp.errors import CapacityError, DivergenceError, InvalidInputError
 from localicp.experiments import (
     MAX_ATTEMPTS,
@@ -325,6 +334,79 @@ class TestNetworkDetect:
         assert result.failed_runs == ()
         assert result.runs == 2
         assert calls["n"] == 4
+
+    def _independent_searches(self, series, window, warmup, num_envs, configs):
+        """The six searches of one network run, each on its own target's dataset."""
+        return [
+            discover(dataset.with_intercept(), config, early_stop=True)
+            for dataset, config in zip(
+                (split_environments(series, t, window, warmup, num_envs) for t in range(1, 7)), configs
+            )
+        ]
+
+    def _assert_lockstep_matches(self, series, window, warmup, num_envs, configs):
+        windows = split_environments(series, 1, window, warmup, num_envs).with_intercept()
+        lockstep = discover_targets(windows, next_steps(series, window, warmup, num_envs), configs)
+        alone = self._independent_searches(series, window, warmup, num_envs, configs)
+        for a, b in zip(lockstep, alone):
+            assert (a.estimated_parents, a.subsets_tested, a.early_stopped, a.status) == (
+                b.estimated_parents, b.subsets_tested, b.early_stopped, b.status
+            )
+        return alone
+
+    @pytest.mark.parametrize(
+        "window, num_envs, alpha, seed",
+        [
+            # The searches end at levels 2, 5 and 6; the target that ends at
+            # level 2 has an empty intersection there and leaves the union.
+            (20, 40, 0.1, 1),
+            # Four-row windows: every subset of three or more covariates, with
+            # the intercept, interpolates its windows (zero dofs).
+            (4, 40, 0.9, 2),
+        ],
+    )
+    def test_lockstep_search_equals_six_searches(self, window, num_envs, alpha, seed, monkeypatch):
+        warmup = 200
+        series = gen_lorenz(
+            LorenzGenConfig(horizon=window_steps(window, num_envs, warmup)), derived_seed(seed, 0, 0, 0)
+        )
+        configs = [TestConfig(alpha=alpha, mc_samples=50, seed=derived_seed(seed, 0, 0, t)) for t in range(1, 7)]
+        fitted = []  # (subset size, targets fitted) of each lockstep fit call
+        original = invariance.fit_subsets
+
+        def recording(dataset, subsets, targets=None):
+            if targets is not None:
+                fitted.append((len(subsets[0]), targets[0].shape[1]))
+            return original(dataset, subsets, targets)
+
+        monkeypatch.setattr(invariance, "fit_subsets", recording)
+        alone = self._assert_lockstep_matches(series, window, warmup, num_envs, configs)
+        top_levels = [max(len(r.subset) for r in result.reports) for result in alone]
+        assert len(set(top_levels)) > 1 and min(top_levels) < 6
+        # A target fits no level past its own last one.
+        assert [n for k, n in fitted] == [sum(top >= k for top in top_levels) for k, _ in fitted]
+        zero_dofs = any(0 in r.dofs for result in alone for r in result.reports)
+        assert zero_dofs == (window == 4)
+
+    def test_lockstep_run_after_a_retry_equals_six_searches(self, monkeypatch):
+        # Every first attempt diverges, so each run's seeds come from attempt 1.
+        calls = {"n": 0}
+
+        def flaky(cfg, seed):
+            calls["n"] += 1
+            if calls["n"] % 2 == 1:
+                raise DivergenceError("transient", step=1)
+            return gen_lorenz(cfg, seed)
+
+        monkeypatch.setattr(experiments, "gen_lorenz", flaky)
+        result = self.small(seed=3)
+        assert calls["n"] == 4 and result.failures == 0
+        lorenz = LorenzGenConfig(horizon=window_steps(10, 20, 200))
+        for run, found in enumerate(result.per_run):
+            series = gen_lorenz(lorenz, derived_seed(3, run, 1, 0))
+            configs = [TestConfig(mc_samples=50, seed=derived_seed(3, run, 1, t)) for t in range(1, 7)]
+            alone = self._assert_lockstep_matches(series, 10, 200, 20, configs)
+            assert found == tuple(r.estimated_parents for r in alone)
 
     def test_persistent_failure_counts_and_total_failure_raises(self, monkeypatch):
         calls = {"n": 0}

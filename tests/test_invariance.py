@@ -551,37 +551,69 @@ def _lorenz_windows():
     return split_environments(series, 4, window=20, warmup=500, num_envs=75).with_intercept()
 
 
-@pytest.mark.parametrize("make", [_independent, _lorenz_windows])
+def _targets(data):
+    """Three targets on ``data``'s covariates, ``(values, X'y)`` as the fit takes them:
+    its own target, its first column (fitted exactly by any set that holds it)
+    and noise, all zero past each ``n_e``."""
+    rng = np.random.default_rng(15)
+    rows = np.arange(len(data.target))[:, None] < np.array(data.sample_sizes)
+    values = np.stack([data.target, data.covariates[:, 0], rng.normal(size=rows.shape) * rows], axis=1)
+    return values, data.target_cross_products(values)
+
+
+def _assert_each_target_fits_as_alone(data, level, targets, norms, ranks):
+    """Target t of a T-target fit has the bits of target t fitted on its own."""
+    values, xty = targets
+    assert norms.shape == ranks.shape + (values.shape[1],)
+    for t in range(values.shape[1]):
+        alone = _fit_environments(data, level, (values[:, t : t + 1], xty[:, t : t + 1]))
+        assert np.array_equal(alone[0][..., 0], norms[..., t]), (level, t)
+        assert np.array_equal(alone[1], ranks), (level, t)
+
+
+@pytest.mark.parametrize("make", [_independent, _lorenz_windows, _collinear, _interpolating])
 def test_cholesky_fit_matches_svd_fit(make, monkeypatch):
     # With an infinite margin no environment is certified and every one
     # takes the SVD solve, which is the reference for the Cholesky solve.
+    # There, too, each target of a multi-target fit keeps its own bits.
     data = make()
     width, yty = _width_and_yty(data)
+    targets = _targets(data)
     fast = [_fit_environments(data, level) for level in _levels(width)]
     monkeypatch.setattr(invariance, "CHOLESKY_MARGIN", math.inf)
     for level, (norms, ranks) in zip(_levels(width), fast):
         ref_norms, ref_ranks = _fit_environments(data, level)
         assert ranks.tolist() == ref_ranks.tolist(), level
         assert np.all(np.abs(norms - ref_norms) <= 1e-12 * yty), level
+        _assert_each_target_fits_as_alone(data, level, targets, *_fit_environments(data, level, targets))
 
 
 @pytest.mark.parametrize("make", ORACLE_DATASETS + [_lorenz_windows])
 def test_batch_does_not_change_a_subsets_bits(make, monkeypatch):
     # Every physical column becomes a candidate, so column sets without the
     # intercept go through fit_subsets too.  A level fitted in one call, in
-    # chunks of one subset, and subset by subset must give the same bits.
+    # chunks of one subset, and subset by subset must give the same bits;
+    # so must each target of a multi-target fit and that target fitted alone,
+    # and the dataset's own target must keep its one-target bits.
     data = make()
     width = data.environments[0].covariates.shape[1]
     data = dataclasses.replace(data, num_covariates=width, intercept_added=False)
+    targets = _targets(data)
+    assert np.array_equal(targets[1][:, 0], data.cross_products[1])
     whole = [_fit_environments(data, level) for level in _levels(width)]
+    several = [_fit_environments(data, level, targets) for level in _levels(width)]
     monkeypatch.setattr(invariance, "FIT_CHUNK_DOUBLES", 1)
-    for level, (norms, ranks) in zip(_levels(width), whole):
+    for level, (norms, ranks), (t_norms, t_ranks) in zip(_levels(width), whole, several):
         subsets = [tuple(cols + 1) for cols in level]
         chunked = fit_subsets(data, subsets)
         alone = [fit_subsets(data, [s]) for s in subsets]
         for fit in (chunked, tuple(np.concatenate(part) for part in zip(*alone))):
             assert np.array_equal(fit[0], norms)
             assert np.array_equal(fit[1], ranks)
+        assert np.array_equal(t_norms[..., 0], norms) and np.array_equal(t_ranks, ranks)
+        _assert_each_target_fits_as_alone(data, level, targets, t_norms, t_ranks)
+        chunked = fit_subsets(data, subsets, targets)
+        assert np.array_equal(chunked[0], t_norms) and np.array_equal(chunked[1], t_ranks)
 
 
 def test_one_failing_pivot_stays_local(monkeypatch):
