@@ -20,7 +20,7 @@ import numpy as np
 
 from .datagen import IndependentGenConfig, gen_independent
 from .dataset import MultiEnvDataset
-from .errors import InvalidInputError
+from .errors import check_counts
 from .experiments import derived_seed
 from .invariance import TestConfig, phi_S
 
@@ -137,8 +137,7 @@ def run_calibration(
     seed: int,
 ) -> dict:
     """Run both suites; each entry reports the measured quantity and pass/fail."""
-    if replications < 1:
-        raise InvalidInputError(f"replications must be at least 1, got {replications}")
+    check_counts(replications=replications)
     TestConfig(alpha=alpha, mc_samples=mc_samples, seed=seed)  # rejects alpha outside [0, 1)
     pvalues = null_test_pvalues(replications, seed, mc_samples=mc_samples)
     rate = rejection_rate(pvalues, alpha)

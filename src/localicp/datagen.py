@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import MultiEnvDataset, from_arrays
-from .errors import CapacityError, DivergenceError, InvalidInputError, ShapeError, check_counts
+from .errors import DivergenceError, InvalidInputError, ShapeError, check_capacity, check_counts
 
 __all__ = [
     "IndependentGenConfig",
@@ -45,9 +45,6 @@ SEM_PARENTS = (2, 3)
 
 LORENZ_DEFAULT_STATE = (2.0, 0.97, 0.99, 1.0, 0.97, 1.0)
 LORENZ_OVERFLOW = 1e15
-
-# Largest dataset a generator config admits, in doubles (2^27, 1 GiB).
-MAX_DOUBLES = 2**27
 
 
 @dataclass(frozen=True)
@@ -91,16 +88,10 @@ def _check_family(family: str, t_dof: int) -> None:
 
 
 def _check_size(num_envs: int, samples_per_env: int, columns: int) -> None:
-    """Raise ``CapacityError`` before allocating more than ``MAX_DOUBLES`` values.
-
-    ``columns`` counts the covariates plus the target.
-    """
+    """``check_capacity`` of a dataset; ``columns`` counts the covariates plus the target."""
     size = num_envs * samples_per_env * columns
-    if size > MAX_DOUBLES:
-        raise CapacityError(
-            f"num_envs={num_envs} x samples_per_env={samples_per_env} x {columns} columns "
-            f"is {size} doubles, above the limit of {MAX_DOUBLES} (1 GiB)"
-        )
+    what = f"num_envs={num_envs} x samples_per_env={samples_per_env} x {columns} columns is {size} doubles"
+    check_capacity(size, what)
 
 
 def _check_range(name: str, rng_pair) -> None:
@@ -262,11 +253,7 @@ class LorenzGenConfig:
     def __post_init__(self):
         check_counts(horizon=self.horizon)
         size = 12 * self.horizon + 6  # noise (horizon x 6) and states ((horizon + 1) x 6)
-        if size > MAX_DOUBLES:
-            raise CapacityError(
-                f"a trajectory of {self.horizon} steps needs {size} doubles, "
-                f"above the limit of {MAX_DOUBLES} (1 GiB)"
-            )
+        check_capacity(size, f"a trajectory of {self.horizon} steps needs {size} doubles")
         if len(self.initial_state) != 6:
             raise InvalidInputError("initial_state must have six coordinates")
         if self.noise_std < 0:
@@ -306,8 +293,7 @@ def gen_lorenz(config: LorenzGenConfig, seed: int) -> np.ndarray:
 def window_steps(window: int, num_envs: int, warmup: int) -> int:
     """Steps ``warmup + num_envs * window`` that ``num_envs`` windows after ``warmup`` read."""
     check_counts(window=window, num_envs=num_envs)
-    if not isinstance(warmup, numbers.Integral) or isinstance(warmup, bool) or warmup < 0:
-        raise InvalidInputError(f"warmup must be a non-negative integer, got {warmup!r}")
+    check_counts(minimum=0, warmup=warmup)
     return warmup + num_envs * window
 
 

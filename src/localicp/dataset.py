@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, ShapeError
+from .errors import InvalidInputError, ShapeError, check_counts
 
 DATASET_SCHEMA_VERSION = 1
 
@@ -260,8 +260,7 @@ def dataset_from_dict(doc: dict) -> MultiEnvDataset:
         raise InvalidInputError(f"malformed dataset document: {exc}") from None
     if not isinstance(envs, list):
         raise InvalidInputError(f"environments must be a list, got {envs!r}")
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise InvalidInputError(f"num_covariates must be an integer, got {d!r}")
+    check_counts(num_covariates=d)
     covs, tgts, labels = [], [], []
     for i, env in enumerate(envs):
         try:

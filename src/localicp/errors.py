@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the check of count parameters."""
+"""Exception types shared across the package, and the one check of every count, seed and size."""
 
 import numbers
+
+# Largest array an input may ask for, in doubles (2^27, 1 GiB).
+MAX_DOUBLES = 2**27
 
 
 class InvalidInputError(ValueError):
@@ -23,8 +26,17 @@ class DivergenceError(RuntimeError):
         self.step = step
 
 
-def check_counts(**counts) -> None:
-    """Raise ``InvalidInputError`` unless every value is a positive integer (not a bool)."""
+def check_counts(minimum: int = 1, **counts) -> None:
+    """Raise ``InvalidInputError`` unless every value is an integer (not a bool) of at least
+    ``minimum``: 1, a positive count, or 0, a non-negative one such as a seed."""
     for name, value in counts.items():
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 1:
-            raise InvalidInputError(f"{name} must be a positive integer, got {value!r}")
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+            kind = "positive" if minimum else "non-negative"
+            raise InvalidInputError(f"{name} must be a {kind} integer, got {value!r}")
+
+
+def check_capacity(size: int, what: str) -> None:
+    """Raise ``CapacityError`` when ``size`` doubles exceed ``MAX_DOUBLES``; ``what`` says
+    what they hold and ends in their number."""
+    if size > MAX_DOUBLES:
+        raise CapacityError(f"{what}, above the limit of {MAX_DOUBLES} (1 GiB)")

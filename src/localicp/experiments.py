@@ -193,8 +193,11 @@ class Scenario:
             gen_cfg = cfg_cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in gen.items()})
         except TypeError as exc:
             raise InvalidInputError(f"invalid generator config: {exc}") from None
+        test = doc.get("test", {})
+        if isinstance(test, dict) and "seed" in test:
+            raise InvalidInputError("test.seed is not read: each run's test seed derives from --seed")
         try:
-            test_cfg = TestConfig(**doc.get("test", {}))
+            test_cfg = TestConfig(**test)
         except TypeError as exc:
             raise InvalidInputError(f"invalid test config: {exc}") from None
         return Scenario(
@@ -377,11 +380,12 @@ def network_detect(
     ``warmup + num_envs * window`` steps its windows read, splits it into
     ``num_envs`` time windows and discovers parents for all six next-step
     targets in lockstep, each level fitted once for all of them, each target
-    under its own derived seed.  A null of more than ``MAX_DOUBLES`` draws
-    per test is refused before anything is simulated.  An edge i -> j is
-    declared when covariate i was reported for target j in more than
-    ``NULL_RATE`` (10%) of the runs and the exact one-sided binomial p-value
-    against that rate is at most ``EDGE_ALPHA`` (0.05).  A run whose
+    under its own seed derived from ``seed``, so ``test_config.seed`` is not
+    read.  A null of more than ``MAX_DOUBLES`` draws per test is refused
+    before anything is simulated.  An edge i -> j is declared when
+    covariate i was reported for target j in more than ``NULL_RATE`` (10%)
+    of the runs and the exact one-sided binomial p-value against that rate
+    is at most ``EDGE_ALPHA`` (0.05).  A run whose
     trajectory diverges is retried with fresh seeds, ``MAX_ATTEMPTS``
     attempts in all, then counted as a failure and listed in ``failed_runs``
     with each attempt's error; any other error propagates.

@@ -16,7 +16,7 @@ does not need to avoid (it needs only a valid test of the true parent set).
 
 The subsets of one size are fitted and tested at once, in every environment
 (``fit_subsets``, ``test_subsets``); ``phi_S`` is the one-subset call.  The
-fit reads the dataset's cached cross-products, in chunks of bounded size;
+fit reads the dataset's cached cross-products, in chunks of whole subsets;
 given several targets on the same covariates, one fit and one factorization
 serve them all (``level_pvalues`` tests each under its own seed).
 Each (subset, environment) Gram matrix is factored by Cholesky, by column
@@ -41,9 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .datagen import MAX_DOUBLES
 from .dataset import MultiEnvDataset
-from .errors import CapacityError, InvalidInputError, check_counts
+from .errors import InvalidInputError, check_capacity, check_counts
 
 __all__ = [
     "TestConfig",
@@ -63,7 +62,7 @@ __all__ = [
 # the computed factor, its inverse and the SVD's own singular values.
 CHOLESKY_MARGIN = 1e4
 
-# Live doubles one chunk of ``fit_subsets`` may hold.
+# Live doubles one chunk of ``fit_subsets`` may hold, unless one subset needs more.
 FIT_CHUNK_DOUBLES = 2**16
 
 
@@ -82,20 +81,16 @@ class TestConfig:
     def __post_init__(self):
         if not isinstance(self.alpha, numbers.Real) or isinstance(self.alpha, bool):
             raise InvalidInputError(f"alpha must be a number, got {self.alpha!r}")
-        seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
+        check_counts(minimum=0, seed=self.seed)
         if not (0.0 <= self.alpha < 1.0):
             raise InvalidInputError("alpha must lie in [0, 1)")
         check_counts(mc_samples=self.mc_samples)
 
     def check_null_size(self, num_envs: int) -> None:
         """Refuse a null of ``mc_samples x num_envs`` chi-squared draws above ``MAX_DOUBLES``."""
-        if (size := self.mc_samples * num_envs) > MAX_DOUBLES:
-            raise CapacityError(
-                f"mc_samples={self.mc_samples} x {num_envs} environments is {size} doubles "
-                f"per null draw, above the limit of {MAX_DOUBLES} (1 GiB)"
-            )
+        size = self.mc_samples * num_envs
+        what = f"mc_samples={self.mc_samples} x {num_envs} environments is {size} doubles per null draw"
+        check_capacity(size, what)
 
 
 @dataclass(frozen=True)
@@ -182,8 +177,7 @@ def mc_pvalue(statistic: float, dofs: Sequence[int], b: int, seed: int) -> float
     An infinite statistic signals interpolated data, which carries no
     evidence against invariance; the p-value is then 1 and nothing is drawn.
     """
-    if b < 1:
-        raise InvalidInputError("the number of Monte-Carlo samples must be at least 1")
+    check_counts(b=b)
     if math.isinf(statistic):
         return 1.0
     draws = _reference_draws(seed, np.asarray(dofs, dtype=np.int64), b)
@@ -306,12 +300,14 @@ def fit_subsets(dataset: MultiEnvDataset, subsets: Sequence[Sequence[int]], targ
     Returns squared residual norms and Gram ranks, each of shape ``(S, E)``,
     or ``(S, E, T)`` norms for ``T`` ``targets`` as ``_fit_environments``
     takes them.  The intercept column is added to every subset when the
-    dataset carries one.  A chunk holds at most ``FIT_CHUNK_DOUBLES`` live
-    doubles, counted per (subset, environment) pair: the solve holds the
-    reduced rows and one scratch block, ``w (2 w + 1 + (w + 3) T)`` with
-    ``X'y`` and the pivots; the residual holds two ``n_max T`` slabs, ``X'y``
-    and the coefficients.  The two are never live at once.  A subset's
-    result does not depend on its chunk.
+    dataset carries one.  A chunk holds as many subsets as fit in
+    ``FIT_CHUNK_DOUBLES`` live doubles, but at least one, which may need
+    more (the network's six targets at E = 300: 75,600 to 157,500), counted
+    per (subset, environment) pair: the solve holds the reduced rows and one
+    scratch block, ``w (2 w + 1 + (w + 3) T)`` with ``X'y`` and the pivots;
+    the residual holds two ``n_max T`` slabs, ``X'y`` and the coefficients.
+    The two are never live at once.  A subset's result does not depend on
+    its chunk.
     """
     cols = np.array(subsets, dtype=np.intp) - 1
     if dataset.intercept_added:
@@ -384,12 +380,9 @@ def test_subsets(
     if not level:
         return []
     norms, ranks = fit_subsets(dataset, level)
-    norms, dofs, statistics, p_values, _ = level_pvalues(norms[..., None], ranks, dataset.sample_sizes, [config])
-    columns = zip(norms[..., 0].tolist(), dofs.tolist(), statistics[:, 0].tolist(), p_values[:, 0].tolist())
-    return [
-        SubsetTestReport(subset, tuple(n), tuple(k), t, p, p <= config.alpha)
-        for subset, (n, k, t, p) in zip(level, columns)
-    ]
+    norms, dofs, *tested = level_pvalues(norms[..., None], ranks, dataset.sample_sizes, [config])
+    columns = zip(norms[..., 0].tolist(), dofs.tolist(), *(a[:, 0].tolist() for a in tested))
+    return [SubsetTestReport(subset, tuple(n), tuple(k), *rest) for subset, (n, k, *rest) in zip(level, columns)]
 
 
 def phi_S(dataset: MultiEnvDataset, subset: Sequence[int], config: TestConfig) -> SubsetTestReport:

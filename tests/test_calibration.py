@@ -1,8 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from localicp.calibration import _chi2_cdf, _kolmogorov_sf, residual_chi2_sample, residual_ks_pvalue
+from localicp.calibration import (
+    _chi2_cdf,
+    _kolmogorov_sf,
+    residual_chi2_sample,
+    residual_ks_pvalue,
+    run_calibration,
+)
+from localicp.errors import InvalidInputError
 
 # scipy is the oracle here only; the package does not import it.
 
@@ -39,3 +48,10 @@ def test_kolmogorov_law_at_its_ends():
         assert _kolmogorov_sf(n, 0.9) == pytest.approx(stats.kstwo.sf(0.9, n), abs=1e-14)
     # Above n d^2 = 18 the tail is below 2 exp(-36).
     assert _kolmogorov_sf(2000, 0.1) == 0.0
+
+
+@pytest.mark.parametrize("replications", [True, 2.5])
+def test_run_calibration_refuses_a_non_count(replications):
+    message = f"replications must be a positive integer, got {replications!r}"
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        run_calibration(alpha=0.1, mc_samples=10, replications=replications, seed=0)

@@ -21,9 +21,10 @@ from localicp.cli import (
     main,
 )
 from localicp import experiments, invariance
-from localicp.datagen import MAX_DOUBLES, IndependentGenConfig, gen_independent
+from localicp.datagen import IndependentGenConfig, gen_independent
 from localicp.dataset import read_csv, write_csv, write_json
 from localicp.discovery import discover
+from localicp.errors import MAX_DOUBLES
 from localicp.invariance import SubsetTestReport, TestConfig
 
 
@@ -372,6 +373,20 @@ class TestSimulate:
             assert "Traceback" not in proc.stderr
             assert named in proc.stderr
 
+    def test_test_seed_refused(self, tmp_path, capsys):
+        # Each run's test seed derives from --seed, so a seed in the test
+        # block would not be read.
+        doc = json.loads(Path(self.scenario_file(tmp_path)).read_text())
+        doc["test"]["seed"] = 5
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path), "--seed", "3"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: test.seed is not read: each run's test seed derives from --seed"
+        ]
+
     def test_capacity_limit(self, tmp_path, capsys):
         path = tmp_path / "wide.json"
         doc = json.loads(Path(self.scenario_file(tmp_path)).read_text())
@@ -474,7 +489,7 @@ class TestCalibrate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.strip().splitlines() == [
-            "error: replications must be at least 1, got 0"
+            "error: replications must be a positive integer, got 0"
         ]
 
     @pytest.mark.parametrize("alpha", ["2", "-1"])

@@ -6,7 +6,6 @@ import pytest
 
 from localicp.datagen import (
     LORENZ_OVERFLOW,
-    MAX_DOUBLES,
     IndependentGenConfig,
     LorenzGenConfig,
     SemGenConfig,
@@ -18,7 +17,14 @@ from localicp.datagen import (
     split_environments,
 )
 from localicp.dataset import from_arrays
-from localicp.errors import CapacityError, DivergenceError, InvalidInputError, ShapeError
+from localicp.errors import (
+    MAX_DOUBLES,
+    CapacityError,
+    DivergenceError,
+    InvalidInputError,
+    ShapeError,
+    check_capacity,
+)
 
 
 class TestIndependent:
@@ -339,3 +345,10 @@ class TestSplitEnvironments:
         series = np.arange(20, dtype=float).reshape(10, 2)
         data = split_environments(series, target=1, window=5, warmup=0, num_envs=1)
         assert data.num_envs == 1
+
+
+def test_check_capacity_admits_max_doubles_and_refuses_one_more():
+    check_capacity(MAX_DOUBLES, "a block")
+    with pytest.raises(CapacityError) as exc:
+        check_capacity(MAX_DOUBLES + 1, f"a block of {MAX_DOUBLES + 1} doubles")
+    assert str(exc.value) == "a block of 134217729 doubles, above the limit of 134217728 (1 GiB)"

@@ -216,7 +216,7 @@ class TestJson:
             ({"environments": [], "num_covariates": "x"}, "num_covariates"),
             (
                 {"environments": [{"covariates": [[1.0]], "target": [2.0]}], "num_covariates": True},
-                "num_covariates must be an integer, got True",
+                "num_covariates must be a positive integer, got True",
             ),
         ):
             with pytest.raises(InvalidInputError, match=field):

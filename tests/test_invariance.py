@@ -102,6 +102,11 @@ class TestMcPvalue:
         with pytest.raises(InvalidInputError):
             mc_pvalue(0.5, [1, 2], 10, -1)
 
+    @pytest.mark.parametrize("b", [0, 2.5, True])
+    def test_rejects_a_non_count_b(self, b):
+        with pytest.raises(InvalidInputError, match=f"b must be a positive integer, got {b!r}"):
+            mc_pvalue(0.5, [3, 3], b, 0)
+
     def test_statistic_below_all_draws(self):
         assert mc_pvalue(0.0, [10, 10], 100, 0) == 1 / 101
 

@@ -12,6 +12,8 @@
 - One seed derivation: ``generate_state`` appears in a single function.
 - No module imports scipy, at module level or inside a function: the
   package needs numpy and the standard library only.
+- One size limit: only ``errors.py`` reads ``MAX_DOUBLES``; every other
+  module asks ``check_capacity``.
 """
 
 import ast
@@ -93,6 +95,11 @@ def test_thread_pool_in_one_function_of_experiments():
 def test_seeds_derived_in_one_function():
     users = _users("generate_state")
     assert len(users) == 1, sorted(users)
+
+
+def test_size_limit_read_only_in_errors():
+    users = _users("MAX_DOUBLES")
+    assert {module for module, _ in users} == {"errors.py"}, sorted(users)
 
 
 def test_cli_handles_errors_only_in_main():
