@@ -84,10 +84,6 @@ def _add_options(parser: argparse.ArgumentParser, *flags: str, format_help: str 
         parser.add_argument("--format", choices=("csv", "json"), default=None, help=format_help)
 
 
-def _test_config(args) -> TestConfig:
-    return TestConfig(alpha=args.alpha, mc_samples=args.mc_samples, seed=args.seed)
-
-
 def _emit(chunks: Iterable[str], output: str | None) -> None:
     if output:
         with open(output, "w") as fh:
@@ -137,7 +133,7 @@ def cmd_discover(args) -> int:
     data = _load_dataset(args.input, args.format)
     if not args.no_intercept:
         data = data.with_intercept()
-    config = _test_config(args)
+    config = TestConfig(alpha=args.alpha, mc_samples=args.mc_samples, seed=args.seed)
     result = discover(data, config, max_dim=args.max_dim)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -177,7 +173,7 @@ def cmd_network(args) -> int:
         window=args.window,
         num_envs=args.num_envs,
         runs=args.runs,
-        test_config=_test_config(args),
+        test_config=TestConfig(alpha=args.alpha, mc_samples=args.mc_samples),
         seed=args.seed,
         warmup=args.warmup,
         workers=args.workers,
@@ -193,9 +189,7 @@ def cmd_calibrate(args) -> int:
         replications=args.replications,
         seed=args.seed,
     )
-    doc = {"schema_version": SCHEMA_VERSION}
-    doc.update(report)
-    _emit([_dump_json(doc)], args.output)
+    _emit([_dump_json({"schema_version": SCHEMA_VERSION, **report})], args.output)
     if not report["passed"]:
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
         print(f"calibration failed: {', '.join(failing)}", file=sys.stderr)

@@ -170,9 +170,11 @@ def write_csv(dataset: MultiEnvDataset, path) -> None:
 
 
 def _read_text(path) -> str:
+    """The file's text without a leading byte-order mark; decoded as plain UTF-8, so that an
+    undecodable byte is named by its offset in the file, mark included."""
     with open(path, encoding="utf-8", newline="") as fh:
         try:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
         except UnicodeDecodeError as exc:
             raise InvalidInputError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 

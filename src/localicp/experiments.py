@@ -130,6 +130,14 @@ GENERATORS: dict[str, tuple[type, Callable]] = {
     "sem": (SemGenConfig, gen_sem),
 }
 
+SCENARIO_KEYS = {"generator", "test", "sweep", "runs", "intercept", "max_dim"}
+SWEEP_KEYS = {"parameter", "grid"}
+
+
+def _check_unseeded(test_config: TestConfig) -> None:
+    if test_config.seed != 0:
+        raise InvalidInputError("test_config.seed is not read: each run's test seed derives from seed")
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -152,6 +160,7 @@ class Scenario:
                 f"generator must be one of {sorted(GENERATORS)}, got {self.generator_kind!r}"
             )
         check_counts(runs=self.runs, max_dim=self.max_dim)
+        _check_unseeded(self.test_config)
         if not isinstance(self.intercept, bool):
             raise InvalidInputError(f"intercept must be true or false, got {self.intercept!r}")
         if len(self.grid) == 0:
@@ -184,6 +193,11 @@ class Scenario:
             max_dim = doc.get("max_dim", DEFAULT_MAX_DIM)
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"malformed scenario: {exc}") from None
+        unknown = [k for k in doc if k not in SCENARIO_KEYS] + [
+            f"sweep.{k}" for k in doc["sweep"] if k not in SWEEP_KEYS
+        ]
+        if unknown:
+            raise InvalidInputError(f"unknown scenario key {unknown[0]!r}")
         if not isinstance(grid, list):
             raise InvalidInputError(f"sweep.grid must be a list, got {grid!r}")
         if not isinstance(kind, str) or kind not in GENERATORS:
@@ -220,27 +234,19 @@ class RunRecord:
     false_negative: bool
     false_positive: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "run": self.run,
-            "estimated_parents": list(self.estimated_parents),
-            "status": self.status,
-            "false_negative": self.false_negative,
-            "false_positive": self.false_positive,
-        }
-
 
 @dataclass(frozen=True)
 class TrialMetrics:
-    """Rates at one grid point, with exact 95% intervals and per-run detail."""
+    """Rates at one grid point, with exact 95% intervals and per-run detail: the keys of
+    one point of the ``simulate`` JSON document, in order."""
 
-    grid_value: object
+    sweep: object
     fnr: float
-    fpr: float
     fnr_ci: tuple[float, float]
+    fpr: float
     fpr_ci: tuple[float, float]
     runs: int
-    records: tuple[RunRecord, ...] = field(default_factory=tuple)
+    run_detail: tuple[RunRecord, ...]
 
 
 def _single_trial(scenario: Scenario, gen_cfg, seed: int, grid_index: int, run: int):
@@ -268,6 +274,8 @@ def _single_trial(scenario: Scenario, gen_cfg, seed: int, grid_index: int, run: 
 
 def run_trials(scenario: Scenario, seed: int, workers: int = 1) -> list[TrialMetrics]:
     """Execute the sweep and aggregate FNR/FPR with Clopper-Pearson intervals."""
+    check_counts(minimum=0, seed=seed)
+    check_counts(workers=workers)
     out = []
     for gi, (value, gen_cfg) in enumerate(zip(scenario.grid, scenario.grid_configs)):
         records = tuple(
@@ -282,13 +290,13 @@ def run_trials(scenario: Scenario, seed: int, workers: int = 1) -> list[TrialMet
         fp = sum(r.false_positive for r in records)
         out.append(
             TrialMetrics(
-                grid_value=value,
+                sweep=value,
                 fnr=fn / good,
-                fpr=fp / good,
                 fnr_ci=clopper_pearson(fn, good),
+                fpr=fp / good,
                 fpr_ci=clopper_pearson(fp, good),
                 runs=good,
-                records=records,
+                run_detail=records,
             )
         )
     return out
@@ -303,7 +311,7 @@ def metrics_to_csv(metrics: Sequence[TrialMetrics], fh) -> None:
     for m in metrics:
         writer.writerow(
             [
-                m.grid_value,
+                m.sweep,
                 repr(m.fnr),
                 repr(m.fnr_ci[0]),
                 repr(m.fnr_ci[1]),
@@ -320,18 +328,7 @@ def trials_to_dict(scenario: Scenario, metrics: Sequence[TrialMetrics], seed: in
         "schema_version": RESULTS_SCHEMA_VERSION,
         "sweep_parameter": scenario.sweep_parameter,
         "seed": int(seed),
-        "points": [
-            {
-                "sweep": m.grid_value,
-                "fnr": m.fnr,
-                "fnr_ci": list(m.fnr_ci),
-                "fpr": m.fpr,
-                "fpr_ci": list(m.fpr_ci),
-                "runs": m.runs,
-                "run_detail": [r.to_dict() for r in m.records],
-            }
-            for m in metrics
-        ],
+        "points": [dataclasses.asdict(m) for m in metrics],
     }
 
 
@@ -341,28 +338,20 @@ def trials_to_dict(scenario: Scenario, metrics: Sequence[TrialMetrics], seed: in
 
 @dataclass(frozen=True)
 class NetworkResult:
-    """Parent counts per target over repeated runs plus declared edges."""
+    """Parent counts per target over repeated runs plus declared edges: the keys of the
+    ``network`` JSON document after its schema version, in order."""
 
+    window: int
+    runs: int
+    failures: int
+    # One {"run", "attempts"} entry per failed run; each attempt is {"type", "message"}.
+    failed_runs: tuple[dict, ...]
     counts: tuple[tuple[int, ...], ...]  # counts[i][j]: i reported as parent of target j+1
     edges: tuple[dict, ...]
-    runs: int
-    window: int
-    failures: int
-    per_run: tuple[tuple[tuple[int, ...], ...], ...] = field(default_factory=tuple)
-    # One {"run", "attempts"} entry per failed run; each attempt is {"type", "message"}.
-    failed_runs: tuple[dict, ...] = ()
+    per_run: tuple[tuple[tuple[int, ...], ...], ...]
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": RESULTS_SCHEMA_VERSION,
-            "window": self.window,
-            "runs": self.runs,
-            "failures": self.failures,
-            "failed_runs": list(self.failed_runs),
-            "counts": [list(row) for row in self.counts],
-            "edges": list(self.edges),
-            "per_run": [[list(s) for s in run] for run in self.per_run],
-        }
+        return {"schema_version": RESULTS_SCHEMA_VERSION, **dataclasses.asdict(self)}
 
 
 def network_detect(
@@ -380,8 +369,8 @@ def network_detect(
     ``warmup + num_envs * window`` steps its windows read, splits it into
     ``num_envs`` time windows and discovers parents for all six next-step
     targets in lockstep, each level fitted once for all of them, each target
-    under its own seed derived from ``seed``, so ``test_config.seed`` is not
-    read.  A null of more than ``MAX_DOUBLES`` draws per test is refused
+    under its own seed derived from ``seed``, so a ``test_config.seed`` other
+    than 0 is refused.  A null of more than ``MAX_DOUBLES`` draws per test is refused
     before anything is simulated.  An edge i -> j is declared when
     covariate i was reported for target j in more than ``NULL_RATE`` (10%)
     of the runs and the exact one-sided binomial p-value against that rate
@@ -390,7 +379,9 @@ def network_detect(
     attempts in all, then counted as a failure and listed in ``failed_runs``
     with each attempt's error; any other error propagates.
     """
-    check_counts(runs=runs)
+    check_counts(runs=runs, workers=workers)
+    check_counts(minimum=0, seed=seed)
+    _check_unseeded(test_config)
     try:
         lorenz_config = LorenzGenConfig(horizon=window_steps(window, num_envs, warmup))
     except CapacityError as exc:
@@ -437,11 +428,11 @@ def network_detect(
                     {"parent": i + 1, "target": j + 1, "count": c, "p_value": p}
                 )
     return NetworkResult(
+        window=window,
+        runs=good,
+        failures=runs - good,
+        failed_runs=tuple(r for r in outcomes if isinstance(r, dict)),
         counts=tuple(tuple(int(v) for v in row) for row in counts),
         edges=tuple(edges),
-        runs=good,
-        window=window,
-        failures=runs - good,
         per_run=per_run,
-        failed_runs=tuple(r for r in outcomes if isinstance(r, dict)),
     )

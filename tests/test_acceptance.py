@@ -61,7 +61,7 @@ def test_c1_false_positive_control(capsys):
     for m in metrics:
         upper = m.fpr_ci[1]
         ok = ok and m.fpr <= 0.1 and upper <= 0.15
-        parts.append(f"n={m.grid_value}: FPR={m.fpr:.4f} (95% upper {upper:.4f})")
+        parts.append(f"n={m.sweep}: FPR={m.fpr:.4f} (95% upper {upper:.4f})")
     report(capsys, 1, "false-positive control", ok, "; ".join(parts) + " over 500 runs each")
 
 
@@ -111,7 +111,7 @@ def test_c5_heterogeneity_dependence(capsys):
     )
     metrics = run_trials(scenario, seed=105)
     fnr0, fnr4 = metrics[0].fnr, metrics[1].fnr
-    empty0 = sum(r.estimated_parents == () for r in metrics[0].records) / metrics[0].runs
+    empty0 = sum(r.estimated_parents == () for r in metrics[0].run_detail) / metrics[0].runs
     ok = (fnr0 - fnr4 >= 0.3) and empty0 >= 0.8
     report(
         capsys, 5, "heterogeneity dependence", ok,

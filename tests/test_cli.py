@@ -387,6 +387,20 @@ class TestSimulate:
             "error: test.seed is not read: each run's test seed derives from --seed"
         ]
 
+    def test_unknown_scenario_key_refused(self, tmp_path, capsys):
+        # A misspelt key would otherwise be ignored and its default used.
+        top = json.loads(Path(self.scenario_file(tmp_path)).read_text())
+        top.update(intercep=False, max_dims=2)
+        sweep = json.loads(Path(self.scenario_file(tmp_path)).read_text())
+        sweep["sweep"]["grids"] = [10]
+        path = tmp_path / "misspelt.json"
+        for doc, key in ((top, "intercep"), (sweep, "sweep.grids")):
+            path.write_text(json.dumps(doc))
+            assert main(["simulate", str(path), "--seed", "3"]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"error: unknown scenario key '{key}'"]
+
     def test_capacity_limit(self, tmp_path, capsys):
         path = tmp_path / "wide.json"
         doc = json.loads(Path(self.scenario_file(tmp_path)).read_text())

@@ -174,6 +174,20 @@ class TestCsv:
         with pytest.raises(InvalidInputError, match="line 2"):
             read_csv(path)
 
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # Spreadsheets write one at the start of a "CSV UTF-8" export.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_csv(sample_dataset(labels=("lab", "field")), plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        back, expected = read_csv(marked), read_csv(plain)
+        assert back.env_labels == expected.env_labels
+        np.testing.assert_array_equal(back.covariates, expected.covariates)
+        np.testing.assert_array_equal(back.target, expected.target)
+        # An undecodable byte is named by its offset in the file, mark included.
+        marked.write_bytes(b"\xef\xbb\xbfenv,x1,y\n1,\xff,2\n")
+        with pytest.raises(InvalidInputError, match="byte 14: invalid start byte"):
+            read_csv(marked)
+
     def test_intercept_datasets_not_exported(self, tmp_path):
         with pytest.raises(InvalidInputError):
             write_csv(sample_dataset().with_intercept(), tmp_path / "x.csv")
@@ -221,6 +235,11 @@ class TestJson:
         ):
             with pytest.raises(InvalidInputError, match=field):
                 dataset_from_dict(doc)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "marked.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(dataset_to_dict(sample_dataset(labels=("e1", "e2")))).encode())
+        assert read_json(path).env_labels == ("e1", "e2")
 
     def test_json_parse_error_mentions_position(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,6 +1,8 @@
+import dataclasses
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -239,13 +241,29 @@ def small_scenario(runs=6):
 class TestRunTrials:
     def test_shapes_and_rates_in_unit_interval(self):
         metrics = run_trials(small_scenario(), seed=3)
-        assert [m.grid_value for m in metrics] == [10, 25]
+        assert [m.sweep for m in metrics] == [10, 25]
         for m in metrics:
             assert 0.0 <= m.fnr <= 1.0 and 0.0 <= m.fpr <= 1.0
             assert m.fnr_ci[0] <= m.fnr <= m.fnr_ci[1]
             assert m.fpr_ci[0] <= m.fpr <= m.fpr_ci[1]
             assert m.runs == 6
-            assert len(m.records) == m.runs
+            assert len(m.run_detail) == m.runs
+
+    def test_seed_and_workers_checked(self):
+        scenario = small_scenario(runs=1)
+        for kwargs, message in (
+            ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+            ({"seed": 0, "workers": 0}, "workers must be a positive integer, got 0"),
+            ({"seed": 0, "workers": True}, "workers must be a positive integer, got True"),
+        ):
+            with pytest.raises(InvalidInputError, match=message):
+                run_trials(scenario, **kwargs)
+
+    def test_test_seed_refused(self):
+        # Each run's test seed derives from the sweep's seed, so this one would not be read.
+        message = "test_config.seed is not read: each run's test seed derives from seed"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            dataclasses.replace(small_scenario(), test_config=TestConfig(seed=5))
 
     def test_byte_identical_across_worker_counts(self):
         scenario = small_scenario()
@@ -422,7 +440,7 @@ class TestNetworkDetect:
         assert (result.runs, result.failures) == (1, 1)
         attempt = {"type": "DivergenceError", "message": "diverged"}
         assert result.failed_runs == ({"run": 0, "attempts": [attempt] * MAX_ATTEMPTS},)
-        assert result.to_dict()["failed_runs"] == [{"run": 0, "attempts": [attempt] * MAX_ATTEMPTS}]
+        assert result.to_dict()["failed_runs"] == ({"run": 0, "attempts": [attempt] * MAX_ATTEMPTS},)
 
         def always_diverges(cfg, seed):
             raise DivergenceError("diverged", step=1)
@@ -458,6 +476,26 @@ class TestNetworkDetect:
         with pytest.raises(CapacityError, match=r"warmup \+ num_envs x window = 200 \+ 999999999 x 10"):
             network_detect(**{**small, "num_envs": 999999999}, test_config=TestConfig(), seed=0)
 
+    def test_seed_and_workers_checked_before_simulating(self, monkeypatch):
+        def unexpected(cfg, seed):
+            raise AssertionError("gen_lorenz called")
+
+        monkeypatch.setattr(experiments, "gen_lorenz", unexpected)
+        small = dict(window=10, num_envs=20, runs=2, warmup=200, test_config=TestConfig(), seed=0)
+        for change, message in (
+            ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+            ({"workers": 0}, "workers must be a positive integer, got 0"),
+            ({"workers": True}, "workers must be a positive integer, got True"),
+        ):
+            with pytest.raises(InvalidInputError, match=message):
+                network_detect(**{**small, **change})
+
+    def test_test_seed_refused(self):
+        # Each target's test seed derives from the study's seed, so this one would not be read.
+        message = "test_config.seed is not read: each run's test seed derives from seed"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            network_detect(window=10, num_envs=20, runs=2, test_config=TestConfig(seed=5), seed=0, warmup=200)
+
     def test_edge_rule_thresholds(self):
         result = self.small()
         for edge in result.edges:
@@ -469,5 +507,5 @@ class TestNetworkDetect:
         doc = result.to_dict()
         json.dumps(doc)
         assert doc["schema_version"] == 2
-        assert (doc["failures"], doc["failed_runs"]) == (0, [])
+        assert (doc["failures"], doc["failed_runs"]) == (0, ())
         assert isinstance(result, NetworkResult)

@@ -14,6 +14,8 @@
   package needs numpy and the standard library only.
 - One size limit: only ``errors.py`` reads ``MAX_DOUBLES``; every other
   module asks ``check_capacity``.
+- Each result document is its dataclass, written by ``dataclasses.asdict``:
+  the one ``to_dict`` is ``NetworkResult``'s, which adds the schema version.
 """
 
 import ast
@@ -176,3 +178,16 @@ def test_imported_modules_sees_function_level_imports():
 def test_no_module_level_scipy_import(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert "scipy" not in set(_imported_modules(tree))
+
+
+def test_one_to_dict():
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {id(f): c.name for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        found += [
+            f"{path.name}:{owner.get(id(f), '<function>')}"
+            for f in ast.walk(tree)
+            if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and f.name == "to_dict"
+        ]
+    assert found == ["experiments.py:NetworkResult"]
