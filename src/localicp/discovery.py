@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import MultiEnvDataset
 from .errors import CapacityError, InvalidInputError
-from .invariance import SubsetTestReport, TestConfig, fit_subsets, level_pvalues, test_subsets
+from .invariance import SubsetTestReport, TestConfig, level_pvalues, level_reports
 
 __all__ = [
     "DEFAULT_MAX_DIM",
@@ -45,8 +45,8 @@ class DiscoveryResult:
 
     ``early_stopped`` is true when the search skipped at least one subset
     that could not change the estimate; ``reports`` then cover only the
-    subsets tested, and ``subsets_tested`` counts them (``discover_targets``
-    keeps none).
+    subsets tested, and ``subsets_tested`` counts them (a target of
+    ``discover_targets`` keeps no reports, the dataset's own target one per subset).
     """
 
     estimated_parents: tuple[int, ...]
@@ -62,13 +62,14 @@ def enumerate_subsets(d: int) -> Iterable[tuple[int, ...]]:
         yield from itertools.combinations(range(1, d + 1), k)
 
 
-def _search(dataset, configs, test_level, max_dim, early_stop) -> list[DiscoveryResult]:
+def _search(dataset, targets, configs, test, max_dim, early_stop) -> list[DiscoveryResult]:
     """``discover``'s walk, for the targets of ``configs`` in lockstep.
 
-    Each level is tested once, ``test_level(level, live, needed)``: on the union of the subsets
-    some target still needs, for the targets ``live`` that need one (``needed``, ``(S, len(live))``,
-    says which).  It gives each live target one ``(subset, rejected, report or None)`` per subset,
-    in level order, and each target walks them with its own intersection and early stop.
+    ``targets`` is ``None`` for the dataset's own target, else ``T`` targets as ``fit_subsets`` takes them.
+    Each level is tested once, ``test(dataset, level, configs, targets, needed)`` as ``level_pvalues``: on
+    the union of the subsets some target still needs, for the targets ``live`` that need one (``needed``,
+    ``(S, len(live))``, says which).  Each live target walks its rejections in level order with its own
+    intersection and early stop; the dataset's own target keeps the reports of the subsets it walked.
     """
     d = dataset.num_covariates
     if d > max_dim:
@@ -80,7 +81,8 @@ def _search(dataset, configs, test_level, max_dim, early_stop) -> list[Discovery
     for config in configs:
         config.check_null_size(dataset.num_envs)
     running: list[set[int] | None] = [None] * len(configs)  # None until a target's first accepted subset
-    kept: list[list] = [[] for _ in configs]
+    tested = [0] * len(configs)
+    reports: list[SubsetTestReport] = []
 
     def covered(t, subset):
         """Whether ``subset`` can no longer change target ``t``'s estimate."""
@@ -95,19 +97,25 @@ def _search(dataset, configs, test_level, max_dim, early_stop) -> list[Discovery
         level = [s for s, row in zip(level, rows) if row]
         if not level:
             continue
-        for t, outcomes in zip(live, test_level(level, live, needed[rows][:, live])):
-            for subset, rejected, report in outcomes:
+        live_targets = None if targets is None else tuple(a[:, live] for a in targets)
+        arrays = test(dataset, level, [configs[t] for t in live], live_targets, needed[rows][:, live])
+        for t, column in zip(live, arrays[-1].T.tolist()):
+            walked = []
+            for i, (subset, rejected) in enumerate(zip(level, column)):
                 if covered(t, subset):
                     continue
-                kept[t].append(report)
+                walked.append(i)
                 if not rejected:
                     running[t] = set(subset) if running[t] is None else running[t] & set(subset)
+            tested[t] += len(walked)
+            if targets is None:
+                reports += level_reports([level[i] for i in walked], [a[walked] for a in arrays])
     return [
         DiscoveryResult(
-            tuple(sorted(r or ())), tuple(x for x in k if x is not None), len(k), len(k) < 2**d,
+            tuple(sorted(r or ())), tuple(reports), n, n < 2**d,
             STATUS_MODEL_REJECTED if r is None else STATUS_OK,
         )
-        for r, k in zip(running, kept)
+        for r, n in zip(running, tested)
     ]
 
 
@@ -117,7 +125,7 @@ def discover(
     *,
     max_dim: int = DEFAULT_MAX_DIM,
     early_stop: bool = False,
-    test: Callable[..., list[SubsetTestReport]] = test_subsets,
+    test: Callable[..., tuple] = level_pvalues,
 ) -> DiscoveryResult:
     """Estimate the causal parents of the target by exhaustive subset testing.
 
@@ -138,20 +146,17 @@ def discover(
         was skipped.
 
     The subsets of one size that the running intersection leaves are
-    tested in one call, ``test(dataset, level, config)``, which fits them and
-    draws one sorted set of reference ratios per distinct dof vector of that
-    level.  The reports are then walked in the order of
-    ``enumerate_subsets``, dropping those of subsets the intersection covers
-    by then.  A subset's fit does not depend on the others fitted with it,
-    and its draws depend only on ``(config.seed, dofs, config.mc_samples)``,
-    so the reports do not depend on the order in which subsets are tested.
-    This is the one-target case of ``discover_targets``'s lockstep search.
+    tested in one call, ``test(dataset, level, [config], None, needed)``,
+    which fits them and draws one sorted set of reference ratios per distinct
+    dof vector of that level (``level_pvalues``).  The rejections are then
+    walked in the order of ``enumerate_subsets``, skipping the subsets the
+    intersection covers by then, and each walked subset gets its report.  A
+    subset's fit does not depend on the others fitted with it, and its draws
+    depend only on ``(config.seed, dofs, config.mc_samples)``, so the reports
+    do not depend on the order in which subsets are tested.  This is the
+    one-target case of ``discover_targets``'s lockstep search.
     """
-
-    def test_level(level, live, needed):
-        return [[(r.subset, r.rejected, r) for r in test(dataset, level, config)]]
-
-    return _search(dataset, [config], test_level, max_dim, early_stop)[0]
+    return _search(dataset, None, [config], test, max_dim, early_stop)[0]
 
 
 def discover_targets(
@@ -166,13 +171,7 @@ def discover_targets(
     of target ``t``'s own dataset with ``early_stop``, without reports.
     """
     xty = dataset.target_cross_products(targets)
-
-    def test_level(level, live, needed):
-        norms, ranks = fit_subsets(dataset, level, (targets[:, live], xty[:, live]))
-        rejected = level_pvalues(norms, ranks, dataset.sample_sizes, [configs[t] for t in live], needed)[-1]
-        return [[(s, r, None) for s, r in zip(level, column)] for column in rejected.T.tolist()]
-
-    return _search(dataset, configs, test_level, DEFAULT_MAX_DIM, True)
+    return _search(dataset, (targets, xty), configs, level_pvalues, DEFAULT_MAX_DIM, True)
 
 
 # ---------------------------------------------------------------------------

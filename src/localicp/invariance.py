@@ -14,11 +14,12 @@ subsets of one level call that share a dof vector share one sorted set of
 of subsets that share a dof vector become dependent, which the intersection
 does not need to avoid (it needs only a valid test of the true parent set).
 
-The subsets of one size are fitted and tested at once, in every environment
-(``fit_subsets``, ``test_subsets``); ``phi_S`` is the one-subset call.  The
+The subsets of one size are fitted and tested at once, in every environment,
+by ``level_pvalues``, which fits them with ``fit_subsets``; ``level_reports``
+turns its arrays into reports, and ``phi_S`` is the one-subset call.  The
 fit reads the dataset's cached cross-products, in chunks of whole subsets;
 given several targets on the same covariates, one fit and one factorization
-serve them all (``level_pvalues`` tests each under its own seed).
+serve them all, and ``level_pvalues`` tests each under its own seed.
 Each (subset, environment) Gram matrix is factored by Cholesky, by column
 recurrences with the pairs on the last axes.  A pair keeps that solve only
 when its pivots are positive and finite and a condition bound read off the
@@ -51,8 +52,8 @@ __all__ = [
     "sample_null_ratio",
     "mc_pvalue",
     "fit_subsets",
-    "test_subsets",
     "level_pvalues",
+    "level_reports",
     "phi_S",
     "subset_rng",
 ]
@@ -172,7 +173,7 @@ def mc_pvalue(statistic: float, dofs: Sequence[int], b: int, seed: int) -> float
 
     The ``b`` reference ratios ``R`` are drawn from
     ``SeedSequence([seed, *dofs])`` and sorted, so the count is a binary
-    search.  ``test_subsets`` gives the same p-value for a whole level.
+    search.  ``level_pvalues`` gives the same p-value for a whole level.
 
     An infinite statistic signals interpolated data, which carries no
     evidence against invariance; the p-value is then 1 and nothing is drawn.
@@ -319,9 +320,11 @@ def fit_subsets(dataset: MultiEnvDataset, subsets: Sequence[Sequence[int]], targ
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-def level_pvalues(norms, ranks, sample_sizes, configs: Sequence[TestConfig], needed=True):
-    """Test ``T`` targets of one fitted level: ``(S, E, T)`` norms, shared ``(S, E)`` ranks.
+def level_pvalues(dataset: MultiEnvDataset, subsets, configs: Sequence[TestConfig], targets=None, needed=True):
+    """Fit one level of ``subsets``, all of one size, and test it for ``T`` targets.
 
+    ``fit_subsets`` fits the level once: for the dataset's own target when
+    ``targets`` is ``None`` (``T = 1``), else for ``targets`` as it takes them.
     Per target, under ``configs[t]``, the rows that share a dof vector share
     one sorted set of reference draws, drawn here as ``mc_pvalue`` draws
     them; each row's count is one binary search.  An infinite statistic, or
@@ -329,15 +332,16 @@ def level_pvalues(norms, ranks, sample_sizes, configs: Sequence[TestConfig], nee
     Returns the norms with zero-dof entries zeroed, the ``(S, E)`` dofs, and
     ``(S, T)`` statistics, p-values and rejections.
     """
-    if len(sample_sizes) < 2:
+    if dataset.num_envs < 2:
         raise InvalidInputError(
             "testing invariance requires at least two environments; a single "
             "environment permits no causal conclusion"
         )
-    dofs = np.maximum(np.subtract(sample_sizes, ranks), 0)
+    norms, ranks = fit_subsets(dataset, subsets, targets)
+    dofs = np.maximum(np.subtract(dataset.sample_sizes, ranks), 0)
     # Zero degrees of freedom means the regression interpolates; the residual
     # is exactly zero in exact arithmetic, so discard rounding noise.
-    norms = np.where(dofs[..., None] == 0, 0.0, norms)
+    norms = np.where(dofs[..., None] == 0, 0.0, norms.reshape(ranks.shape + (-1,)))
     statistics = test_statistic(np.moveaxis(norms, -1, 1))
     drawn = np.isfinite(statistics) & needed
     p_values = np.ones(statistics.shape)
@@ -352,39 +356,28 @@ def level_pvalues(norms, ranks, sample_sizes, configs: Sequence[TestConfig], nee
     return norms, dofs, statistics, p_values, p_values <= np.array([config.alpha for config in configs])
 
 
-def test_subsets(
-    dataset: MultiEnvDataset, subsets: Sequence[Sequence[int]], config: TestConfig
-) -> list[SubsetTestReport]:
-    """Test whether each of ``subsets``, all of one size, yields invariant residuals.
-
-    Per environment this regresses the target on the subset columns (plus the
-    intercept column when the dataset carries one) by ``fit_subsets``, forms
-    the min/max residual statistic, compares it with the chi-squared reference
-    ratio and decides at level ``config.alpha`` by ``level_pvalues``;
-    reports come in the order of ``subsets``, and an empty level gets none.
-    """
-    d = dataset.num_covariates
-    level = []
-    for given in map(tuple, subsets):
-        if not all(type(s) is int or isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in given):
-            raise InvalidInputError(f"subset {given} holds an index that is not an integer")
-        subset = tuple(sorted(int(s) for s in given))
-        if len(set(subset)) != len(subset):
-            raise InvalidInputError(f"subset contains repeated indices: {subset}")
-        if any(s < 1 or s > d for s in subset):
-            raise InvalidInputError(f"subset {subset} is not contained in 1..{d}")
-        level.append(subset)
-    sizes = sorted({len(s) for s in level})
-    if len(sizes) > 1:
-        raise InvalidInputError(f"the subsets of one level must share one size, got sizes {sizes}")
-    if not level:
-        return []
-    norms, ranks = fit_subsets(dataset, level)
-    norms, dofs, *tested = level_pvalues(norms[..., None], ranks, dataset.sample_sizes, [config])
-    columns = zip(norms[..., 0].tolist(), dofs.tolist(), *(a[:, 0].tolist() for a in tested))
-    return [SubsetTestReport(subset, tuple(n), tuple(k), *rest) for subset, (n, k, *rest) in zip(level, columns)]
+def level_reports(subsets: Sequence[Sequence[int]], tested) -> list[SubsetTestReport]:
+    """The reports of ``subsets``, in order, from ``level_pvalues``' arrays of one target."""
+    norms, dofs, *rest = tested
+    columns = zip(norms[..., 0].tolist(), dofs.tolist(), *(a[:, 0].tolist() for a in rest))
+    return [SubsetTestReport(tuple(s), tuple(n), tuple(k), *r) for s, (n, k, *r) in zip(subsets, columns)]
 
 
 def phi_S(dataset: MultiEnvDataset, subset: Sequence[int], config: TestConfig) -> SubsetTestReport:
-    """``test_subsets`` of the one subset ``subset``: fitted alone, its draws made for this call."""
-    return test_subsets(dataset, [subset], config)[0]
+    """Test whether ``subset``, of distinct integer indices in ``1..D``, yields invariant residuals.
+
+    Per environment this regresses the target on the sorted subset's columns
+    (plus the intercept column when the dataset carries one), forms the
+    min/max residual statistic, compares it with the chi-squared reference
+    ratio and decides at level ``config.alpha``: ``level_pvalues`` of a
+    one-subset level, fitted alone, its draws made for this call.
+    """
+    given = tuple(subset)
+    if not all(type(s) is int or isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in given):
+        raise InvalidInputError(f"subset {given} holds an index that is not an integer")
+    subset, d = tuple(sorted(int(s) for s in given)), dataset.num_covariates
+    if len(set(subset)) != len(subset):
+        raise InvalidInputError(f"subset contains repeated indices: {subset}")
+    if any(s < 1 or s > d for s in subset):
+        raise InvalidInputError(f"subset {subset} is not contained in 1..{d}")
+    return level_reports([subset], level_pvalues(dataset, [subset], [config]))[0]

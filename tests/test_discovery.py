@@ -19,7 +19,7 @@ from localicp.discovery import (
     power_bound,
 )
 from localicp.errors import CapacityError, InvalidInputError
-from localicp.invariance import SubsetTestReport, TestConfig, phi_S
+from localicp.invariance import TestConfig, phi_S
 
 
 def tiny_dataset(d=3, n=8, num_envs=3, seed=0):
@@ -44,23 +44,16 @@ def drawn(monkeypatch):
 
 
 def accepting(family):
-    """Fake subset test accepting exactly the subsets in `family`."""
+    """Fake level test accepting exactly the subsets in `family`.
+
+    It returns ``level_pvalues``' arrays for one target: unit norms, one dof
+    and a unit statistic per subset, p = 1 if accepted and 0.001 if not."""
     accepted = {tuple(sorted(s)) for s in family}
 
-    def report(subset):
-        subset = tuple(sorted(subset))
-        ok = subset in accepted
-        return SubsetTestReport(
-            subset=subset,
-            residual_norms_sq=(1.0,),
-            dofs=(1,),
-            statistic=1.0,
-            p_value=1.0 if ok else 0.001,
-            rejected=not ok,
-        )
-
-    def fake(dataset, subsets, config):
-        return [report(s) for s in subsets]
+    def fake(dataset, subsets, configs, targets, needed):
+        ok = np.array([[tuple(sorted(s)) in accepted] for s in subsets])
+        norms, dofs = np.ones((len(subsets), 1, 1)), np.ones((len(subsets), 1), dtype=int)
+        return norms, dofs, np.ones(ok.shape), np.where(ok, 1.0, 0.001), ~ok
 
     return fake
 
@@ -153,13 +146,10 @@ class TestDiscover:
     def test_no_memo_outlives_a_search(self, drawn):
         # A second search at the same seed draws its reference ratios again
         # rather than reusing the first search's.
-        def spy(dataset, subsets, config):
-            return invariance.test_subsets(dataset, subsets, config)
-
         data = tiny_dataset(d=3, n=10)
-        first = discover(data, TestConfig(seed=8), test=spy)
+        first = discover(data, TestConfig(seed=8))
         once = len(drawn)
-        second = discover(data, TestConfig(seed=8), test=spy)
+        second = discover(data, TestConfig(seed=8))
         assert first == second
         assert once > 0 and len(drawn) == 2 * once
 

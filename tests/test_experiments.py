@@ -362,9 +362,13 @@ class TestNetworkDetect:
             )
         ]
 
-    def _assert_lockstep_matches(self, series, window, warmup, num_envs, configs):
+    @staticmethod
+    def _lockstep(series, window, warmup, num_envs, configs):
+        """The lockstep search of one network run, as ``network_detect`` makes it."""
         windows = split_environments(series, 1, window, warmup, num_envs).with_intercept()
-        lockstep = discover_targets(windows, next_steps(series, window, warmup, num_envs), configs)
+        return discover_targets(windows, next_steps(series, window, warmup, num_envs), configs)
+
+    def _assert_lockstep_matches(self, lockstep, series, window, warmup, num_envs, configs):
         alone = self._independent_searches(series, window, warmup, num_envs, configs)
         for a, b in zip(lockstep, alone):
             assert (a.estimated_parents, a.subsets_tested, a.early_stopped, a.status) == (
@@ -389,19 +393,21 @@ class TestNetworkDetect:
             LorenzGenConfig(horizon=window_steps(window, num_envs, warmup)), derived_seed(seed, 0, 0, 0)
         )
         configs = [TestConfig(alpha=alpha, mc_samples=50, seed=derived_seed(seed, 0, 0, t)) for t in range(1, 7)]
-        fitted = []  # (subset size, targets fitted) of each lockstep fit call
+        fitted = []  # (subset size, targets fitted) of each fit call of the lockstep search
         original = invariance.fit_subsets
 
-        def recording(dataset, subsets, targets=None):
-            if targets is not None:
-                fitted.append((len(subsets[0]), targets[0].shape[1]))
+        def recording(dataset, subsets, targets):
+            fitted.append((len(subsets[0]), targets[0].shape[1]))
             return original(dataset, subsets, targets)
 
-        monkeypatch.setattr(invariance, "fit_subsets", recording)
-        alone = self._assert_lockstep_matches(series, window, warmup, num_envs, configs)
+        with monkeypatch.context() as patch:
+            patch.setattr(invariance, "fit_subsets", recording)
+            lockstep = self._lockstep(series, window, warmup, num_envs, configs)
+        alone = self._assert_lockstep_matches(lockstep, series, window, warmup, num_envs, configs)
         top_levels = [max(len(r.subset) for r in result.reports) for result in alone]
         assert len(set(top_levels)) > 1 and min(top_levels) < 6
         # A target fits no level past its own last one.
+        assert fitted
         assert [n for k, n in fitted] == [sum(top >= k for top in top_levels) for k, _ in fitted]
         zero_dofs = any(0 in r.dofs for result in alone for r in result.reports)
         assert zero_dofs == (window == 4)
@@ -423,7 +429,8 @@ class TestNetworkDetect:
         for run, found in enumerate(result.per_run):
             series = gen_lorenz(lorenz, derived_seed(3, run, 1, 0))
             configs = [TestConfig(mc_samples=50, seed=derived_seed(3, run, 1, t)) for t in range(1, 7)]
-            alone = self._assert_lockstep_matches(series, 10, 200, 20, configs)
+            lockstep = self._lockstep(series, 10, 200, 20, configs)
+            alone = self._assert_lockstep_matches(lockstep, series, 10, 200, 20, configs)
             assert found == tuple(r.estimated_parents for r in alone)
 
     def test_persistent_failure_counts_and_total_failure_raises(self, monkeypatch):

@@ -21,6 +21,8 @@ from localicp.invariance import (
     _fit_environments,
     _reference_draws,
     fit_subsets,
+    level_pvalues,
+    level_reports,
     mc_pvalue,
     phi_S,
     sample_null_ratio,
@@ -137,7 +139,7 @@ class TestMcPvalue:
         rng = np.random.default_rng(5)
         data = from_arrays([rng.normal(size=(n, 2)) for n in (8, 9)], [rng.normal(size=n) for n in (8, 9)])
         fit = (np.array([[0.3, 1.0], [1.0, 0.6]]), np.array([[1, 1], [1, 1]]))
-        monkeypatch.setattr(invariance, "fit_subsets", lambda dataset, subsets: fit)
+        monkeypatch.setattr(invariance, "fit_subsets", lambda dataset, subsets, targets: fit)
         made = []
         original = invariance._reference_draws
 
@@ -147,14 +149,14 @@ class TestMcPvalue:
 
         monkeypatch.setattr(invariance, "_reference_draws", recording)
         config = TestConfig(mc_samples=20, seed=1)
-        first = [r.p_value for r in invariance.test_subsets(data, [(1,), (2,)], config)]
+        first = level_pvalues(data, [(1,), (2,)], [config])[3][:, 0].tolist()
         assert len(made) == 1
         draws = made[0]
         assert not draws.flags.writeable
         with pytest.raises(ValueError):
             draws[0] = 0.0
         assert np.all(np.diff(draws) >= 0)
-        assert [r.p_value for r in invariance.test_subsets(data, [(1,), (2,)], config)] == first
+        assert level_pvalues(data, [(1,), (2,)], [config])[3][:, 0].tolist() == first
         assert len(made) == 2 and np.array_equal(made[1], draws)
         assert [mc_pvalue(t, [7, 8], 20, 1) for t in (0.3, 0.6)] == first
 
@@ -195,9 +197,10 @@ def test_reference_draws_seed_the_listed_entropy(seed, monkeypatch):
 
 
 def _assert_reports_match_scalar_path(data, subsets, config):
-    """Each report of ``test_subsets`` equals the one-row statistic and p-value
-    of the fit that ``invariance.fit_subsets`` gives for its level."""
-    reports = invariance.test_subsets(data, subsets, config)
+    """Each report of ``level_reports(level_pvalues(...))`` equals the one-row
+    statistic and p-value of the fit that ``invariance.fit_subsets`` gives for
+    its level."""
+    reports = level_reports(subsets, level_pvalues(data, subsets, [config]))
     assert [r.subset for r in reports] == [tuple(s) for s in subsets]
     for report, norms, ranks in zip(reports, *invariance.fit_subsets(data, subsets)):
         dofs = np.maximum(np.subtract(data.sample_sizes, ranks), 0)
@@ -234,7 +237,7 @@ def test_level_reports_match_the_scalar_path(monkeypatch):
         return original(dofs, rng, size)
 
     monkeypatch.setattr(invariance, "sample_null_ratio", counting)
-    monkeypatch.setattr(invariance, "fit_subsets", lambda dataset, level: (norms, ranks))
+    monkeypatch.setattr(invariance, "fit_subsets", lambda dataset, level, targets=None: (norms, ranks))
     config = TestConfig(alpha=0.3, mc_samples=50, seed=4)
     reports = _assert_reports_match_scalar_path(data, subsets, config)
     assert math.isinf(reports[4].statistic) and reports[4].p_value == 1.0
@@ -244,9 +247,9 @@ def test_level_reports_match_the_scalar_path(monkeypatch):
     # A level call draws each finite dof vector once; the next call draws
     # the same five vectors again, since no draws outlive a call.
     drawn.clear()
-    invariance.test_subsets(data, subsets, config)
+    level_pvalues(data, subsets, [config])
     assert len(drawn) == len(set(drawn)) == 5
-    invariance.test_subsets(data, subsets, config)
+    level_pvalues(data, subsets, [config])
     assert len(drawn) == 10 and drawn[5:] == drawn[:5]
 
 
@@ -327,7 +330,7 @@ class TestPhiS:
         assert a.p_value == b.p_value
         assert a.rejected == b.rejected
 
-    def test_rejects_bad_subsets(self, monkeypatch):
+    def test_rejects_bad_subsets(self):
         rng = np.random.default_rng(1)
         data = make_dataset(rng, n=10, num_envs=3, beta_by_env=[[1.0, 1.0]])
         with pytest.raises(InvalidInputError, match=r"subset \(0,\) is not contained in 1..2"):
@@ -336,21 +339,15 @@ class TestPhiS:
             phi_S(data, (3,), TestConfig())
         with pytest.raises(InvalidInputError, match=r"repeated indices: \(2, 2\)"):
             phi_S(data, (2, 2), TestConfig())
-        # One bad subset among good ones fails the whole level the same way.
+        # The message names the subset sorted, as it is tested.
         with pytest.raises(InvalidInputError, match=r"subset \(1, 3\) is not contained"):
-            invariance.test_subsets(data, [(1, 2), (3, 1)], TestConfig())
+            phi_S(data, (3, 1), TestConfig())
         with pytest.raises(InvalidInputError, match=r"subset \(1.5,\) holds an index that is not an integer"):
             phi_S(data, (1.5,), TestConfig())
         with pytest.raises(InvalidInputError, match=r"subset \(2, True\) holds an index that is not"):
             phi_S(data, (2, True), TestConfig())
-        with pytest.raises(InvalidInputError, match=r"one size, got sizes \[1, 2\]"):
-            invariance.test_subsets(data, [(1,), (1, 2)], TestConfig())
-        # numpy integers are indices; an empty level fits and draws nothing.
+        # numpy integers are indices.
         assert phi_S(data, (np.int64(2), np.int32(1)), TestConfig()) == phi_S(data, (1, 2), TestConfig())
-        monkeypatch.setattr(invariance, "fit_subsets", None)
-        monkeypatch.setattr(invariance, "_reference_draws", None)
-        for level_data in (data, data.with_intercept()):
-            assert invariance.test_subsets(level_data, [], TestConfig()) == []
 
     def test_single_environment_rejected(self):
         rng = np.random.default_rng(1)

@@ -16,6 +16,8 @@
   module asks ``check_capacity``.
 - Each result document is its dataclass, written by ``dataclasses.asdict``:
   the one ``to_dict`` is ``NetworkResult``'s, which adds the schema version.
+- One level test: only ``invariance.level_pvalues`` calls ``fit_subsets``, so
+  ``discover``, ``discover_targets`` and ``phi_S`` all test through it.
 """
 
 import ast
@@ -97,6 +99,10 @@ def test_thread_pool_in_one_function_of_experiments():
 def test_seeds_derived_in_one_function():
     users = _users("generate_state")
     assert len(users) == 1, sorted(users)
+
+
+def test_one_level_test_fits():
+    assert _users("fit_subsets") == {("invariance.py", "level_pvalues")}
 
 
 def test_size_limit_read_only_in_errors():
