@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -62,14 +62,15 @@ def enumerate_subsets(d: int) -> Iterable[tuple[int, ...]]:
         yield from itertools.combinations(range(1, d + 1), k)
 
 
-def _search(dataset, targets, configs, test, max_dim, early_stop) -> list[DiscoveryResult]:
-    """``discover``'s walk, for the targets of ``configs`` in lockstep.
+def _search(dataset, targets, config, test, max_dim, early_stop) -> list[DiscoveryResult]:
+    """``discover``'s walk, for ``T`` targets in lockstep under one ``config``.
 
-    ``targets`` is ``None`` for the dataset's own target, else ``T`` targets as ``fit_subsets`` takes them.
-    Each level is tested once, ``test(dataset, level, configs, targets, needed)`` as ``level_pvalues``: on
-    the union of the subsets some target still needs, for the targets ``live`` that need one (``needed``,
-    ``(S, len(live))``, says which).  Each live target walks its rejections in level order with its own
-    intersection and early stop; the dataset's own target keeps the reports of the subsets it walked.
+    ``targets`` is ``None`` for the dataset's own target (``T = 1``), else targets as ``fit_subsets`` takes
+    them.  Each level is tested once, ``test(dataset, level, config, targets, needed)`` as ``level_pvalues``,
+    on the union of the subsets some target still needs, for the targets ``live`` that need one (``needed``,
+    ``(S, len(live))``, says which), one draw per dof vector serving them all.  Each live target walks its
+    rejections in level order with its own intersection and early stop; the dataset's own target keeps the
+    reports of the subsets it walked.
     """
     d = dataset.num_covariates
     if d > max_dim:
@@ -78,10 +79,10 @@ def _search(dataset, targets, configs, test, max_dim, early_stop) -> list[Discov
             f"2^{max_dim}; reduce the dimensionality (e.g. cluster correlated "
             f"covariates) or raise the limit explicitly"
         )
-    for config in configs:
-        config.check_null_size(dataset.num_envs)
-    running: list[set[int] | None] = [None] * len(configs)  # None until a target's first accepted subset
-    tested = [0] * len(configs)
+    config.check_null_size(dataset.num_envs)
+    # None until a target's first accepted subset
+    running: list[set[int] | None] = [None] * (1 if targets is None else targets[0].shape[1])
+    tested = [0] * len(running)
     reports: list[SubsetTestReport] = []
 
     def covered(t, subset):
@@ -92,13 +93,13 @@ def _search(dataset, targets, configs, test, max_dim, early_stop) -> list[Discov
         if early_stop and all(r == set() for r in running):
             break
         level = list(level)
-        needed = np.array([[not covered(t, s) for t in range(len(configs))] for s in level])
+        needed = np.array([[not covered(t, s) for t in range(len(running))] for s in level])
         rows, live = needed.any(1), np.flatnonzero(needed.any(0)).tolist()
         level = [s for s, row in zip(level, rows) if row]
         if not level:
             continue
         live_targets = None if targets is None else tuple(a[:, live] for a in targets)
-        arrays = test(dataset, level, [configs[t] for t in live], live_targets, needed[rows][:, live])
+        arrays = test(dataset, level, config, live_targets, needed[rows][:, live])
         for t, column in zip(live, arrays[-1].T.tolist()):
             walked = []
             for i, (subset, rejected) in enumerate(zip(level, column)):
@@ -146,7 +147,7 @@ def discover(
         was skipped.
 
     The subsets of one size that the running intersection leaves are
-    tested in one call, ``test(dataset, level, [config], None, needed)``,
+    tested in one call, ``test(dataset, level, config, None, needed)``,
     which fits them and draws one sorted set of reference ratios per distinct
     dof vector of that level (``level_pvalues``).  The rejections are then
     walked in the order of ``enumerate_subsets``, skipping the subsets the
@@ -156,22 +157,21 @@ def discover(
     do not depend on the order in which subsets are tested.  This is the
     one-target case of ``discover_targets``'s lockstep search.
     """
-    return _search(dataset, None, [config], test, max_dim, early_stop)[0]
+    return _search(dataset, None, config, test, max_dim, early_stop)[0]
 
 
-def discover_targets(
-    dataset: MultiEnvDataset, targets: np.ndarray, configs: Sequence[TestConfig]
-) -> list[DiscoveryResult]:
+def discover_targets(dataset: MultiEnvDataset, targets: np.ndarray, config: TestConfig) -> list[DiscoveryResult]:
     """``discover`` of ``T`` targets ``(n_max, T, E)`` on the covariates of ``dataset``, in lockstep.
 
-    Target ``t``, tested under ``configs[t]``, replaces the dataset's own.
-    Each level's union is fitted in one call, so one factorization per
-    (subset, environment) serves every target; each keeps its own
-    intersection, early stop and draws, so result ``t`` equals ``discover``
-    of target ``t``'s own dataset with ``early_stop``, without reports.
+    Each target, tested under ``config``, replaces the dataset's own.  Each
+    level's union is fitted in one call and each of its dof vectors drawn
+    once, so one factorization per (subset, environment) and one draw serve
+    every target; each keeps its own intersection and early stop, so result
+    ``t`` equals ``discover`` of target ``t``'s own dataset under ``config``
+    with ``early_stop``, without reports.
     """
     xty = dataset.target_cross_products(targets)
-    return _search(dataset, (targets, xty), configs, level_pvalues, DEFAULT_MAX_DIM, True)
+    return _search(dataset, (targets, xty), config, level_pvalues, DEFAULT_MAX_DIM, True)
 
 
 # ---------------------------------------------------------------------------

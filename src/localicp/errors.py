@@ -40,3 +40,10 @@ def check_capacity(size: int, what: str) -> None:
     what they hold and ends in their number."""
     if size > MAX_DOUBLES:
         raise CapacityError(f"{what}, above the limit of {MAX_DOUBLES} (1 GiB)")
+
+
+def check_environments(num_envs: int) -> None:
+    """Raise ``InvalidInputError`` for fewer than two environments, which permit no invariance test."""
+    if num_envs < 2:
+        why = "a single environment permits no causal conclusion"
+        raise InvalidInputError(f"testing invariance requires at least two environments; {why}")

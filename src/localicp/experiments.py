@@ -11,8 +11,8 @@ Both exact computations use numpy and the standard library only.
 Parallelism runs over independent runs only: ``run_trials`` and
 ``network_detect`` map their runs over one thread pool (``_map_runs``), while
 each run's discovery tests its subsets serially.  A network run searches its
-six targets in lockstep (``discover_targets``): one window stack, and one fit
-per subset-size level serves all six.  Per-run seeds are derived
+six targets in lockstep (``discover_targets``): one window stack, one fit per
+level and one null draw per dof vector serve all six.  Per-run seeds derive
 from (scenario seed, grid index, run index), and aggregation folds runs in
 index order, so results are byte-identical for any worker count.
 
@@ -45,7 +45,7 @@ from .datagen import (
     window_steps,
 )
 from .discovery import DEFAULT_MAX_DIM, discover, discover_targets
-from .errors import CapacityError, DivergenceError, InvalidInputError, check_counts
+from .errors import CapacityError, DivergenceError, InvalidInputError, check_counts, check_environments
 from .invariance import TestConfig
 
 __all__ = [
@@ -368,13 +368,15 @@ def network_detect(
     Each run simulates an independent trajectory of exactly the
     ``warmup + num_envs * window`` steps its windows read, splits it into
     ``num_envs`` time windows and discovers parents for all six next-step
-    targets in lockstep, each level fitted once for all of them, each target
-    under its own seed derived from ``seed``, so a ``test_config.seed`` other
-    than 0 is refused.  A null of more than ``MAX_DOUBLES`` draws per test is refused
-    before anything is simulated.  An edge i -> j is declared when
-    covariate i was reported for target j in more than ``NULL_RATE`` (10%)
-    of the runs and the exact one-sided binomial p-value against that rate
-    is at most ``EDGE_ALPHA`` (0.05).  A run whose
+    targets in lockstep, each level fitted and each of its dof vectors drawn
+    once for all of them under one test seed per run derived from ``seed``,
+    so a ``test_config.seed`` other than 0 is refused.  A run's six p-values
+    are dependent, each valid; the edge rule needs only independent runs.
+    Fewer than two environments, or a null of more than ``MAX_DOUBLES`` draws
+    per test, is refused before anything is simulated.  An edge i -> j is
+    declared when covariate i was reported for target j in more than
+    ``NULL_RATE`` (10%) of the runs and the exact one-sided binomial p-value
+    against that rate is at most ``EDGE_ALPHA`` (0.05).  A run whose
     trajectory diverges is retried with fresh seeds, ``MAX_ATTEMPTS``
     attempts in all, then counted as a failure and listed in ``failed_runs``
     with each attempt's error; any other error propagates.
@@ -386,6 +388,7 @@ def network_detect(
         lorenz_config = LorenzGenConfig(horizon=window_steps(window, num_envs, warmup))
     except CapacityError as exc:
         raise CapacityError(f"warmup + num_envs x window = {warmup} + {num_envs} x {window}: {exc}") from None
+    check_environments(num_envs)
     test_config.check_null_size(num_envs)
     d = 6
 
@@ -399,9 +402,8 @@ def network_detect(
                 continue
             # One window stack, with the intercept, serves all d targets.
             windows = split_environments(series, 1, window, warmup, num_envs).with_intercept()
-            seeds = [derived_seed(seed, run, attempt, target) for target in range(1, d + 1)]
-            configs = [dataclasses.replace(test_config, seed=s) for s in seeds]
-            results = discover_targets(windows, next_steps(series, window, warmup, num_envs), configs)
+            config = dataclasses.replace(test_config, seed=derived_seed(seed, run, attempt, 1))
+            results = discover_targets(windows, next_steps(series, window, warmup, num_envs), config)
             return tuple(result.estimated_parents for result in results)
         return {"run": run, "attempts": attempts}
 

@@ -10,16 +10,18 @@ counts the draws at or below the statistic, so it stays valid under
 exchangeability when they tie (a zero-dof environment makes both exactly 0).
 The null law depends on the subset only through its dof vector, so the
 subsets of one level call that share a dof vector share one sorted set of
-``B`` reference draws, drawn in that call.  Each p-value stays valid; those
-of subsets that share a dof vector become dependent, which the intersection
-does not need to avoid (it needs only a valid test of the true parent set).
+``B`` reference draws, drawn in that call, and so do all the targets of the
+call.  Each p-value stays valid; those of subsets or targets that share a
+dof vector become dependent, which the intersection does not need to avoid
+(it needs only a valid test of each target's true parent set).
 
 The subsets of one size are fitted and tested at once, in every environment,
 by ``level_pvalues``, which fits them with ``fit_subsets``; ``level_reports``
 turns its arrays into reports, and ``phi_S`` is the one-subset call.  The
 fit reads the dataset's cached cross-products, in chunks of whole subsets;
 given several targets on the same covariates, one fit and one factorization
-serve them all, and ``level_pvalues`` tests each under its own seed.
+serve them all, and ``level_pvalues`` tests them under one config, one draw
+per dof vector.
 Each (subset, environment) Gram matrix is factored by Cholesky, by column
 recurrences with the pairs on the last axes.  A pair keeps that solve only
 when its pivots are positive and finite and a condition bound read off the
@@ -43,7 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import MultiEnvDataset
-from .errors import InvalidInputError, check_capacity, check_counts
+from .errors import InvalidInputError, check_capacity, check_counts, check_environments
 
 __all__ = [
     "TestConfig",
@@ -320,23 +322,21 @@ def fit_subsets(dataset: MultiEnvDataset, subsets: Sequence[Sequence[int]], targ
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-def level_pvalues(dataset: MultiEnvDataset, subsets, configs: Sequence[TestConfig], targets=None, needed=True):
+def level_pvalues(dataset: MultiEnvDataset, subsets, config: TestConfig, targets=None, needed=True):
     """Fit one level of ``subsets``, all of one size, and test it for ``T`` targets.
 
     ``fit_subsets`` fits the level once: for the dataset's own target when
     ``targets`` is ``None`` (``T = 1``), else for ``targets`` as it takes them.
-    Per target, under ``configs[t]``, the rows that share a dof vector share
-    one sorted set of reference draws, drawn here as ``mc_pvalue`` draws
-    them; each row's count is one binary search.  An infinite statistic, or
-    a pair outside the ``(S, T)`` mask ``needed``, gets p = 1 without a draw.
-    Returns the norms with zero-dof entries zeroed, the ``(S, E)`` dofs, and
-    ``(S, T)`` statistics, p-values and rejections.
+    The rows with a finite statistic in some cell of the ``(S, T)`` mask
+    ``needed`` are grouped by dof vector; each group is drawn once, as
+    ``mc_pvalue`` draws, and all its targets are counted with one binary
+    search.  Every other cell gets p = 1.  Each p-value is still that of
+    ``mc_pvalue``; the targets of one row share its draws, so theirs are
+    dependent.  Returns the norms with zero-dof entries zeroed, the
+    ``(S, E)`` dofs, and ``(S, T)`` statistics, p-values and rejections
+    at ``config.alpha``.
     """
-    if dataset.num_envs < 2:
-        raise InvalidInputError(
-            "testing invariance requires at least two environments; a single "
-            "environment permits no causal conclusion"
-        )
+    check_environments(dataset.num_envs)
     norms, ranks = fit_subsets(dataset, subsets, targets)
     dofs = np.maximum(np.subtract(dataset.sample_sizes, ranks), 0)
     # Zero degrees of freedom means the regression interpolates; the residual
@@ -345,15 +345,15 @@ def level_pvalues(dataset: MultiEnvDataset, subsets, configs: Sequence[TestConfi
     statistics = test_statistic(np.moveaxis(norms, -1, 1))
     drawn = np.isfinite(statistics) & needed
     p_values = np.ones(statistics.shape)
-    for t, config in enumerate(configs):
-        b = config.mc_samples
-        groups: dict[bytes, list[int]] = {}
-        for i in np.flatnonzero(drawn[:, t]).tolist():
-            groups.setdefault(dofs[i].tobytes(), []).append(i)
-        for rows in groups.values():
-            draws = _reference_draws(config.seed, dofs[rows[0]], b)
-            p_values[rows, t] = (1 + np.searchsorted(draws, statistics[rows, t], side="right")) / (b + 1)
-    return norms, dofs, statistics, p_values, p_values <= np.array([config.alpha for config in configs])
+    b = config.mc_samples
+    groups: dict[bytes, list[int]] = {}
+    for i in np.flatnonzero(drawn.any(1)).tolist():
+        groups.setdefault(dofs[i].tobytes(), []).append(i)
+    for rows in groups.values():
+        draws = _reference_draws(config.seed, dofs[rows[0]], b)
+        p_values[rows] = (1 + np.searchsorted(draws, statistics[rows], side="right")) / (b + 1)
+    p_values[~drawn] = 1.0
+    return norms, dofs, statistics, p_values, p_values <= config.alpha
 
 
 def level_reports(subsets: Sequence[Sequence[int]], tested) -> list[SubsetTestReport]:
@@ -380,4 +380,4 @@ def phi_S(dataset: MultiEnvDataset, subset: Sequence[int], config: TestConfig) -
         raise InvalidInputError(f"subset contains repeated indices: {subset}")
     if any(s < 1 or s > d for s in subset):
         raise InvalidInputError(f"subset {subset} is not contained in 1..{d}")
-    return level_reports([subset], level_pvalues(dataset, [subset], [config]))[0]
+    return level_reports([subset], level_pvalues(dataset, [subset], config))[0]

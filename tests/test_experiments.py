@@ -353,23 +353,19 @@ class TestNetworkDetect:
         assert result.runs == 2
         assert calls["n"] == 4
 
-    def _independent_searches(self, series, window, warmup, num_envs, configs):
+    def _independent_searches(self, series, window, warmup, num_envs, config):
         """The six searches of one network run, each on its own target's dataset."""
-        return [
-            discover(dataset.with_intercept(), config, early_stop=True)
-            for dataset, config in zip(
-                (split_environments(series, t, window, warmup, num_envs) for t in range(1, 7)), configs
-            )
-        ]
+        datasets = (split_environments(series, t, window, warmup, num_envs) for t in range(1, 7))
+        return [discover(dataset.with_intercept(), config, early_stop=True) for dataset in datasets]
 
     @staticmethod
-    def _lockstep(series, window, warmup, num_envs, configs):
+    def _lockstep(series, window, warmup, num_envs, config):
         """The lockstep search of one network run, as ``network_detect`` makes it."""
         windows = split_environments(series, 1, window, warmup, num_envs).with_intercept()
-        return discover_targets(windows, next_steps(series, window, warmup, num_envs), configs)
+        return discover_targets(windows, next_steps(series, window, warmup, num_envs), config)
 
-    def _assert_lockstep_matches(self, lockstep, series, window, warmup, num_envs, configs):
-        alone = self._independent_searches(series, window, warmup, num_envs, configs)
+    def _assert_lockstep_matches(self, lockstep, series, window, warmup, num_envs, config):
+        alone = self._independent_searches(series, window, warmup, num_envs, config)
         for a, b in zip(lockstep, alone):
             assert (a.estimated_parents, a.subsets_tested, a.early_stopped, a.status) == (
                 b.estimated_parents, b.subsets_tested, b.early_stopped, b.status
@@ -392,7 +388,7 @@ class TestNetworkDetect:
         series = gen_lorenz(
             LorenzGenConfig(horizon=window_steps(window, num_envs, warmup)), derived_seed(seed, 0, 0, 0)
         )
-        configs = [TestConfig(alpha=alpha, mc_samples=50, seed=derived_seed(seed, 0, 0, t)) for t in range(1, 7)]
+        config = TestConfig(alpha=alpha, mc_samples=50, seed=derived_seed(seed, 0, 0, 1))
         fitted = []  # (subset size, targets fitted) of each fit call of the lockstep search
         original = invariance.fit_subsets
 
@@ -402,8 +398,8 @@ class TestNetworkDetect:
 
         with monkeypatch.context() as patch:
             patch.setattr(invariance, "fit_subsets", recording)
-            lockstep = self._lockstep(series, window, warmup, num_envs, configs)
-        alone = self._assert_lockstep_matches(lockstep, series, window, warmup, num_envs, configs)
+            lockstep = self._lockstep(series, window, warmup, num_envs, config)
+        alone = self._assert_lockstep_matches(lockstep, series, window, warmup, num_envs, config)
         top_levels = [max(len(r.subset) for r in result.reports) for result in alone]
         assert len(set(top_levels)) > 1 and min(top_levels) < 6
         # A target fits no level past its own last one.
@@ -428,9 +424,9 @@ class TestNetworkDetect:
         lorenz = LorenzGenConfig(horizon=window_steps(10, 20, 200))
         for run, found in enumerate(result.per_run):
             series = gen_lorenz(lorenz, derived_seed(3, run, 1, 0))
-            configs = [TestConfig(mc_samples=50, seed=derived_seed(3, run, 1, t)) for t in range(1, 7)]
-            lockstep = self._lockstep(series, 10, 200, 20, configs)
-            alone = self._assert_lockstep_matches(lockstep, series, 10, 200, 20, configs)
+            config = TestConfig(mc_samples=50, seed=derived_seed(3, run, 1, 1))
+            lockstep = self._lockstep(series, 10, 200, 20, config)
+            alone = self._assert_lockstep_matches(lockstep, series, 10, 200, 20, config)
             assert found == tuple(r.estimated_parents for r in alone)
 
     def test_persistent_failure_counts_and_total_failure_raises(self, monkeypatch):
@@ -497,8 +493,35 @@ class TestNetworkDetect:
             with pytest.raises(InvalidInputError, match=message):
                 network_detect(**{**small, **change})
 
+    def test_single_environment_refused_before_simulating(self, monkeypatch):
+        def unexpected(cfg, seed):
+            raise AssertionError("gen_lorenz called")
+
+        monkeypatch.setattr(experiments, "gen_lorenz", unexpected)
+        message = (
+            "testing invariance requires at least two environments; "
+            "a single environment permits no causal conclusion"
+        )
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            network_detect(window=10, num_envs=1, runs=1, test_config=TestConfig(), seed=0, warmup=2_000_000)
+
+    def test_one_draw_per_run_and_dof_vector(self, monkeypatch):
+        # The CLI's defaults at --runs 2 --seed 1: each run's six targets share
+        # one draw per dof vector of a level, 14 in all (76 with a draw per target).
+        drawn = []
+        original = invariance._reference_draws
+
+        def recording(seed, dofs, b):
+            drawn.append(seed)
+            return original(seed, dofs, b)
+
+        monkeypatch.setattr(invariance, "_reference_draws", recording)
+        network_detect(window=20, num_envs=300, runs=2, test_config=TestConfig(), seed=1, warmup=500, workers=1)
+        assert len(drawn) == 14
+        assert set(drawn) == {derived_seed(1, run, 0, 1) for run in range(2)}
+
     def test_test_seed_refused(self):
-        # Each target's test seed derives from the study's seed, so this one would not be read.
+        # Each run's test seed derives from the study's seed, so this one would not be read.
         message = "test_config.seed is not read: each run's test seed derives from seed"
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             network_detect(window=10, num_envs=20, runs=2, test_config=TestConfig(seed=5), seed=0, warmup=200)

@@ -149,14 +149,14 @@ class TestMcPvalue:
 
         monkeypatch.setattr(invariance, "_reference_draws", recording)
         config = TestConfig(mc_samples=20, seed=1)
-        first = level_pvalues(data, [(1,), (2,)], [config])[3][:, 0].tolist()
+        first = level_pvalues(data, [(1,), (2,)], config)[3][:, 0].tolist()
         assert len(made) == 1
         draws = made[0]
         assert not draws.flags.writeable
         with pytest.raises(ValueError):
             draws[0] = 0.0
         assert np.all(np.diff(draws) >= 0)
-        assert level_pvalues(data, [(1,), (2,)], [config])[3][:, 0].tolist() == first
+        assert level_pvalues(data, [(1,), (2,)], config)[3][:, 0].tolist() == first
         assert len(made) == 2 and np.array_equal(made[1], draws)
         assert [mc_pvalue(t, [7, 8], 20, 1) for t in (0.3, 0.6)] == first
 
@@ -200,7 +200,7 @@ def _assert_reports_match_scalar_path(data, subsets, config):
     """Each report of ``level_reports(level_pvalues(...))`` equals the one-row
     statistic and p-value of the fit that ``invariance.fit_subsets`` gives for
     its level."""
-    reports = level_reports(subsets, level_pvalues(data, subsets, [config]))
+    reports = level_reports(subsets, level_pvalues(data, subsets, config))
     assert [r.subset for r in reports] == [tuple(s) for s in subsets]
     for report, norms, ranks in zip(reports, *invariance.fit_subsets(data, subsets)):
         dofs = np.maximum(np.subtract(data.sample_sizes, ranks), 0)
@@ -247,10 +247,52 @@ def test_level_reports_match_the_scalar_path(monkeypatch):
     # A level call draws each finite dof vector once; the next call draws
     # the same five vectors again, since no draws outlive a call.
     drawn.clear()
-    level_pvalues(data, subsets, [config])
+    level_pvalues(data, subsets, config)
     assert len(drawn) == len(set(drawn)) == 5
-    level_pvalues(data, subsets, [config])
+    level_pvalues(data, subsets, config)
     assert len(drawn) == 10 and drawn[5:] == drawn[:5]
+
+
+def test_targets_share_one_draw_per_dof_vector(monkeypatch):
+    # Three targets on one dataset: its own, another, and a zero target whose
+    # statistics are all infinite.  A rank-deficient first environment (its
+    # first covariate is zero) gives each level up to two dof vectors.
+    rng = np.random.default_rng(3)
+    sizes = (6, 9, 9, 12)
+    covs = [rng.normal(size=(n, 3)) for n in sizes]
+    covs[0][:, 0] = 0.0
+    data = from_arrays(covs, [rng.normal(size=n) for n in sizes]).with_intercept()
+    other = np.where(np.arange(12)[:, None] < np.array(sizes), rng.normal(size=(12, 4)), 0.0)
+    ys = np.stack([data.target, other, np.zeros((12, 4))], axis=1)
+    targets = (ys, data.target_cross_products(ys))
+    config = TestConfig(mc_samples=40, seed=9)
+    drawn = []
+    original = invariance._reference_draws
+
+    def recording(seed, dofs, b):
+        drawn.append(tuple(dofs.tolist()))
+        return original(seed, dofs, b)
+
+    monkeypatch.setattr(invariance, "_reference_draws", recording)
+    shared = 0
+    for k in range(4):
+        subsets = list(itertools.combinations(range(1, 4), k))
+        needed = rng.random((len(subsets), 3)) < 0.7
+        needed[0, :2] = True
+        drawn.clear()
+        _, dofs, statistics, p_values, rejected = level_pvalues(data, subsets, config, targets, needed)
+        tested = np.isfinite(statistics) & needed
+        assert not np.isfinite(statistics[:, 2]).any()
+        per_target = [{tuple(dofs[i].tolist()) for i in np.flatnonzero(tested[:, t])} for t in range(3)]
+        vectors = set().union(*per_target)
+        assert len(drawn) == len(set(drawn)) == len(vectors) >= 1
+        shared += sum(map(len, per_target)) - len(vectors)
+        for (i, t), p in np.ndenumerate(p_values):
+            expected = mc_pvalue(statistics[i, t], dofs[i], config.mc_samples, config.seed) if tested[i, t] else 1.0
+            assert p == expected, (subsets[i], t)
+        assert np.array_equal(rejected, p_values <= config.alpha)
+    # Draws a target would have made on its own were shared with another.
+    assert shared > 0
 
 
 def make_dataset(rng, n, num_envs, beta_by_env, noise_std=1.0, d=None):
