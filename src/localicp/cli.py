@@ -30,7 +30,7 @@ from .experiments import (
     run_trials,
     trials_to_dict,
 )
-from .invariance import SubsetTestReport, TestConfig
+from .invariance import TestConfig
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -104,23 +104,23 @@ _REPORT = (
 _ITEM = ",\n        "
 
 
-def _discover_json(doc: dict, reports: Sequence[SubsetTestReport]) -> Iterator[str]:
-    """``_dump_json({**doc, "reports": [...]})``, one report per chunk, without ``json``'s
-    pure-Python ``indent`` encoder: the reports are laid out here, each number written by
-    ``repr`` of its Python value as ``json`` writes it, an infinite statistic as ``"inf"``."""
+def _discover_json(doc: dict, levels: Sequence[tuple]) -> Iterator[str]:
+    """``_dump_json({**doc, "reports": [...]})`` of ``DiscoveryResult.levels``, a report a chunk, without
+    ``json``'s ``indent`` encoder: numbers are ``repr`` of one ``tolist`` per array, infinity ``"inf"``."""
     head, tail = _dump_json({**doc, "reports": []}).rsplit("[]", 1)
     yield head + "["
-    for i, r in enumerate(reports):
+    rows = (row for subsets, *arrays in levels for row in zip(subsets, *(a.tolist() for a in arrays)))
+    for i, (subset, norms, dofs, statistic, p_value, rejected) in enumerate(rows):
         yield _REPORT.format(
             ",\n" if i else "\n",
-            f"[\n        {_ITEM.join(map(repr, r.subset))}\n      ]" if r.subset else "[]",
-            _ITEM.join(map(repr, r.residual_norms_sq)),
-            _ITEM.join(map(repr, r.dofs)),
-            '"inf"' if math.isinf(r.statistic) else repr(r.statistic),
-            repr(r.p_value),
-            "true" if r.rejected else "false",
+            f"[\n        {_ITEM.join(map(repr, subset))}\n      ]" if subset else "[]",
+            _ITEM.join(map(repr, norms)),
+            _ITEM.join(map(repr, dofs)),
+            '"inf"' if math.isinf(statistic) else repr(statistic),
+            repr(p_value),
+            "true" if rejected else "false",
         )
-    yield ("\n  ]" if reports else "]") + tail
+    yield ("\n  ]" if any(subsets for subsets, *_ in levels) else "]") + tail
 
 
 def _load_dataset(path: str, fmt: str | None) -> ds.MultiEnvDataset:
@@ -149,7 +149,7 @@ def cmd_discover(args) -> int:
         "subsets_tested": result.subsets_tested,
         "early_stopped": result.early_stopped,
     }
-    _emit(_discover_json(doc, result.reports), args.output)
+    _emit(_discover_json(doc, result.levels), args.output)
     return EXIT_OK
 
 

@@ -39,21 +39,27 @@ STATUS_OK = "ok"
 STATUS_MODEL_REJECTED = "model_rejected"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscoveryResult:
-    """Intersection estimate plus the per-subset evidence.
+    """Intersection estimate plus the per-subset evidence, kept as arrays.
 
+    ``levels`` holds, per level, the subsets walked and ``level_pvalues``'
+    arrays at their rows; ``reports`` builds their reports on each call.
     ``early_stopped`` is true when the search skipped at least one subset
-    that could not change the estimate; ``reports`` then cover only the
+    that could not change the estimate; the evidence then covers only the
     subsets tested, and ``subsets_tested`` counts them (a target of
-    ``discover_targets`` keeps no reports, the dataset's own target one per subset).
+    ``discover_targets`` keeps none, the dataset's own target one per subset).
     """
 
     estimated_parents: tuple[int, ...]
-    reports: tuple[SubsetTestReport, ...]
+    levels: tuple[tuple, ...]
     subsets_tested: int
     early_stopped: bool
     status: str
+
+    @property
+    def reports(self) -> tuple[SubsetTestReport, ...]:
+        return tuple(r for level in self.levels for r in level_reports(*level))
 
 
 def enumerate_subsets(d: int) -> Iterable[tuple[int, ...]]:
@@ -70,7 +76,7 @@ def _search(dataset, targets, config, test, max_dim, early_stop) -> list[Discove
     on the union of the subsets some target still needs, for the targets ``live`` that need one (``needed``,
     ``(S, len(live))``, says which), one draw per dof vector serving them all.  Each live target walks its
     rejections in level order with its own intersection and early stop; the dataset's own target keeps the
-    reports of the subsets it walked.
+    subsets it walked and the level's arrays at their rows.
     """
     d = dataset.num_covariates
     if d > max_dim:
@@ -79,11 +85,10 @@ def _search(dataset, targets, config, test, max_dim, early_stop) -> list[Discove
             f"2^{max_dim}; reduce the dimensionality (e.g. cluster correlated "
             f"covariates) or raise the limit explicitly"
         )
-    config.check_null_size(dataset.num_envs)
     # None until a target's first accepted subset
     running: list[set[int] | None] = [None] * (1 if targets is None else targets[0].shape[1])
     tested = [0] * len(running)
-    reports: list[SubsetTestReport] = []
+    levels: list[tuple] = []
 
     def covered(t, subset):
         """Whether ``subset`` can no longer change target ``t``'s estimate."""
@@ -100,20 +105,19 @@ def _search(dataset, targets, config, test, max_dim, early_stop) -> list[Discove
             continue
         live_targets = None if targets is None else tuple(a[:, live] for a in targets)
         arrays = test(dataset, level, config, live_targets, needed[rows][:, live])
-        for t, column in zip(live, arrays[-1].T.tolist()):
+        for t, column in zip(live, arrays[-1].reshape(len(level), -1).T.tolist()):
             walked = []
             for i, (subset, rejected) in enumerate(zip(level, column)):
-                if covered(t, subset):
-                    continue
-                walked.append(i)
-                if not rejected:
-                    running[t] = set(subset) if running[t] is None else running[t] & set(subset)
+                if not covered(t, subset):
+                    walked.append(i)
+                    if not rejected:
+                        running[t] = set(subset) if running[t] is None else running[t] & set(subset)
             tested[t] += len(walked)
             if targets is None:
-                reports += level_reports([level[i] for i in walked], [a[walked] for a in arrays])
+                levels.append(([level[i] for i in walked], *(a[walked] for a in arrays)))
     return [
         DiscoveryResult(
-            tuple(sorted(r or ())), tuple(reports), n, n < 2**d,
+            tuple(sorted(r or ())), tuple(levels), n, n < 2**d,
             STATUS_MODEL_REJECTED if r is None else STATUS_OK,
         )
         for r, n in zip(running, tested)
@@ -142,20 +146,12 @@ def discover(
         Skip every subset that contains the running intersection of the
         subsets accepted so far: accepted or rejected, it leaves the
         intersection as it is.  Once the intersection is empty that is every
-        remaining subset, and the search stops.  Reports then cover only
-        the tested subsets, and ``early_stopped`` tells whether any subset
-        was skipped.
+        remaining subset, and the search stops; ``early_stopped`` tells
+        whether any subset was skipped.
 
-    The subsets of one size that the running intersection leaves are
-    tested in one call, ``test(dataset, level, config, None, needed)``,
-    which fits them and draws one sorted set of reference ratios per distinct
-    dof vector of that level (``level_pvalues``).  The rejections are then
-    walked in the order of ``enumerate_subsets``, skipping the subsets the
-    intersection covers by then, and each walked subset gets its report.  A
-    subset's fit does not depend on the others fitted with it, and its draws
-    depend only on ``(config.seed, dofs, config.mc_samples)``, so the reports
-    do not depend on the order in which subsets are tested.  This is the
-    one-target case of ``discover_targets``'s lockstep search.
+    The one-target case of ``discover_targets``' lockstep search, each level
+    tested by ``test`` as by ``level_pvalues``.  A subset's evidence depends only
+    on its own fit and on ``(config.seed, dofs, config.mc_samples)``, not on the order of testing.
     """
     return _search(dataset, None, config, test, max_dim, early_stop)[0]
 

@@ -17,7 +17,7 @@ dof vector become dependent, which the intersection does not need to avoid
 
 The subsets of one size are fitted and tested at once, in every environment,
 by ``level_pvalues``, which fits them with ``fit_subsets``; ``level_reports``
-turns its arrays into reports, and ``phi_S`` is the one-subset call.  The
+turns its arrays into reports on demand, and ``phi_S`` is the one-subset call.  The
 fit reads the dataset's cached cross-products, in chunks of whole subsets;
 given several targets on the same covariates, one fit and one factorization
 serve them all, and ``level_pvalues`` tests them under one config, one draw
@@ -66,7 +66,7 @@ __all__ = [
 CHOLESKY_MARGIN = 1e4
 
 # Live doubles one chunk of ``fit_subsets`` may hold, unless one subset needs more.
-FIT_CHUNK_DOUBLES = 2**16
+FIT_CHUNK_DOUBLES = 2**17
 
 
 @dataclass(frozen=True)
@@ -181,6 +181,7 @@ def mc_pvalue(statistic: float, dofs: Sequence[int], b: int, seed: int) -> float
     evidence against invariance; the p-value is then 1 and nothing is drawn.
     """
     check_counts(b=b)
+    check_capacity(b * len(dofs), f"b={b} x {len(dofs)} environments is {b * len(dofs)} doubles per null draw")
     if math.isinf(statistic):
         return 1.0
     draws = _reference_draws(seed, np.asarray(dofs, dtype=np.int64), b)
@@ -305,7 +306,7 @@ def fit_subsets(dataset: MultiEnvDataset, subsets: Sequence[Sequence[int]], targ
     takes them.  The intercept column is added to every subset when the
     dataset carries one.  A chunk holds as many subsets as fit in
     ``FIT_CHUNK_DOUBLES`` live doubles, but at least one, which may need
-    more (the network's six targets at E = 300: 75,600 to 157,500), counted
+    more (the network's six targets at E = 300: 75,600 to 157,500, one a chunk), counted
     per (subset, environment) pair: the solve holds the reduced rows and one
     scratch block, ``w (2 w + 1 + (w + 3) T)`` with ``X'y`` and the pivots;
     the residual holds two ``n_max T`` slabs, ``X'y`` and the coefficients.
@@ -326,17 +327,18 @@ def level_pvalues(dataset: MultiEnvDataset, subsets, config: TestConfig, targets
     """Fit one level of ``subsets``, all of one size, and test it for ``T`` targets.
 
     ``fit_subsets`` fits the level once: for the dataset's own target when
-    ``targets`` is ``None`` (``T = 1``), else for ``targets`` as it takes them.
-    The rows with a finite statistic in some cell of the ``(S, T)`` mask
+    ``targets`` is ``None``, else for ``targets`` as it takes them.  The
+    rows with a finite statistic in some cell of the ``(S, T)`` mask
     ``needed`` are grouped by dof vector; each group is drawn once, as
     ``mc_pvalue`` draws, and all its targets are counted with one binary
     search.  Every other cell gets p = 1.  Each p-value is still that of
     ``mc_pvalue``; the targets of one row share its draws, so theirs are
-    dependent.  Returns the norms with zero-dof entries zeroed, the
-    ``(S, E)`` dofs, and ``(S, T)`` statistics, p-values and rejections
-    at ``config.alpha``.
+    dependent.  Returns the ``(S, E, T)`` norms with zero-dof entries
+    zeroed, the ``(S, E)`` dofs, and ``(S, T)`` statistics, p-values and
+    rejections at ``config.alpha``, without the ``T`` axis for ``None``.
     """
     check_environments(dataset.num_envs)
+    config.check_null_size(dataset.num_envs)
     norms, ranks = fit_subsets(dataset, subsets, targets)
     dofs = np.maximum(np.subtract(dataset.sample_sizes, ranks), 0)
     # Zero degrees of freedom means the regression interpolates; the residual
@@ -353,13 +355,14 @@ def level_pvalues(dataset: MultiEnvDataset, subsets, config: TestConfig, targets
         draws = _reference_draws(config.seed, dofs[rows[0]], b)
         p_values[rows] = (1 + np.searchsorted(draws, statistics[rows], side="right")) / (b + 1)
     p_values[~drawn] = 1.0
+    if targets is None:
+        norms, statistics, p_values = norms[..., 0], statistics[:, 0], p_values[:, 0]
     return norms, dofs, statistics, p_values, p_values <= config.alpha
 
 
-def level_reports(subsets: Sequence[Sequence[int]], tested) -> list[SubsetTestReport]:
-    """The reports of ``subsets``, in order, from ``level_pvalues``' arrays of one target."""
-    norms, dofs, *rest = tested
-    columns = zip(norms[..., 0].tolist(), dofs.tolist(), *(a[:, 0].tolist() for a in rest))
+def level_reports(subsets: Sequence[Sequence[int]], *arrays) -> list[SubsetTestReport]:
+    """The reports of ``subsets``, in order, from ``level_pvalues``' arrays of the dataset's own target."""
+    columns = zip(*(a.tolist() for a in arrays))
     return [SubsetTestReport(tuple(s), tuple(n), tuple(k), *r) for s, (n, k, *r) in zip(subsets, columns)]
 
 
@@ -380,4 +383,4 @@ def phi_S(dataset: MultiEnvDataset, subset: Sequence[int], config: TestConfig) -
         raise InvalidInputError(f"subset contains repeated indices: {subset}")
     if any(s < 1 or s > d for s in subset):
         raise InvalidInputError(f"subset {subset} is not contained in 1..{d}")
-    return level_reports([subset], level_pvalues(dataset, [subset], config))[0]
+    return level_reports([subset], *level_pvalues(dataset, [subset], config))[0]

@@ -118,6 +118,26 @@ EDGE_FLOATS = (5e-324, sys.float_info.max, 1e-07, 1e16, 1.0, 0.0)
 _floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
 
 
+def _discover_document(labels, levels, envs):
+    """``_discover_json``'s arguments for ``levels`` of reports over ``envs`` environments, and
+    the reports ``_oracle_json`` reads.  Each level holds its subsets and real float64, int64
+    and bool arrays, as ``DiscoveryResult.levels`` does, so a number written without
+    ``tolist`` shows in the output."""
+    arrays = [
+        (
+            [r.subset for r in level],
+            np.array([r.residual_norms_sq for r in level], dtype=np.float64).reshape(len(level), envs),
+            np.array([r.dofs for r in level], dtype=np.int64).reshape(len(level), envs),
+            np.array([r.statistic for r in level], dtype=np.float64),
+            np.array([r.p_value for r in level], dtype=np.float64),
+            np.array([r.rejected for r in level], dtype=bool),
+        )
+        for level in levels
+    ]
+    reports = [r for level in levels for r in level]
+    return _discover_header(labels, len(reports)), arrays, reports
+
+
 @st.composite
 def discover_documents(draw):
     labels = draw(st.lists(st.text(max_size=6), min_size=2, max_size=4, unique=True))
@@ -131,8 +151,7 @@ def discover_documents(draw):
         p_value=_floats,
         rejected=st.booleans(),
     )
-    reports = tuple(draw(st.lists(report, max_size=4)))
-    return _discover_header(labels, len(reports)), reports
+    return _discover_document(labels, draw(st.lists(st.lists(report, max_size=3), max_size=3)), e)
 
 
 _EDGE_REPORTS = tuple(
@@ -148,11 +167,11 @@ _EDGE_REPORTS = tuple(
 
 @settings(deadline=None)
 @given(discover_documents())
-@example((_discover_header(['say "hi"', "back\\slash", "caf\u00e9 \u2603"], len(_EDGE_REPORTS)), _EDGE_REPORTS))
-@example((_discover_header(["a", "b"], 0), ()))
+@example(_discover_document(['say "hi"', "back\\slash", "caf\u00e9 \u2603"], [_EDGE_REPORTS[:4], _EDGE_REPORTS[4:]], 2))
+@example(_discover_document(["a", "b"], [], 2))
 def test_discover_json_matches_json_dumps(document):
-    doc, reports = document
-    assert "".join(_discover_json(doc, reports)) == _oracle_json(doc, reports)
+    doc, levels, reports = document
+    assert "".join(_discover_json(doc, levels)) == _oracle_json(doc, reports)
 
 
 class TestDiscover:
@@ -504,6 +523,17 @@ class TestCalibrate:
         assert captured.out == ""
         assert captured.err.strip().splitlines() == [
             "error: replications must be a positive integer, got 0"
+        ]
+
+    def test_null_above_capacity_refused_before_anything_is_drawn(self, monkeypatch, capsys):
+        # 2^23 draws in each of the 30 environments of a replication are 2 GB.
+        monkeypatch.setattr(invariance, "sample_null_ratio", None)
+        assert main(["calibrate", "--mc-samples", str(2**23), "--replications", "1"]) == EXIT_CAPACITY
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: mc_samples={2**23} x 30 environments is {30 * 2**23} doubles "
+            f"per null draw, above the limit of {MAX_DOUBLES} (1 GiB)"
         ]
 
     @pytest.mark.parametrize("alpha", ["2", "-1"])

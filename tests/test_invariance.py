@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from localicp.datagen import (
     split_environments,
 )
 from localicp.dataset import from_arrays
-from localicp.errors import InvalidInputError
+from localicp.errors import MAX_DOUBLES, CapacityError, InvalidInputError
 from localicp.invariance import (
     TestConfig,
     _fit_environments,
@@ -149,14 +150,14 @@ class TestMcPvalue:
 
         monkeypatch.setattr(invariance, "_reference_draws", recording)
         config = TestConfig(mc_samples=20, seed=1)
-        first = level_pvalues(data, [(1,), (2,)], config)[3][:, 0].tolist()
+        first = level_pvalues(data, [(1,), (2,)], config)[3].tolist()
         assert len(made) == 1
         draws = made[0]
         assert not draws.flags.writeable
         with pytest.raises(ValueError):
             draws[0] = 0.0
         assert np.all(np.diff(draws) >= 0)
-        assert level_pvalues(data, [(1,), (2,)], config)[3][:, 0].tolist() == first
+        assert level_pvalues(data, [(1,), (2,)], config)[3].tolist() == first
         assert len(made) == 2 and np.array_equal(made[1], draws)
         assert [mc_pvalue(t, [7, 8], 20, 1) for t in (0.3, 0.6)] == first
 
@@ -197,10 +198,10 @@ def test_reference_draws_seed_the_listed_entropy(seed, monkeypatch):
 
 
 def _assert_reports_match_scalar_path(data, subsets, config):
-    """Each report of ``level_reports(level_pvalues(...))`` equals the one-row
+    """Each report of ``level_reports(subsets, *level_pvalues(...))`` equals the one-row
     statistic and p-value of the fit that ``invariance.fit_subsets`` gives for
     its level."""
-    reports = level_reports(subsets, level_pvalues(data, subsets, config))
+    reports = level_reports(subsets, *level_pvalues(data, subsets, config))
     assert [r.subset for r in reports] == [tuple(s) for s in subsets]
     for report, norms, ranks in zip(reports, *invariance.fit_subsets(data, subsets)):
         dofs = np.maximum(np.subtract(data.sample_sizes, ranks), 0)
@@ -304,6 +305,20 @@ def make_dataset(rng, n, num_envs, beta_by_env, noise_std=1.0, d=None):
         covs.append(x)
         tgts.append(x @ beta + noise_std * rng.normal(size=n))
     return from_arrays(covs, tgts)
+
+
+def test_null_above_capacity_refused_before_anything_is_fitted_or_drawn(monkeypatch):
+    # 2^23 draws in each of 30 environments are 2 GB; phi_S, through
+    # level_pvalues, and mc_pvalue refuse them before they fit or draw.
+    monkeypatch.setattr(invariance, "fit_subsets", None)
+    monkeypatch.setattr(invariance, "sample_null_ratio", None)
+    rng = np.random.default_rng(0)
+    data = from_arrays([rng.normal(size=(5, 2)) for _ in range(30)], [rng.normal(size=5) for _ in range(30)])
+    doubles = f"is {30 * 2**23} doubles per null draw, above the limit of {MAX_DOUBLES} (1 GiB)"
+    with pytest.raises(CapacityError, match=re.escape(f"mc_samples={2**23} x 30 environments {doubles}")):
+        phi_S(data, (1,), TestConfig(mc_samples=2**23))
+    with pytest.raises(CapacityError, match=re.escape(f"b={2**23} x 30 environments {doubles}")):
+        mc_pvalue(0.5, [3] * 30, 2**23, 0)
 
 
 class TestPhiS:

@@ -18,6 +18,11 @@
   the one ``to_dict`` is ``NetworkResult``'s, which adds the schema version.
 - One level test: only ``invariance.level_pvalues`` calls ``fit_subsets``, so
   ``discover``, ``discover_targets`` and ``phi_S`` all test through it.
+- One null-size limit per path: only ``level_pvalues``, where every test
+  passes, and ``network_detect``, before it simulates, call ``check_null_size``.
+- One report conversion: only ``invariance.level_reports`` builds a
+  ``SubsetTestReport``, and only ``phi_S`` and ``DiscoveryResult.reports``
+  call it, so the search keeps its evidence as arrays.
 """
 
 import ast
@@ -80,11 +85,26 @@ class _Users(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def _users(target):
+class _Callers(_Users):
+    """Innermost enclosing function of every call of the name ``target``."""
+
+    def visit_Name(self, node):
+        pass
+
+    def visit_Attribute(self, node):
+        self.generic_visit(node)
+
+    def visit_Call(self, node):
+        if getattr(node.func, "attr", getattr(node.func, "id", None)) == self.target:
+            self.users.add(self.scope[-1])
+        self.generic_visit(node)
+
+
+def _users(target, visitor_class=_Users):
     """(module file, function) of every use of ``target`` in the package."""
     users = set()
     for path in MODULES:
-        visitor = _Users(target)
+        visitor = visitor_class(target)
         visitor.visit(ast.parse(path.read_text(), filename=str(path)))
         users |= {(path.name, scope) for scope in visitor.users}
     return users
@@ -103,6 +123,15 @@ def test_seeds_derived_in_one_function():
 
 def test_one_level_test_fits():
     assert _users("fit_subsets") == {("invariance.py", "level_pvalues")}
+
+
+def test_null_size_checked_by_the_level_test_and_the_network():
+    assert _users("check_null_size") == {("invariance.py", "level_pvalues"), ("experiments.py", "network_detect")}
+
+
+def test_reports_built_in_one_function():
+    assert _users("SubsetTestReport", _Callers) == {("invariance.py", "level_reports")}
+    assert _users("level_reports") == {("invariance.py", "phi_S"), ("discovery.py", "reports")}
 
 
 def test_size_limit_read_only_in_errors():
