@@ -63,8 +63,8 @@ OPTIONS = {
     "--seed": dict(type=_seed, default=0, help="base random seed (a non-negative integer)"),
     "--workers": dict(
         type=_positive, default=os.cpu_count() or 1,
-        help="threads over the independent runs of simulate and network; discover "
-        "runs serially (results are identical for any value)",
+        help="threads over the independent runs of network (results are identical for "
+        "any value); no effect on discover",
     ),
     "--no-intercept": dict(
         action="store_true", help="do not append a constant-one column before regression"
@@ -158,7 +158,7 @@ def cmd_simulate(args) -> int:
     print(
         f"running {len(scenario.grid)} grid points x {scenario.runs} runs", file=sys.stderr
     )
-    metrics = run_trials(scenario, args.seed, workers=args.workers)
+    metrics = run_trials(scenario, args.seed)
     if args.format == "json":
         _emit([_dump_json(trials_to_dict(scenario, metrics, args.seed))], args.output)
     else:
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="run a scenario sweep and report FNR/FPR")
     p.add_argument("scenario", help="scenario JSON file; it sets the test, intercept and max_dim")
-    _add_options(p, "--seed", "--workers", "--output", format_help="output format (default csv)")
+    _add_options(p, "--seed", "--output", format_help="output format (default csv)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("network", help="dynamical-system network detection study")

@@ -8,13 +8,14 @@ target and counts how often each covariate is reported as a parent; edges
 are declared by an exact one-sided binomial test against a 10% null rate.
 Both exact computations use numpy and the standard library only.
 
-Parallelism runs over independent runs only: ``run_trials`` and
-``network_detect`` map their runs over one thread pool (``_map_runs``), while
-each run's discovery tests its subsets serially.  A network run searches its
-six targets in lockstep (``discover_targets``): one window stack, one fit per
-level and one null draw per dof vector serve all six.  Per-run seeds derive
-from (scenario seed, grid index, run index), and aggregation folds runs in
-index order, so results are byte-identical for any worker count.
+A sweep runs serially: its runs are many small numpy calls, which a thread
+pool only contends for.  ``network_detect`` maps its runs over one thread
+pool, while each run's discovery tests its subsets serially.  A network run
+searches its six targets in lockstep (``discover_targets``): one window
+stack, one fit per level and one null draw per dof vector serve all six.
+Per-run seeds derive from (seed, grid index, run index), and aggregation
+folds runs in index order, so a run's record depends on nothing else and the
+network's results are byte-identical for any worker count.
 
 A network run is retried, with fresh derived seeds and ``MAX_ATTEMPTS``
 attempts in all, only when the Lorenz trajectory diverges (``DivergenceError``);
@@ -68,14 +69,6 @@ MAX_ATTEMPTS = 3
 # Edge rule of the network study (see ``network_detect``).
 EDGE_ALPHA = 0.05
 NULL_RATE = 0.10
-
-
-def _map_runs(fn: Callable, items, workers: int) -> list:
-    """``[fn(i) for i in items]``, on a pool of ``workers`` threads when above 1."""
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(i) for i in items]
 
 
 def derived_seed(*parts: int) -> int:
@@ -272,19 +265,12 @@ def _single_trial(scenario: Scenario, gen_cfg, seed: int, grid_index: int, run: 
     )
 
 
-def run_trials(scenario: Scenario, seed: int, workers: int = 1) -> list[TrialMetrics]:
+def run_trials(scenario: Scenario, seed: int) -> list[TrialMetrics]:
     """Execute the sweep and aggregate FNR/FPR with Clopper-Pearson intervals."""
     check_counts(minimum=0, seed=seed)
-    check_counts(workers=workers)
     out = []
     for gi, (value, gen_cfg) in enumerate(zip(scenario.grid, scenario.grid_configs)):
-        records = tuple(
-            _map_runs(
-                lambda r: _single_trial(scenario, gen_cfg, seed, gi, r),
-                range(scenario.runs),
-                workers,
-            )
-        )
+        records = tuple(_single_trial(scenario, gen_cfg, seed, gi, r) for r in range(scenario.runs))
         good = len(records)
         fn = sum(r.false_negative for r in records)
         fp = sum(r.false_positive for r in records)
@@ -407,7 +393,8 @@ def network_detect(
             return tuple(result.estimated_parents for result in results)
         return {"run": run, "attempts": attempts}
 
-    outcomes = _map_runs(one_run, range(runs), workers)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        outcomes = list(pool.map(one_run, range(runs)))
     per_run = tuple(r for r in outcomes if isinstance(r, tuple))
     good = len(per_run)
     if good == 0:

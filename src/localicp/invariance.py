@@ -179,9 +179,13 @@ def mc_pvalue(statistic: float, dofs: Sequence[int], b: int, seed: int) -> float
 
     An infinite statistic signals interpolated data, which carries no
     evidence against invariance; the p-value is then 1 and nothing is drawn.
+    Any other statistic outside ``[0, 1]``, NaN included, is no min/max ratio
+    and is refused.
     """
     check_counts(b=b)
     check_capacity(b * len(dofs), f"b={b} x {len(dofs)} environments is {b * len(dofs)} doubles per null draw")
+    if not (0.0 <= statistic <= 1.0 or statistic == math.inf):
+        raise InvalidInputError(f"statistic must lie in [0, 1] or be +inf, got {statistic!r}")
     if math.isinf(statistic):
         return 1.0
     draws = _reference_draws(seed, np.asarray(dofs, dtype=np.int64), b)

@@ -426,7 +426,7 @@ class TestSimulate:
         doc["generator"]["dimension"] = 5
         doc["max_dim"] = 3
         path.write_text(json.dumps(doc))
-        assert main(["simulate", str(path), "--workers", "2"]) == EXIT_CAPACITY
+        assert main(["simulate", str(path)]) == EXIT_CAPACITY
         err = capsys.readouterr().err
         assert "5 candidate covariates means 32 subsets" in err
         assert "runs failed" not in err
@@ -552,7 +552,8 @@ def test_every_command_runs_with_scipy_blocked(dataset_csv, tmp_path):
 
 
 # Each subcommand declares only the options it reads; the scenario file sets
-# simulate's test, intercept and max_dim.  No command has ``--rank-tol``, and
+# simulate's test, intercept and max_dim, and a sweep runs serially, so simulate
+# has no ``--workers``.  No command has ``--rank-tol``, and
 # ``network`` simulates exactly the steps its windows read, so it has no ``--horizon``.
 @pytest.mark.parametrize(
     "argv",
@@ -563,6 +564,7 @@ def test_every_command_runs_with_scipy_blocked(dataset_csv, tmp_path):
         ["simulate", "s.json", "--no-intercept"],
         ["simulate", "s.json", "--rank-tol", "1e-9"],
         ["simulate", "s.json", "--max-dim", "3"],
+        ["simulate", "s.json", "--workers", "2"],
         ["network", "--no-intercept"],
         ["network", "--max-dim", "3"],
         ["network", "--format", "csv"],
@@ -593,7 +595,7 @@ def test_each_command_declares_the_options_it_reads():
     }
     test = {"--alpha", "--mc-samples", "--seed", "--workers", "--output"}
     assert set(options["discover"]) == test | {"--no-intercept", "--max-dim", "--format"}
-    assert set(options["simulate"]) == {"--seed", "--workers", "--output", "--format"}
+    assert set(options["simulate"]) == {"--seed", "--output", "--format"}
     assert set(options["network"]) == test | {"--warmup", "--window", "--num-envs", "--runs"}
     assert set(options["calibrate"]) == test - {"--workers"} | {"--replications"}
     assert options["discover"]["--format"].startswith("input format")
@@ -691,7 +693,7 @@ def _run_main(argv, capsys):
 
 DOCUMENTS = {
     "dataset.json": (_dataset_doc, ["discover", "--mc-samples", "20"]),
-    "scenario.json": (_scenario_doc, ["simulate", "--workers", "1"]),
+    "scenario.json": (_scenario_doc, ["simulate"]),
 }
 
 

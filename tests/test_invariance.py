@@ -110,6 +110,15 @@ class TestMcPvalue:
         with pytest.raises(InvalidInputError, match=f"b must be a positive integer, got {b!r}"):
             mc_pvalue(0.5, [3, 3], b, 0)
 
+    @pytest.mark.parametrize("statistic", [math.nan, -math.inf, -0.5, 1.5])
+    def test_rejects_a_statistic_no_ratio_takes(self, monkeypatch, statistic):
+        # A min/max ratio lies in [0, 1], or is +inf on interpolated data;
+        # anything else is refused before a draw.
+        monkeypatch.setattr(invariance, "sample_null_ratio", None)
+        message = f"statistic must lie in [0, 1] or be +inf, got {statistic!r}"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            mc_pvalue(statistic, [5, 5], 100, 0)
+
     def test_statistic_below_all_draws(self):
         assert mc_pvalue(0.0, [10, 10], 100, 0) == 1 / 101
 

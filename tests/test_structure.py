@@ -3,8 +3,9 @@
 - No handler catches everything: no bare ``except``, ``except Exception`` or
   ``except BaseException``.  A run is retried only on the one error that a
   fresh seed can cure, and every other error reaches the caller.
-- One parallel layer: ``ThreadPoolExecutor`` is used in a single function of
-  ``experiments.py``, the pool over independent runs.
+- One parallel layer: ``ThreadPoolExecutor`` is used only in
+  ``experiments.network_detect``, the pool over the network's independent runs;
+  a sweep runs serially.
 - One error boundary: in ``cli.py`` only ``main`` handles exceptions, so the
   map from error to exit code is written once.
 - ``linalg`` is the tests' reference for the batched fit: no module imports it.
@@ -111,9 +112,7 @@ def _users(target, visitor_class=_Users):
 
 
 def test_thread_pool_in_one_function_of_experiments():
-    users = _users("ThreadPoolExecutor")
-    assert len(users) == 1, sorted(users)
-    assert next(iter(users))[0] == "experiments.py"
+    assert _users("ThreadPoolExecutor") == {("experiments.py", "network_detect")}
 
 
 def test_seeds_derived_in_one_function():
