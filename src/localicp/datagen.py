@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +95,20 @@ def _check_size(num_envs: int, samples_per_env: int, columns: int) -> None:
     check_capacity(size, what)
 
 
-def _check_range(name: str, rng_pair) -> None:
-    lo, hi = rng_pair
-    if hi < lo:
-        raise InvalidInputError(f"{name} must be an ordered pair, got {rng_pair}")
+def _finite(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, within the finite doubles."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
+def _check_range(name: str, pair) -> None:
+    lo, hi = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, None)
+    if not (_finite(lo) and _finite(hi) and lo <= hi and _finite(hi - lo)):
+        raise InvalidInputError(f"{name} must be finite numbers low <= high, a finite span apart, got {pair!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    if not (_finite(value) and value > 0):
+        raise InvalidInputError(f"{name} must be a positive finite number, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -122,16 +133,14 @@ class IndependentGenConfig:
             num_envs=self.num_envs, samples_per_env=self.samples_per_env, dimension=self.dimension
         )
         _check_size(self.num_envs, self.samples_per_env, self.dimension + 1)
-        if not set(self.parent_set) <= set(range(1, self.dimension + 1)):
-            raise InvalidInputError(
-                f"parent_set {self.parent_set} not contained in 1..{self.dimension}"
-            )
+        if not all(isinstance(p, numbers.Integral) and not isinstance(p, bool) and 1 <= p <= self.dimension
+                   for p in self.parent_set):
+            raise InvalidInputError(f"parent_set {self.parent_set} must hold integers in 1..{self.dimension}")
         for name in ("sigma_range", "beta_range", "mean_range"):
             _check_range(name, getattr(self, name))
         if self.sigma_range[0] <= 0:
             raise InvalidInputError("covariate scales must be positive")
-        if self.target_noise_std <= 0:
-            raise InvalidInputError("target_noise_std must be positive")
+        _check_positive("target_noise_std", self.target_noise_std)
         _check_family(self.covariate_family, self.student_t_dof)
 
 
@@ -183,10 +192,9 @@ class SemGenConfig:
         _check_range("beta_range", self.beta_range)
         if self.sigma_range[0] <= 0:
             raise InvalidInputError("noise scales must be positive")
-        if self.sigma_y <= 0:
-            raise InvalidInputError("sigma_y must be positive")
-        if self.heterogeneity is not None and self.heterogeneity < 0:
-            raise InvalidInputError("heterogeneity must be non-negative")
+        _check_positive("sigma_y", self.sigma_y)
+        if self.heterogeneity is not None and not (_finite(self.heterogeneity) and self.heterogeneity >= 0):
+            raise InvalidInputError(f"heterogeneity must be a finite number >= 0, got {self.heterogeneity!r}")
         _check_family(self.noise_family, self.student_t_dof)
 
     def env_ranges(self) -> tuple[tuple[float, float], tuple[float, float]]:

@@ -72,11 +72,11 @@ def _search(dataset, targets, config, test, max_dim, early_stop) -> list[Discove
     """``discover``'s walk, for ``T`` targets in lockstep under one ``config``.
 
     ``targets`` is ``None`` for the dataset's own target (``T = 1``), else targets as ``fit_subsets`` takes
-    them.  Each level is tested once, ``test(dataset, level, config, targets, needed)`` as ``level_pvalues``,
-    on the union of the subsets some target still needs, for the targets ``live`` that need one (``needed``,
-    ``(S, len(live))``, says which), one draw per dof vector serving them all.  Each live target walks its
-    rejections in level order with its own intersection and early stop; the dataset's own target keeps the
-    subsets it walked and the level's arrays at their rows.
+    them.  Each level is tested once, ``test(dataset, level, config, targets)`` as ``level_pvalues``, on the
+    union of the subsets some target still needs, for the targets ``live`` that need one, one draw per dof
+    vector serving them all.  Each live target walks its rejections in level order with its own intersection
+    and early stop, reading only the subsets it walks; the dataset's own target keeps those subsets and the
+    level's arrays at their rows.
     """
     d = dataset.num_covariates
     if d > max_dim:
@@ -104,7 +104,7 @@ def _search(dataset, targets, config, test, max_dim, early_stop) -> list[Discove
         if not level:
             continue
         live_targets = None if targets is None else tuple(a[:, live] for a in targets)
-        arrays = test(dataset, level, config, live_targets, needed[rows][:, live])
+        arrays = test(dataset, level, config, live_targets)
         for t, column in zip(live, arrays[-1].reshape(len(level), -1).T.tolist()):
             walked = []
             for i, (subset, rejected) in enumerate(zip(level, column)):

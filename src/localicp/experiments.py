@@ -118,10 +118,9 @@ def binomial_test_greater(successes: int, trials: int, p0: float) -> float:
 # Scenario sweeps
 
 
-GENERATORS: dict[str, tuple[type, Callable]] = {
-    "independent": (IndependentGenConfig, gen_independent),
-    "sem": (SemGenConfig, gen_sem),
-}
+# The generator of each config class, and the config class of each JSON ``kind``.
+GENERATORS: dict[type, Callable] = {IndependentGenConfig: gen_independent, SemGenConfig: gen_sem}
+KINDS = {"independent": IndependentGenConfig, "sem": SemGenConfig}
 
 SCENARIO_KEYS = {"generator", "test", "sweep", "runs", "intercept", "max_dim"}
 SWEEP_KEYS = {"parameter", "grid"}
@@ -134,9 +133,8 @@ def _check_unseeded(test_config: TestConfig) -> None:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One experiment: a generator, a sweep grid and a test configuration."""
+    """One experiment: a generator config, whose class picks the generator, a sweep grid and a test config."""
 
-    generator_kind: str
     generator_config: IndependentGenConfig | SemGenConfig
     test_config: TestConfig
     sweep_parameter: str
@@ -148,10 +146,9 @@ class Scenario:
     grid_configs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.generator_kind not in GENERATORS:
-            raise InvalidInputError(
-                f"generator must be one of {sorted(GENERATORS)}, got {self.generator_kind!r}"
-            )
+        if type(self.generator_config) not in GENERATORS:
+            names = ", ".join(cls.__name__ for cls in GENERATORS)
+            raise InvalidInputError(f"generator_config must be one of {names}, got {self.generator_config!r}")
         check_counts(runs=self.runs, max_dim=self.max_dim)
         _check_unseeded(self.test_config)
         if not isinstance(self.intercept, bool):
@@ -193,9 +190,9 @@ class Scenario:
             raise InvalidInputError(f"unknown scenario key {unknown[0]!r}")
         if not isinstance(grid, list):
             raise InvalidInputError(f"sweep.grid must be a list, got {grid!r}")
-        if not isinstance(kind, str) or kind not in GENERATORS:
+        if not isinstance(kind, str) or kind not in KINDS:
             raise InvalidInputError(f"unknown generator kind {kind!r}")
-        cfg_cls = GENERATORS[kind][0]
+        cfg_cls = KINDS[kind]
         try:
             gen_cfg = cfg_cls(**{k: tuple(v) if isinstance(v, list) else v for k, v in gen.items()})
         except TypeError as exc:
@@ -208,7 +205,6 @@ class Scenario:
         except TypeError as exc:
             raise InvalidInputError(f"invalid test config: {exc}") from None
         return Scenario(
-            generator_kind=kind,
             generator_config=gen_cfg,
             test_config=test_cfg,
             sweep_parameter=sweep_parameter,
@@ -244,7 +240,7 @@ class TrialMetrics:
 
 def _single_trial(scenario: Scenario, gen_cfg, seed: int, grid_index: int, run: int):
     """One dataset + discovery; the sweep generators cannot diverge, so no retry."""
-    generate = GENERATORS[scenario.generator_kind][1]
+    generate = GENERATORS[type(gen_cfg)]
     # The 0 in both seeds is an attempt index (sweep runs used to be retried);
     # it stays so that a fixed seed keeps its results.
     data_seed = derived_seed(seed, grid_index, run, 0, 0)

@@ -25,10 +25,10 @@ per dof vector.
 Each (subset, environment) Gram matrix is factored by Cholesky, by column
 recurrences with the pairs on the last axes.  A pair keeps that solve only
 when its pivots are positive and finite and a condition bound read off the
-factor proves full rank under the SVD cutoff; every other pair (rank-deficient,
-ill-conditioned, or the empty column set) is solved by the SVD.  Residuals
-are formed explicitly as ``y - X beta``.  Every sum runs in a fixed order per
-element, so a subset's fit is bit-for-bit the same in any batch.
+factor proves full rank under the SVD cutoff (the empty column set always
+does); every other pair (rank-deficient or ill-conditioned) is solved by the
+SVD.  Residuals are formed explicitly as ``y - X beta``.  Every sum runs in a
+fixed order per element, so a subset's fit is bit-for-bit the same in any batch.
 
 Reproducibility contract: the reference draws of a test are a pure function
 of ``(config.seed, dofs, config.mc_samples)``, so results do not depend on
@@ -153,12 +153,11 @@ def sample_null_ratio(dofs: Sequence[int], rng: np.random.Generator, size: int) 
         return np.where(top > 0.0, z.min(axis=1) / top, math.inf)
 
 
-def _reference_draws(seed: int, dofs: np.ndarray, b: int) -> np.ndarray:
-    """The ``b`` sorted, read-only reference ratios of the dof vector ``dofs``.
-
-    They are drawn from ``SeedSequence([seed, *dofs])``, its entropy given as
-    the ``uint32`` array it makes of that list: the seed's 32-bit
-    little-endian words, then the dofs (each below 2^32)."""
+def _null_pvalues(seed: int, dofs: np.ndarray, b: int, statistics):
+    """``(1 + #{R <= T}) / (B + 1)`` of each statistic ``T`` against the ``b`` sorted reference
+    ratios ``R`` of ``dofs``, drawn from ``SeedSequence([seed, *dofs])``, its entropy given as
+    the ``uint32`` array it makes of that list: the seed's 32-bit little-endian words, then the
+    dofs (each below 2^32).  Ties count against the statistic, so an infinite one counts every draw."""
     seed = int(seed)
     if seed < 0 or np.any(dofs < 0):
         raise InvalidInputError("the seed and the dofs must be non-negative")
@@ -166,16 +165,14 @@ def _reference_draws(seed: int, dofs: np.ndarray, b: int) -> np.ndarray:
     entropy = np.concatenate([np.array(words, dtype=np.uint32), dofs.astype(np.uint32)])
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
     draws = np.sort(sample_null_ratio(dofs, rng, size=b))
-    draws.flags.writeable = False
-    return draws
+    return (1 + np.searchsorted(draws, statistics, side="right")) / (b + 1)
 
 
 def mc_pvalue(statistic: float, dofs: Sequence[int], b: int, seed: int) -> float:
     """Conservative Monte-Carlo p-value ``(1 + #{R <= T}) / (B + 1)``.
 
-    The ``b`` reference ratios ``R`` are drawn from
-    ``SeedSequence([seed, *dofs])`` and sorted, so the count is a binary
-    search.  ``level_pvalues`` gives the same p-value for a whole level.
+    ``_null_pvalues`` draws the ``b`` reference ratios ``R`` and counts;
+    ``level_pvalues`` gives the same p-value for a whole level.
 
     An infinite statistic signals interpolated data, which carries no
     evidence against invariance; the p-value is then 1 and nothing is drawn.
@@ -188,9 +185,7 @@ def mc_pvalue(statistic: float, dofs: Sequence[int], b: int, seed: int) -> float
         raise InvalidInputError(f"statistic must lie in [0, 1] or be +inf, got {statistic!r}")
     if math.isinf(statistic):
         return 1.0
-    draws = _reference_draws(seed, np.asarray(dofs, dtype=np.int64), b)
-    count = int(np.searchsorted(draws, statistic, side="right"))
-    return (1 + count) / (b + 1)
+    return float(_null_pvalues(seed, np.asarray(dofs, dtype=np.int64), b, statistic))
 
 
 def _cholesky_solve(gram_all: np.ndarray, cols: np.ndarray, xty: np.ndarray, tol: float):
@@ -206,7 +201,7 @@ def _cholesky_solve(gram_all: np.ndarray, cols: np.ndarray, xty: np.ndarray, tol
     and the ``(S, E)`` mask of certified pairs: every pivot positive and
     finite, and ``||G||_F * ||L^-1||_F^2 * tol * CHOLESKY_MARGIN < 1``.
     """
-    width, targets, pairs, count = len(cols), xty.shape[1], xty.shape[2:], xty[0, 0].size
+    width, targets, pairs, count = len(cols), xty.shape[1], xty.shape[2:], math.prod(xty.shape[2:])
     a = np.zeros((width, 2 * width + targets) + pairs)
     a[:, :width] = gram_all[cols[:, None], cols[None]]
     a[:, width : width + targets] = xty
@@ -253,10 +248,10 @@ def _fit_environments(dataset: MultiEnvDataset, col_sets, targets=None):
 
     All pairs are first solved by ``_cholesky_solve``.  Its certificate
     bounds the condition number of ``G`` a margin below ``1 / tol``, so a
-    certified pair has every singular value above the cutoff and full rank.
-    Every other pair (rank-deficient, ill-conditioned, a failed pivot, or the
-    empty column set, whose rank is 0 and RSS ``y'y``) is solved by the SVD
-    on its own, ``U'X'y`` per target.  The residual is then formed
+    certified pair has every singular value above the cutoff and full rank;
+    the empty column set is certified with rank 0 and RSS ``y'y``.  Every
+    other pair (rank-deficient, ill-conditioned or a failed pivot) is solved
+    by the SVD on its own, ``U'X'y`` per target.  The residual is then formed
     explicitly as ``y - X beta``, one column at a time.
 
     Every step is elementwise, one matrix at a time (the SVD), or a sum over
@@ -273,11 +268,8 @@ def _fit_environments(dataset: MultiEnvDataset, col_sets, targets=None):
     tol = width * np.finfo(np.float64).eps
     xty = np.moveaxis(xty_all[cols], 2, 1)  # (w, T, S, E)
     ranks = np.full(xty.shape[2:], width)
-    if width:
-        beta, certified = _cholesky_solve(gram_all, cols, xty, tol)
-        uncertified = ~certified
-    else:
-        beta, uncertified = np.zeros(xty.shape), np.ones(ranks.shape, dtype=bool)
+    beta, certified = _cholesky_solve(gram_all, cols, xty, tol)
+    uncertified = ~certified
     if uncertified.any():
         sets, envs = np.nonzero(uncertified)
         c = cols[:, sets]
@@ -327,15 +319,15 @@ def fit_subsets(dataset: MultiEnvDataset, subsets: Sequence[Sequence[int]], targ
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-def level_pvalues(dataset: MultiEnvDataset, subsets, config: TestConfig, targets=None, needed=True):
+def level_pvalues(dataset: MultiEnvDataset, subsets, config: TestConfig, targets=None):
     """Fit one level of ``subsets``, all of one size, and test it for ``T`` targets.
 
     ``fit_subsets`` fits the level once: for the dataset's own target when
     ``targets`` is ``None``, else for ``targets`` as it takes them.  The
-    rows with a finite statistic in some cell of the ``(S, T)`` mask
-    ``needed`` are grouped by dof vector; each group is drawn once, as
-    ``mc_pvalue`` draws, and all its targets are counted with one binary
-    search.  Every other cell gets p = 1.  Each p-value is still that of
+    rows with a finite statistic for some target are grouped by dof vector;
+    each group is drawn once, as ``mc_pvalue`` draws, and all its cells are
+    counted with one binary search (an infinite one counts every draw, so
+    p = 1).  Every other row gets p = 1.  Each p-value is that of
     ``mc_pvalue``; the targets of one row share its draws, so theirs are
     dependent.  Returns the ``(S, E, T)`` norms with zero-dof entries
     zeroed, the ``(S, E)`` dofs, and ``(S, T)`` statistics, p-values and
@@ -349,16 +341,12 @@ def level_pvalues(dataset: MultiEnvDataset, subsets, config: TestConfig, targets
     # is exactly zero in exact arithmetic, so discard rounding noise.
     norms = np.where(dofs[..., None] == 0, 0.0, norms.reshape(ranks.shape + (-1,)))
     statistics = test_statistic(np.moveaxis(norms, -1, 1))
-    drawn = np.isfinite(statistics) & needed
     p_values = np.ones(statistics.shape)
-    b = config.mc_samples
     groups: dict[bytes, list[int]] = {}
-    for i in np.flatnonzero(drawn.any(1)).tolist():
+    for i in np.flatnonzero(np.isfinite(statistics).any(1)).tolist():
         groups.setdefault(dofs[i].tobytes(), []).append(i)
     for rows in groups.values():
-        draws = _reference_draws(config.seed, dofs[rows[0]], b)
-        p_values[rows] = (1 + np.searchsorted(draws, statistics[rows], side="right")) / (b + 1)
-    p_values[~drawn] = 1.0
+        p_values[rows] = _null_pvalues(config.seed, dofs[rows[0]], config.mc_samples, statistics[rows])
     if targets is None:
         norms, statistics, p_values = norms[..., 0], statistics[:, 0], p_values[:, 0]
     return norms, dofs, statistics, p_values, p_values <= config.alpha

@@ -45,7 +45,6 @@ def report(capsys, number, name, ok, detail):
 
 def normal_scenario(grid, runs, alpha=0.1):
     return Scenario(
-        generator_kind="independent",
         generator_config=IndependentGenConfig(),
         test_config=TestConfig(alpha=alpha, mc_samples=100),
         sweep_parameter="samples_per_env",
@@ -100,7 +99,6 @@ def test_c4_test_calibration(capsys):
 
 def test_c5_heterogeneity_dependence(capsys):
     scenario = Scenario(
-        generator_kind="sem",
         generator_config=SemGenConfig(
             samples_per_env=20, noise_family="uniform", heterogeneity=0.0
         ),

@@ -392,6 +392,37 @@ class TestSimulate:
             assert "Traceback" not in proc.stderr
             assert named in proc.stderr
 
+    @pytest.mark.parametrize("in_grid", [False, True], ids=["generator", "grid"])
+    @pytest.mark.parametrize(
+        "kind, field, value",
+        [
+            ("independent", "sigma_range", [1, 5, 7]),
+            ("independent", "mean_range", [0]),
+            ("independent", "sigma_range", {"a": 1, "b": 2}),
+            ("independent", "beta_range", {"a": 1, "b": 2}),
+            ("independent", "sigma_range", [math.nan, 5]),
+            ("independent", "beta_range", [1, math.inf]),
+            ("independent", "mean_range", [-math.inf, 1]),
+            ("independent", "mean_range", [-1e308, 1e308]),
+            ("sem", "heterogeneity", math.nan),
+        ],
+    )
+    def test_malformed_range_or_scale_refused(self, tmp_path, capsys, kind, field, value, in_grid):
+        # A range must be two finite numbers low <= high a finite span apart,
+        # a scale a finite number; each is refused with one line naming it,
+        # in the generator block or as a sweep.grid entry.
+        gen = {"kind": kind, "num_envs": 3, "samples_per_env": 8}
+        sweep = {"parameter": field, "grid": [value]} if in_grid else {"parameter": "samples_per_env", "grid": [8]}
+        if not in_grid:
+            gen[field] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"generator": gen, "test": {"mc_samples": 20}, "sweep": sweep, "runs": 1}))
+        assert main(["simulate", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: ") and f"{field} must be" in line
+
     def test_test_seed_refused(self, tmp_path, capsys):
         # Each run's test seed derives from --seed, so a seed in the test
         # block would not be read.
@@ -634,7 +665,8 @@ def _scenario_doc():
     return {
         "generator": {
             "kind": "independent", "num_envs": 3, "samples_per_env": 8,
-            "dimension": 2, "parent_set": [1],
+            "dimension": 2, "parent_set": [1], "sigma_range": [1.0, 5.0],
+            "beta_range": [1.0, 5.0], "mean_range": [-1.0, 1.0], "target_noise_std": 2.0,
         },
         "test": {"alpha": 0.1, "mc_samples": 20},
         "sweep": {"parameter": "samples_per_env", "grid": [8]},
@@ -699,11 +731,19 @@ DOCUMENTS = {
 
 @pytest.mark.parametrize("name", sorted(DOCUMENTS))
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_malformed_json_document_exits_with_a_code(name, data, tmp_path, capsys):
+@given(data=st.data(), edit=st.none())
+# Generator ranges that once escaped as tracebacks: three numbers, and a NaN bound.
+@example(data=None, edit=("scenario.json", "sigma_range", [1, 5, 7]))
+@example(data=None, edit=("scenario.json", "mean_range", [math.nan, 1.0]))
+def test_malformed_json_document_exits_with_a_code(name, data, edit, tmp_path, capsys):
+    if edit is not None and edit[0] != name:
+        return  # an explicit example edits one document
     make, (command, *options) = DOCUMENTS[name]
     doc = make()
-    if data.draw(st.booleans(), label="replace a field"):
+    if edit is not None:
+        doc["generator"][edit[1]] = edit[2]
+        content = json.dumps(doc).encode()
+    elif data.draw(st.booleans(), label="replace a field"):
         _replace_field(data, doc)
         content = json.dumps(doc).encode()
     else:

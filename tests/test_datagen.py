@@ -90,8 +90,9 @@ class TestIndependent:
         assert a.environments[0].target.tobytes() != c.environments[0].target.tobytes()
 
     def test_config_validation(self):
-        with pytest.raises(InvalidInputError):
-            IndependentGenConfig(parent_set=(0,))
+        for parent_set in ((0,), (1.0,), (True,), "12"):
+            with pytest.raises(InvalidInputError, match="parent_set .* must hold integers in 1..6"):
+                IndependentGenConfig(parent_set=parent_set)
         with pytest.raises(InvalidInputError):
             IndependentGenConfig(covariate_family="poisson")
         with pytest.raises(InvalidInputError):

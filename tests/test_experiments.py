@@ -159,7 +159,7 @@ class TestScenario:
 
     def test_from_dict(self):
         s = Scenario.from_dict(self.doc())
-        assert s.generator_kind == "independent"
+        assert type(s.generator_config) is IndependentGenConfig
         assert s.generator_config.num_envs == 5
         assert s.test_config.alpha == 0.05
         assert s.grid == (10, 20)
@@ -177,6 +177,13 @@ class TestScenario:
         doc["generator"]["kind"] = "mystery"
         with pytest.raises(InvalidInputError):
             Scenario.from_dict(doc)
+
+    def test_generator_config_of_another_class_refused(self):
+        # The config's class picks the generator, so only a generator's config is taken.
+        fields = dict(test_config=TestConfig(), sweep_parameter="horizon", grid=(10,), runs=1)
+        message = "generator_config must be one of IndependentGenConfig, SemGenConfig, got LorenzGenConfig"
+        with pytest.raises(InvalidInputError, match=message):
+            Scenario(generator_config=LorenzGenConfig(horizon=10), **fields)
 
     def test_unknown_config_field(self):
         doc = self.doc()
@@ -229,7 +236,6 @@ class TestScenario:
 
 def small_scenario(runs=6):
     return Scenario(
-        generator_kind="independent",
         generator_config=IndependentGenConfig(num_envs=5, samples_per_env=15, dimension=3, parent_set=(1,)),
         test_config=TestConfig(alpha=0.1, mc_samples=50),
         sweep_parameter="samples_per_env",
@@ -290,7 +296,6 @@ class TestRunTrials:
 
     def test_sem_scenario_runs(self):
         scenario = Scenario(
-            generator_kind="sem",
             generator_config=SemGenConfig(num_envs=6, samples_per_env=20),
             test_config=TestConfig(mc_samples=50),
             sweep_parameter="heterogeneity",
@@ -505,13 +510,13 @@ class TestNetworkDetect:
         # The CLI's defaults at --runs 2 --seed 1: each run's six targets share
         # one draw per dof vector of a level, 14 in all (76 with a draw per target).
         drawn = []
-        original = invariance._reference_draws
+        original = invariance._null_pvalues
 
-        def recording(seed, dofs, b):
+        def recording(seed, dofs, b, statistics):
             drawn.append(seed)
-            return original(seed, dofs, b)
+            return original(seed, dofs, b, statistics)
 
-        monkeypatch.setattr(invariance, "_reference_draws", recording)
+        monkeypatch.setattr(invariance, "_null_pvalues", recording)
         network_detect(window=20, num_envs=300, runs=2, test_config=TestConfig(), seed=1, warmup=500, workers=1)
         assert len(drawn) == 14
         assert set(drawn) == {derived_seed(1, run, 0, 1) for run in range(2)}

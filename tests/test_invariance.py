@@ -20,7 +20,7 @@ from localicp.errors import MAX_DOUBLES, CapacityError, InvalidInputError
 from localicp.invariance import (
     TestConfig,
     _fit_environments,
-    _reference_draws,
+    _null_pvalues,
     fit_subsets,
     level_pvalues,
     level_reports,
@@ -142,32 +142,27 @@ class TestMcPvalue:
             expected = (1 + int(np.count_nonzero(draws <= t))) / (b + 1)
             assert mc_pvalue(t, dofs, b, seed) == expected
 
-    def test_memoized_draws_are_sorted_and_read_only(self, monkeypatch):
+    def test_rows_sharing_a_dof_vector_share_one_draw(self, monkeypatch):
         # Two rows of one level call share the dof vector (7, 8): they share
-        # one sorted, read-only draw and each gets the scalar p-value.  A
-        # second call draws again and gives the same p-values.
+        # one draw and each gets the scalar p-value.  A second call draws
+        # again and gives the same p-values.
         rng = np.random.default_rng(5)
         data = from_arrays([rng.normal(size=(n, 2)) for n in (8, 9)], [rng.normal(size=n) for n in (8, 9)])
         fit = (np.array([[0.3, 1.0], [1.0, 0.6]]), np.array([[1, 1], [1, 1]]))
         monkeypatch.setattr(invariance, "fit_subsets", lambda dataset, subsets, targets: fit)
         made = []
-        original = invariance._reference_draws
+        original = invariance._null_pvalues
 
-        def recording(seed, dofs, b):
-            made.append(original(seed, dofs, b))
-            return made[-1]
+        def recording(seed, dofs, b, statistics):
+            made.append((tuple(dofs.tolist()), np.asarray(statistics).tolist()))
+            return original(seed, dofs, b, statistics)
 
-        monkeypatch.setattr(invariance, "_reference_draws", recording)
+        monkeypatch.setattr(invariance, "_null_pvalues", recording)
         config = TestConfig(mc_samples=20, seed=1)
         first = level_pvalues(data, [(1,), (2,)], config)[3].tolist()
-        assert len(made) == 1
-        draws = made[0]
-        assert not draws.flags.writeable
-        with pytest.raises(ValueError):
-            draws[0] = 0.0
-        assert np.all(np.diff(draws) >= 0)
+        assert made == [((7, 8), [[0.3], [0.6]])]
         assert level_pvalues(data, [(1,), (2,)], config)[3].tolist() == first
-        assert len(made) == 2 and np.array_equal(made[1], draws)
+        assert made == 2 * [((7, 8), [[0.3], [0.6]])]
         assert [mc_pvalue(t, [7, 8], 20, 1) for t in (0.3, 0.6)] == first
 
     def test_null_uniformity_bound(self):
@@ -199,11 +194,13 @@ def test_reference_draws_seed_the_listed_entropy(seed, monkeypatch):
         return original(dofs, rng, size)
 
     monkeypatch.setattr(invariance, "sample_null_ratio", recording)
-    draws = _reference_draws(seed, np.array(dofs), 40)
+    expected = np.sort(original(dofs, np.random.default_rng(np.random.SeedSequence([seed, *dofs])), 40))
+    statistics = np.array([0.0, 0.5, 1.0, math.inf, *expected[::8]])
+    p_values = _null_pvalues(seed, np.array(dofs), 40, statistics)
     listed = np.random.SeedSequence([seed, *dofs])
     assert np.array_equal(streams[0].generate_state(8), listed.generate_state(8))
-    expected = original(dofs, np.random.default_rng(np.random.SeedSequence([seed, *dofs])), 40)
-    assert np.array_equal(draws, np.sort(expected)) and not draws.flags.writeable
+    counts = (expected[None] <= statistics[:, None]).sum(1)
+    assert np.array_equal(p_values, (1 + counts) / 41) and p_values[3] == 1.0
 
 
 def _assert_reports_match_scalar_path(data, subsets, config):
@@ -277,29 +274,28 @@ def test_targets_share_one_draw_per_dof_vector(monkeypatch):
     targets = (ys, data.target_cross_products(ys))
     config = TestConfig(mc_samples=40, seed=9)
     drawn = []
-    original = invariance._reference_draws
+    original = invariance._null_pvalues
 
-    def recording(seed, dofs, b):
+    def recording(seed, dofs, b, statistics):
         drawn.append(tuple(dofs.tolist()))
-        return original(seed, dofs, b)
+        return original(seed, dofs, b, statistics)
 
-    monkeypatch.setattr(invariance, "_reference_draws", recording)
+    monkeypatch.setattr(invariance, "_null_pvalues", recording)
     shared = 0
     for k in range(4):
         subsets = list(itertools.combinations(range(1, 4), k))
-        needed = rng.random((len(subsets), 3)) < 0.7
-        needed[0, :2] = True
         drawn.clear()
-        _, dofs, statistics, p_values, rejected = level_pvalues(data, subsets, config, targets, needed)
-        tested = np.isfinite(statistics) & needed
-        assert not np.isfinite(statistics[:, 2]).any()
-        per_target = [{tuple(dofs[i].tolist()) for i in np.flatnonzero(tested[:, t])} for t in range(3)]
+        _, dofs, statistics, p_values, rejected = level_pvalues(data, subsets, config, targets)
+        finite = np.isfinite(statistics)
+        assert not finite[:, 2].any()
+        per_target = [{tuple(dofs[i].tolist()) for i in np.flatnonzero(finite[:, t])} for t in range(3)]
         vectors = set().union(*per_target)
         assert len(drawn) == len(set(drawn)) == len(vectors) >= 1
         shared += sum(map(len, per_target)) - len(vectors)
+        # Every cell is tested: an infinite statistic in a drawn row counts
+        # every draw, so it gets exactly mc_pvalue's 1.
         for (i, t), p in np.ndenumerate(p_values):
-            expected = mc_pvalue(statistics[i, t], dofs[i], config.mc_samples, config.seed) if tested[i, t] else 1.0
-            assert p == expected, (subsets[i], t)
+            assert p == mc_pvalue(statistics[i, t], dofs[i], config.mc_samples, config.seed), (subsets[i], t)
         assert np.array_equal(rejected, p_values <= config.alpha)
     # Draws a target would have made on its own were shared with another.
     assert shared > 0
@@ -687,7 +683,7 @@ def test_batch_does_not_change_a_subsets_bits(make, monkeypatch):
 def test_one_failing_pivot_stays_local(monkeypatch):
     # Only the environment whose column is zero fails its pivot; the others
     # of the same subset keep the Cholesky solve.  The SVD gets exactly the
-    # singular (column set, environment) pairs and the E empty-set pairs.
+    # singular (column set, environment) pairs; the empty set is certified.
     data = _collinear_among_full_rank()
     width = data.environments[0].covariates.shape[1]
     singular = sum(
@@ -706,7 +702,24 @@ def test_one_failing_pivot_stays_local(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting)
     for level in _levels(width):
         _fit_environments(data, level)
-    assert sum(seen) == singular + data.num_envs
+    assert sum(seen) == singular
+
+
+def test_empty_column_set_is_an_ordinary_solve(monkeypatch):
+    # Without an intercept the empty set is a width-0 Cholesky solve: every
+    # pair certified with rank 0, no SVD, and the norms are y'y bit for bit.
+    rng = np.random.default_rng(8)
+    sizes = (5, 9, 7)
+    data = from_arrays([rng.normal(size=(n, 2)) for n in sizes], [rng.normal(size=n) for n in sizes])
+    assert not data.intercept_added
+
+    def refusing(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refusing)
+    norms, ranks = _fit_environments(data, [[]])
+    assert ranks.tolist() == [[0, 0, 0]]
+    assert np.array_equal(norms[0], (data.target**2).sum(0))
 
 
 def _parent_fit(dataset, cols):

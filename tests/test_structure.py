@@ -24,6 +24,12 @@
 - One report conversion: only ``invariance.level_reports`` builds a
   ``SubsetTestReport``, and only ``phi_S`` and ``DiscoveryResult.reports``
   call it, so the search keeps its evidence as arrays.
+- One Monte-Carlo estimator: ``searchsorted`` appears only in
+  ``invariance._null_pvalues``, so ``(1 + count) / (B + 1)`` is written once
+  for ``mc_pvalue`` and ``level_pvalues``.
+- One SVD fallback: outside ``linalg.py``, ``svd`` is used only in
+  ``invariance._fit_environments``, for the pairs the Cholesky solve leaves
+  uncertified; the empty column set is an ordinary width-0 solve.
 """
 
 import ast
@@ -131,6 +137,15 @@ def test_null_size_checked_by_the_level_test_and_the_network():
 def test_reports_built_in_one_function():
     assert _users("SubsetTestReport", _Callers) == {("invariance.py", "level_reports")}
     assert _users("level_reports") == {("invariance.py", "phi_S"), ("discovery.py", "reports")}
+
+
+def test_one_monte_carlo_estimator():
+    assert _users("searchsorted") == {("invariance.py", "_null_pvalues")}
+
+
+def test_one_svd_fallback():
+    users = {user for user in _users("svd") if user[0] != "linalg.py"}
+    assert users == {("invariance.py", "_fit_environments")}
 
 
 def test_size_limit_read_only_in_errors():
