@@ -111,10 +111,19 @@ class MultiEnvDataset:
         gram.flags.writeable = xty.flags.writeable = False
         return gram, xty
 
-    def target_cross_products(self, targets: np.ndarray) -> np.ndarray:
-        """``X'y`` ``(width, T, E)`` of targets ``(n_max, T, E)``, each as ``cross_products`` forms it."""
-        xs, ys = self.covariates, targets.transpose(1, 0, 2)
-        return np.stack([np.einsum("nie,ne->ie", xs, np.ascontiguousarray(y)) for y in ys], axis=1)
+    @cached_property
+    def target_sum_of_squares(self) -> np.ndarray:
+        """``y'y`` ``(E,)`` of the target, read-only, beside ``cross_products``."""
+        yty = np.einsum("ne,ne->e", self.target, self.target)
+        yty.flags.writeable = False
+        return yty
+
+    def target_cross_products(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``X'y`` ``(width, T, E)`` and ``y'y`` ``(T, E)`` of targets ``(n_max, T, E)``, each target's
+        as ``cross_products`` and ``target_sum_of_squares`` form the dataset's own."""
+        xs, ys = self.covariates, [np.ascontiguousarray(y) for y in targets.transpose(1, 0, 2)]
+        xty = np.stack([np.einsum("nie,ne->ie", xs, y) for y in ys], axis=1)
+        return xty, np.stack([np.einsum("ne,ne->e", y, y) for y in ys])
 
     def with_intercept(self) -> "MultiEnvDataset":
         """Append a constant column, one below each ``n_e`` and zero past it (idempotent)."""

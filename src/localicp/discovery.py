@@ -103,7 +103,8 @@ def _search(dataset, targets, config, test, max_dim, early_stop) -> list[Discove
         level = [s for s, row in zip(level, rows) if row]
         if not level:
             continue
-        live_targets = None if targets is None else tuple(a[:, live] for a in targets)
+        # Each array of ``targets`` holds the target axis second to last.
+        live_targets = None if targets is None else tuple(a[..., live, :] for a in targets)
         arrays = test(dataset, level, config, live_targets)
         for t, column in zip(live, arrays[-1].reshape(len(level), -1).T.tolist()):
             walked = []
@@ -166,8 +167,8 @@ def discover_targets(dataset: MultiEnvDataset, targets: np.ndarray, config: Test
     ``t`` equals ``discover`` of target ``t``'s own dataset under ``config``
     with ``early_stop``, without reports.
     """
-    xty = dataset.target_cross_products(targets)
-    return _search(dataset, (targets, xty), config, level_pvalues, DEFAULT_MAX_DIM, True)
+    targets = (targets, *dataset.target_cross_products(targets))
+    return _search(dataset, targets, config, level_pvalues, DEFAULT_MAX_DIM, True)
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,11 @@ recurrences with the pairs on the last axes.  A pair keeps that solve only
 when its pivots are positive and finite and a condition bound read off the
 factor proves full rank under the SVD cutoff (the empty column set always
 does); every other pair (rank-deficient or ill-conditioned) is solved by the
-SVD.  Residuals are formed explicitly as ``y - X beta``.  Every sum runs in a
-fixed order per element, so a subset's fit is bit-for-bit the same in any batch.
+SVD.  A certified (pair, target) takes its RSS as ``y'y - ||L^-1 X'y||^2``
+(Furnival & Wilson 1974) where that stays ``RSS_MARGIN`` above its
+cancellation error; only the other cells, and the SVD's pairs, form
+``y - X beta`` explicitly.  Every sum runs in a fixed order per element, so a
+subset's fit is bit-for-bit the same in any batch.
 
 Reproducibility contract: the reference draws of a test are a pure function
 of ``(config.seed, dofs, config.mc_samples)``, so results do not depend on
@@ -64,6 +67,11 @@ __all__ = [
 # stay for its Cholesky solve to be kept; the margin absorbs the rounding in
 # the computed factor, its inverse and the SVD's own singular values.
 CHOLESKY_MARGIN = 1e4
+
+# How far above the cancellation error of ``y'y - ||z||^2``, about
+# ``(w + 1) * eps * y'y``, a (pair, target) RSS must stay for that identity to
+# be kept; below it the residual is formed explicitly.
+RSS_MARGIN = 1e8
 
 # Live doubles one chunk of ``fit_subsets`` may hold, unless one subset needs more.
 FIT_CHUNK_DOUBLES = 2**17
@@ -189,7 +197,7 @@ def mc_pvalue(statistic: float, dofs: Sequence[int], b: int, seed: int) -> float
 
 
 def _cholesky_solve(gram_all: np.ndarray, cols: np.ndarray, xty: np.ndarray, tol: float):
-    """Certified Cholesky solve of ``G beta = X'y`` for a batch of pairs and ``T`` targets.
+    """Certified Cholesky reduction of ``[G | X'y]`` for a batch of pairs and ``T`` targets.
 
     ``G`` is gathered from ``gram_all`` for the ``(w, S)`` column sets
     ``cols``; ``xty`` is ``(w, T, S, E)``, the pairs on the trailing axes.
@@ -197,7 +205,10 @@ def _cholesky_solve(gram_all: np.ndarray, cols: np.ndarray, xty: np.ndarray, tol
     time: step ``j`` divides row ``j`` by ``L[j, j] = sqrt(pivot)`` and
     subtracts its outer product from the rows below, so row ``j`` ends as
     ``[L'[j] | (L^-1 X'y)[j] | L^-1[j]]``; each target is one more column of
-    the same reduction.  Returns ``beta = L^-T L^-1 X'y``, ``(w, T, S, E)``,
+    the same reduction.  Returns ``||z||^2``, the ``(T, S, E)`` sums over the
+    leading axis of ``z * z`` with ``z = L^-1 X'y``, so that ``y'y - ||z||^2``
+    is a full-rank pair's RSS; ``z`` ``(w, T, S, E)`` and ``L^-1``
+    ``(w, w, S, E)``, views of the reduced rows, from which ``beta = L^-T z``;
     and the ``(S, E)`` mask of certified pairs: every pivot positive and
     finite, and ``||G||_F * ||L^-1||_F^2 * tol * CHOLESKY_MARGIN < 1``.
     """
@@ -206,8 +217,8 @@ def _cholesky_solve(gram_all: np.ndarray, cols: np.ndarray, xty: np.ndarray, tol
     a[:, :width] = gram_all[cols[:, None], cols[None]]
     a[:, width : width + targets] = xty
     a[np.arange(width), np.arange(width + targets, 2 * width + targets)] = 1.0
-    # One scratch block holds each step's update and every product below.
-    work = np.empty(width * (width + 1) * targets * count)
+    # One scratch block holds each step's update and the squares of G and L^-1.
+    work = np.empty(max(width * width, (width - 1) * (width + targets)) * count)
     square = work[: width * width * count].reshape((width, width) + pairs)
     np.multiply(a[:, :width], a[:, :width], out=square)
     gram_norm = np.sqrt(square.sum((0, 1)))
@@ -227,8 +238,7 @@ def _cholesky_solve(gram_all: np.ndarray, cols: np.ndarray, xty: np.ndarray, tol
         np.multiply(l_inv, l_inv, out=square)
         certified = ((roots > 0.0) & (roots < math.inf)).all(0)
         certified &= gram_norm * square.sum((0, 1)) * (tol * CHOLESKY_MARGIN) < 1.0
-        product = work[: width * width * targets * count].reshape((width, width, targets) + pairs)
-        return np.multiply(l_inv[:, :, None], z[:, None], out=product).sum(0), certified
+        return (z * z).sum(0), z, l_inv, certified
 
 
 def _fit_environments(dataset: MultiEnvDataset, col_sets, targets=None):
@@ -241,56 +251,74 @@ def _fit_environments(dataset: MultiEnvDataset, col_sets, targets=None):
     ``tol * sigma_max``, with ``tol = w * eps``, count as zero, both for the
     rank and in the pseudo-inverse solve.
 
-    ``targets``, ``(n_max, T, E)`` values and their ``(width, T, E)`` ``X'y``,
-    fits ``T`` targets in place of the dataset's own, on an axis of ``X'y``,
-    ``beta`` and the residual: one factorization of a Gram block serves them
-    all, and they share its rank.  The norms are then ``(S, E, T)``.
+    ``targets``, ``(n_max, T, E)`` values with their ``(width, T, E)`` ``X'y``
+    and ``(T, E)`` ``y'y``, fits ``T`` targets in place of the dataset's own,
+    on an axis of ``X'y`` and ``z``: one factorization of a Gram block serves
+    them all, and they share its rank.  The norms are then ``(S, E, T)``.
 
-    All pairs are first solved by ``_cholesky_solve``.  Its certificate
+    All pairs are first reduced by ``_cholesky_solve``.  Its certificate
     bounds the condition number of ``G`` a margin below ``1 / tol``, so a
     certified pair has every singular value above the cutoff and full rank;
     the empty column set is certified with rank 0 and RSS ``y'y``.  Every
     other pair (rank-deficient, ill-conditioned or a failed pivot) is solved
-    by the SVD on its own, ``U'X'y`` per target.  The residual is then formed
-    explicitly as ``y - X beta``, one column at a time.
+    by the SVD on its own, ``U'X'y`` per target.  A certified (pair, target)
+    cell takes its RSS as ``y'y - ||z||^2`` when that stays above
+    ``(w + 1) * eps * RSS_MARGIN * y'y``, which bounds the cancellation error
+    near ``1e-8`` of the RSS and keeps it positive.  Only the other cells, and
+    every cell of an SVD pair, form ``beta`` (``L^-T z`` or ``V S^+ U'X'y``)
+    and the residual ``y - X beta`` explicitly, one column at a time.
 
     Every step is elementwise, one matrix at a time (the SVD), or a sum over
     a leading axis, which numpy runs in a fixed order for each element when
-    the trailing pair axes hold at least two pairs (two environments do).
-    So a (pair, target)'s bits do not depend on the rest of the batch.
+    the trailing axes hold at least two elements (two environments do, and
+    a lone explicit cell is summed twice).  So a (pair, target)'s bits do not
+    depend on the rest of the batch.
     """
     col_sets = np.asarray(col_sets, dtype=np.intp)
     xs = dataset.covariates
     gram_all, xty_all = dataset.cross_products
-    y, xty_all = (dataset.target[:, None], xty_all[:, None]) if targets is None else targets
+    if targets is None:
+        y, xty_all, yty = dataset.target[:, None], xty_all[:, None], dataset.target_sum_of_squares[None]
+    else:
+        y, xty_all, yty = targets
     cols = col_sets.T  # (w, S)
     width = len(cols)
-    tol = width * np.finfo(np.float64).eps
+    eps = np.finfo(np.float64).eps
+    tol = width * eps
     xty = np.moveaxis(xty_all[cols], 2, 1)  # (w, T, S, E)
     ranks = np.full(xty.shape[2:], width)
-    beta, certified = _cholesky_solve(gram_all, cols, xty, tol)
-    uncertified = ~certified
-    if uncertified.any():
-        sets, envs = np.nonzero(uncertified)
-        c = cols[:, sets]
-        u, s, vt = np.linalg.svd(np.moveaxis(gram_all[c[:, None], c[None], envs], -1, 0))
-        smax = s[:, :1]
-        keep = s > tol * np.where(smax > 0, smax, 1.0)
-        ranks[uncertified] = keep.sum(axis=1)
-        s_inv = np.where(keep, 1.0, 0.0)
-        np.divide(s_inv, s, out=s_inv, where=keep)
-        # u[i, j] and vt[j, i] with the targets, then the pairs, last: beta = V S^+ U' X'y
-        uty = (np.moveaxis(u, 0, -1)[:, :, None] * xty[:, :, sets, envs][:, None]).sum(0)
-        beta[:, :, uncertified] = (np.moveaxis(vt, 0, -1)[:, :, None] * (s_inv.T[:, None] * uty)[:, None]).sum(0)
-    resid = np.repeat(y[:, :, None], len(col_sets), axis=2)  # (n, T, S, E)
-    term = np.empty_like(resid)
-    for c, b in zip(cols, beta):
-        # The first target's slot holds the column, then every target's term.
-        np.take(xs, c, axis=1, out=term[:, 0], mode="clip")
-        np.multiply(term[:, :1], b, out=term)
-        resid -= term
-    resid *= resid
-    norms = np.moveaxis(resid.sum(0), 0, -1)
+    z_sq, z, l_inv, certified = _cholesky_solve(gram_all, cols, xty, tol)
+    norms = yty[:, None] - z_sq  # (T, S, E)
+    explicit = ~(certified & (norms > (tol + eps) * RSS_MARGIN * yty[:, None]))
+    if explicit.any():
+        t, s, e = np.nonzero(explicit)
+        if len(t) == 1:
+            # A lone cell is summed twice, so its sum runs in the order of a batch.
+            t, s, e = (np.repeat(i, 2) for i in (t, s, e))
+        with np.errstate(invalid="ignore", over="ignore"):
+            beta = (l_inv[:, :, s, e] * z[:, None, t, s, e]).sum(0)  # L^-T z, (w, K)
+        uncertified = ~certified
+        svd = uncertified[s, e]
+        if svd.any():
+            sets, envs = np.nonzero(uncertified)
+            c = cols[:, sets]
+            u, sv, vt = np.linalg.svd(np.moveaxis(gram_all[c[:, None], c[None], envs], -1, 0))
+            smax = sv[:, :1]
+            keep = sv > tol * np.where(smax > 0, smax, 1.0)
+            ranks[uncertified] = keep.sum(axis=1)
+            s_inv = np.where(keep, 1.0, 0.0)
+            np.divide(s_inv, sv, out=s_inv, where=keep)
+            # u[i, j] and vt[j, i] with the targets, then the pairs, last: beta = V S^+ U' X'y
+            uty = (np.moveaxis(u, 0, -1)[:, :, None] * xty[:, :, sets, envs][:, None]).sum(0)
+            svd_beta = (np.moveaxis(vt, 0, -1)[:, :, None] * (s_inv.T[:, None] * uty)[:, None]).sum(0)
+            index = np.cumsum(uncertified).reshape(uncertified.shape) - 1  # pair -> row of the SVD
+            beta[:, svd] = svd_beta[:, t[svd], index[s[svd], e[svd]]]
+        resid = y[:, t, e]  # (n, K)
+        for c, b in zip(cols, beta):
+            resid -= xs[:, c[s], e] * b
+        resid *= resid
+        norms[t, s, e] = resid.sum(0)
+    norms = np.moveaxis(norms, 0, -1)
     return (norms[..., 0] if targets is None else norms), ranks
 
 
@@ -302,18 +330,17 @@ def fit_subsets(dataset: MultiEnvDataset, subsets: Sequence[Sequence[int]], targ
     takes them.  The intercept column is added to every subset when the
     dataset carries one.  A chunk holds as many subsets as fit in
     ``FIT_CHUNK_DOUBLES`` live doubles, but at least one, which may need
-    more (the network's six targets at E = 300: 75,600 to 157,500, one a chunk), counted
-    per (subset, environment) pair: the solve holds the reduced rows and one
-    scratch block, ``w (2 w + 1 + (w + 3) T)`` with ``X'y`` and the pivots;
-    the residual holds two ``n_max T`` slabs, ``X'y`` and the coefficients.
-    The two are never live at once.  A subset's result does not depend on
-    its chunk.
+    more, counted per (subset, environment) pair: the solve holds the reduced
+    rows, ``X'y``, the pivots and one scratch block, ``w (2 w + T + 1) + w T
+    + max(w^2, (w - 1)(w + T))``, then ``z * z``, ``w T``, and about ``3 T``
+    for the norms and their guard.  The few cells whose residual is formed
+    explicitly are not counted.  A subset's result does not depend on its chunk.
     """
     cols = np.array(subsets, dtype=np.intp) - 1
     if dataset.intercept_added:
         cols = np.column_stack([cols, np.full(len(cols), dataset.num_covariates)])
-    width, t, n = cols.shape[1], 1 if targets is None else targets[0].shape[1], len(dataset.target)
-    per_pair = max(width * (2 * width + 1 + (width + 3) * t), 2 * t * (n + width))
+    width, t = cols.shape[1], 1 if targets is None else targets[0].shape[1]
+    per_pair = width * (2 * width + 1 + 3 * t) + max(width * width, (width - 1) * (width + t)) + 3 * t
     step = max(1, FIT_CHUNK_DOUBLES // (dataset.num_envs * per_pair))
     parts = [_fit_environments(dataset, cols[i : i + step], targets) for i in range(0, len(cols), step)]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])

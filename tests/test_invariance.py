@@ -271,7 +271,7 @@ def test_targets_share_one_draw_per_dof_vector(monkeypatch):
     data = from_arrays(covs, [rng.normal(size=n) for n in sizes]).with_intercept()
     other = np.where(np.arange(12)[:, None] < np.array(sizes), rng.normal(size=(12, 4)), 0.0)
     ys = np.stack([data.target, other, np.zeros((12, 4))], axis=1)
-    targets = (ys, data.target_cross_products(ys))
+    targets = (ys, *data.target_cross_products(ys))
     config = TestConfig(mc_samples=40, seed=9)
     drawn = []
     original = invariance._null_pvalues
@@ -616,21 +616,109 @@ def _lorenz_windows():
 
 
 def _targets(data):
-    """Three targets on ``data``'s covariates, ``(values, X'y)`` as the fit takes them:
+    """Three targets on ``data``'s covariates, ``(values, X'y, y'y)`` as the fit takes them:
     its own target, its first column (fitted exactly by any set that holds it)
     and noise, all zero past each ``n_e``."""
     rng = np.random.default_rng(15)
     rows = np.arange(len(data.target))[:, None] < np.array(data.sample_sizes)
     values = np.stack([data.target, data.covariates[:, 0], rng.normal(size=rows.shape) * rows], axis=1)
-    return values, data.target_cross_products(values)
+    return (values, *data.target_cross_products(values))
+
+
+def _large_mean():
+    # The collinear covariates with a target of mean 1e3 that the parents and
+    # the intercept fit to RSS / y'y near 1e-8, below the guard of the
+    # identity y'y - ||z||^2, (w + 1) * eps * RSS_MARGIN = 1.1e-7 for those
+    # four columns: their cells take the explicit residual, while the other
+    # targets of _targets keep the identity in the same pairs.
+    rng = np.random.default_rng(16)
+    covs, tgts = [], []
+    for n in (12, 17, 25, 9):
+        x = rng.normal(size=(n, 3))
+        covs.append(np.column_stack([x, 2.0 * x[:, 0]]))
+        tgts.append(1e3 + x @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.normal(size=n))
+    return from_arrays(covs, tgts).with_intercept()
+
+
+def _one_exact_environment():
+    # The target is the first covariate, up to noise of 1e-6, in the first
+    # environment and noisy elsewhere, so among the one-column sets of the
+    # physical columns only ({0}, environment 0) has RSS / y'y below the
+    # guard: the one cell of that level whose residual, nonzero, is formed
+    # explicitly and summed over 20 samples.
+    rng = np.random.default_rng(17)
+    covs = [rng.normal(size=(n, 3)) for n in (20, 14, 18, 16)]
+    tgts = [x @ np.array([1.0, 0.5, -1.0]) + rng.normal(size=len(x)) for x in covs]
+    tgts[0] = covs[0][:, 0] + 1e-6 * rng.normal(size=20)
+    return from_arrays(covs, tgts).with_intercept()
+
+
+def _identity_cells(data, level, targets=None):
+    """The ``(S, E)`` mask of certified pairs of the fit of ``level``, and the
+    ``(T, S, E)`` mask of the cells whose RSS it takes as ``y'y - ||z||^2``:
+    certified, and above the guard."""
+    gram, xty = data.cross_products
+    _, xty, yty = (None, xty[:, None], data.target_sum_of_squares[None]) if targets is None else targets
+    cols = np.asarray(level, dtype=np.intp).T
+    eps = np.finfo(np.float64).eps
+    z_sq, _, _, certified = invariance._cholesky_solve(gram, cols, np.moveaxis(xty[cols], 2, 1), len(cols) * eps)
+    guard = (len(cols) + 1) * eps * invariance.RSS_MARGIN * yty[:, None]
+    return certified, certified & (yty[:, None] - z_sq > guard)
+
+
+@pytest.mark.parametrize(
+    "make", [_lorenz_ragged, _lorenz_windows, _collinear, _interpolating, _straddling_certificate, _large_mean]
+)
+def test_rss_identity_matches_the_explicit_residual(make, monkeypatch):
+    # With an infinite RSS_MARGIN every cell forms its residual explicitly,
+    # the reference for the identity.  A cell that keeps the identity is
+    # within 1e-8 of that RSS; every other cell has its bits.  No norm is
+    # negative or NaN, and all stay within 1e-12 of y'y of the explicit pass
+    # and of the per-environment fit.
+    data = make()
+    width, yty = _width_and_yty(data)
+    fits = [_fit_environments(data, level) for level in _levels(width)]
+    with monkeypatch.context() as patch:
+        patch.setattr(invariance, "RSS_MARGIN", math.inf)
+        explicit = [_fit_environments(data, level) for level in _levels(width)]
+    kept = fell_back = 0
+    for level, (norms, ranks), (ref, ref_ranks) in zip(_levels(width), fits, explicit):
+        certified, identity = _identity_cells(data, level)
+        identity = identity[0]
+        assert np.array_equal(ranks, ref_ranks)
+        assert np.all(norms >= 0.0), level
+        assert np.all(np.abs(norms - ref) <= 1e-12 * yty), level
+        assert np.all(np.abs(norms - ref)[identity] <= 1e-8 * ref[identity]), level
+        assert np.array_equal(norms[~identity], ref[~identity]), level
+        for cols, row in zip(level, norms):
+            assert np.all(np.abs(row - _per_env_oracle(data, list(cols))[0]) <= 1e-12 * yty), cols
+        kept, fell_back = kept + identity.sum(), fell_back + (certified & ~identity).sum()
+    assert kept > 0
+    if make is _large_mean:
+        # The parents and the intercept leave RSS / y'y below the guard.
+        assert fell_back > 0
+
+
+def test_trap_datasets_hold_the_cells_they_pin():
+    # _one_exact_environment: one level with exactly one explicit cell of the
+    # dataset's own target, which a fit of three targets sums with others.
+    # _large_mean: a pair where the dataset's own target forms its residual
+    # explicitly and the noise target keeps the identity.
+    data = _one_exact_environment()
+    width = data.environments[0].covariates.shape[1]
+    assert (~_identity_cells(data, _levels(width)[1])[1]).sum() == 1
+    data = _large_mean()
+    targets = _targets(data)
+    cells = [_identity_cells(data, level, targets)[1] for level in _levels(data.num_covariates + 1)]
+    assert any((~c[0] & c[2]).any() for c in cells)
 
 
 def _assert_each_target_fits_as_alone(data, level, targets, norms, ranks):
     """Target t of a T-target fit has the bits of target t fitted on its own."""
-    values, xty = targets
+    values, xty, yty = targets
     assert norms.shape == ranks.shape + (values.shape[1],)
     for t in range(values.shape[1]):
-        alone = _fit_environments(data, level, (values[:, t : t + 1], xty[:, t : t + 1]))
+        alone = _fit_environments(data, level, (values[:, t : t + 1], xty[:, t : t + 1], yty[t : t + 1]))
         assert np.array_equal(alone[0][..., 0], norms[..., t]), (level, t)
         assert np.array_equal(alone[1], ranks), (level, t)
 
@@ -652,18 +740,21 @@ def test_cholesky_fit_matches_svd_fit(make, monkeypatch):
         _assert_each_target_fits_as_alone(data, level, targets, *_fit_environments(data, level, targets))
 
 
-@pytest.mark.parametrize("make", ORACLE_DATASETS + [_lorenz_windows])
+@pytest.mark.parametrize("make", ORACLE_DATASETS + [_lorenz_windows, _one_exact_environment, _large_mean])
 def test_batch_does_not_change_a_subsets_bits(make, monkeypatch):
     # Every physical column becomes a candidate, so column sets without the
     # intercept go through fit_subsets too.  A level fitted in one call, in
     # chunks of one subset, and subset by subset must give the same bits;
     # so must each target of a multi-target fit and that target fitted alone,
-    # and the dataset's own target must keep its one-target bits.
+    # and the dataset's own target must keep its one-target bits.  The guard
+    # of the RSS identity is per (pair, target), and a lone explicit cell is
+    # summed as in a batch (_one_exact_environment, _large_mean).
     data = make()
     width = data.environments[0].covariates.shape[1]
     data = dataclasses.replace(data, num_covariates=width, intercept_added=False)
     targets = _targets(data)
     assert np.array_equal(targets[1][:, 0], data.cross_products[1])
+    assert np.array_equal(targets[2][0], data.target_sum_of_squares)
     whole = [_fit_environments(data, level) for level in _levels(width)]
     several = [_fit_environments(data, level, targets) for level in _levels(width)]
     monkeypatch.setattr(invariance, "FIT_CHUNK_DOUBLES", 1)
