@@ -136,6 +136,8 @@ class IndependentGenConfig:
         if not all(isinstance(p, numbers.Integral) and not isinstance(p, bool) and 1 <= p <= self.dimension
                    for p in self.parent_set):
             raise InvalidInputError(f"parent_set {self.parent_set} must hold integers in 1..{self.dimension}")
+        if len(set(self.parent_set)) != len(self.parent_set):
+            raise InvalidInputError(f"parent_set {self.parent_set} holds repeated indices")
         for name in ("sigma_range", "beta_range", "mean_range"):
             _check_range(name, getattr(self, name))
         if self.sigma_range[0] <= 0:
@@ -262,10 +264,11 @@ class LorenzGenConfig:
         check_counts(horizon=self.horizon)
         size = 12 * self.horizon + 6  # noise (horizon x 6) and states ((horizon + 1) x 6)
         check_capacity(size, f"a trajectory of {self.horizon} steps needs {size} doubles")
-        if len(self.initial_state) != 6:
-            raise InvalidInputError("initial_state must have six coordinates")
-        if self.noise_std < 0:
-            raise InvalidInputError("noise_std must be non-negative")
+        state = self.initial_state
+        if not (isinstance(state, (tuple, list)) and len(state) == 6 and all(map(_finite, state))):
+            raise InvalidInputError(f"initial_state must be six finite numbers, got {state!r}")
+        if not (_finite(self.noise_std) and self.noise_std >= 0):
+            raise InvalidInputError(f"noise_std must be a non-negative finite number, got {self.noise_std!r}")
 
 
 def gen_lorenz(config: LorenzGenConfig, seed: int) -> np.ndarray:

@@ -44,7 +44,7 @@ class MultiEnvDataset:
     own ``n_e`` are zero, so they add nothing to its Gram matrix, ``X'y`` or residuals.
     ``num_covariates`` counts candidate causal parents only; when ``intercept_added``
     the width carries a trailing constant column that is never a candidate.
-    ``env_labels`` defaults to ``"1"`` .. ``"E"``.
+    ``env_labels`` defaults to ``"1"`` .. ``"E"``; no two may be equal.
     """
 
     covariates: np.ndarray
@@ -79,8 +79,11 @@ class MultiEnvDataset:
         labels = tuple(str(i + 1) for i in range(len(sizes))) if labels is None else tuple(labels)
         if len(labels) != len(sizes):
             raise ShapeError("env_labels length must match the number of environments")
+        if len(set(labels)) != len(labels):
+            label = next(label for i, label in enumerate(labels) if label in labels[:i])
+            raise InvalidInputError(f"environment label {label!r} is repeated")
         # Read-only views, so no write through the dataset leaves
-        # ``cross_products`` stale.  They share the caller's arrays, which
+        # ``gram`` stale.  They share the caller's arrays, which
         # stay writable: the caller must not write to them afterwards.
         xs, ys = xs.view(), ys.view()
         xs.flags.writeable = ys.flags.writeable = False
@@ -101,26 +104,16 @@ class MultiEnvDataset:
         )
 
     @cached_property
-    def cross_products(self) -> tuple[np.ndarray, np.ndarray]:
-        """``X'X`` ``(width, width, E)`` and ``X'y`` ``(width, E)`` of all columns.
-
-        A fit of any column set reads its blocks from here; both are read-only.
-        """
-        xs, ys = self.covariates, self.target
-        gram, xty = np.einsum("nie,nje->ije", xs, xs), np.einsum("nie,ne->ie", xs, ys)
-        gram.flags.writeable = xty.flags.writeable = False
-        return gram, xty
-
-    @cached_property
-    def target_sum_of_squares(self) -> np.ndarray:
-        """``y'y`` ``(E,)`` of the target, read-only, beside ``cross_products``."""
-        yty = np.einsum("ne,ne->e", self.target, self.target)
-        yty.flags.writeable = False
-        return yty
+    def gram(self) -> np.ndarray:
+        """``X'X`` ``(width, width, E)`` of all columns, read-only; a fit of any column set
+        reads its blocks from here."""
+        gram = np.einsum("nie,nje->ije", self.covariates, self.covariates)
+        gram.flags.writeable = False
+        return gram
 
     def target_cross_products(self, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``X'y`` ``(width, T, E)`` and ``y'y`` ``(T, E)`` of targets ``(n_max, T, E)``, each target's
-        as ``cross_products`` and ``target_sum_of_squares`` form the dataset's own."""
+        """``X'y`` ``(width, T, E)`` and ``y'y`` ``(T, E)`` of targets ``(n_max, T, E)``, one einsum
+        per target, so a target's products do not depend on the others."""
         xs, ys = self.covariates, [np.ascontiguousarray(y) for y in targets.transpose(1, 0, 2)]
         xty = np.stack([np.einsum("nie,ne->ie", xs, y) for y in ys], axis=1)
         return xty, np.stack([np.einsum("ne,ne->e", y, y) for y in ys])

@@ -47,8 +47,9 @@ class DiscoveryResult:
     arrays at their rows; ``reports`` builds their reports on each call.
     ``early_stopped`` is true when the search skipped at least one subset
     that could not change the estimate; the evidence then covers only the
-    subsets tested, and ``subsets_tested`` counts them (a target of
-    ``discover_targets`` keeps none, the dataset's own target one per subset).
+    subsets tested, and ``subsets_tested`` counts them.  Only a one-target
+    search keeps evidence: each target of a ``discover_targets`` call of
+    several keeps none.
     """
 
     estimated_parents: tuple[int, ...]
@@ -69,14 +70,13 @@ def enumerate_subsets(d: int) -> Iterable[tuple[int, ...]]:
 
 
 def _search(dataset, targets, config, test, max_dim, early_stop) -> list[DiscoveryResult]:
-    """``discover``'s walk, for ``T`` targets in lockstep under one ``config``.
+    """``discover``'s walk, for ``T`` targets ``(n_max, T, E)`` in lockstep under one ``config``.
 
-    ``targets`` is ``None`` for the dataset's own target (``T = 1``), else targets as ``fit_subsets`` takes
-    them.  Each level is tested once, ``test(dataset, level, config, targets)`` as ``level_pvalues``, on the
-    union of the subsets some target still needs, for the targets ``live`` that need one, one draw per dof
-    vector serving them all.  Each live target walks its rejections in level order with its own intersection
-    and early stop, reading only the subsets it walks; the dataset's own target keeps those subsets and the
-    level's arrays at their rows.
+    The targets' ``X'y`` and ``y'y`` are formed once.  Each level is tested once, ``test(dataset, level,
+    config, targets)`` as ``level_pvalues``, on the union of the subsets some target still needs, for the
+    targets ``live`` that need one, one draw per dof vector serving them all.  Each live target walks its
+    rejections in level order with its own intersection and early stop, reading only the subsets it walks;
+    a one-target search keeps those subsets and the level's arrays at their rows.
     """
     d = dataset.num_covariates
     if d > max_dim:
@@ -85,8 +85,9 @@ def _search(dataset, targets, config, test, max_dim, early_stop) -> list[Discove
             f"2^{max_dim}; reduce the dimensionality (e.g. cluster correlated "
             f"covariates) or raise the limit explicitly"
         )
+    targets = (targets, *dataset.target_cross_products(targets))
     # None until a target's first accepted subset
-    running: list[set[int] | None] = [None] * (1 if targets is None else targets[0].shape[1])
+    running: list[set[int] | None] = [None] * targets[0].shape[1]
     tested = [0] * len(running)
     levels: list[tuple] = []
 
@@ -104,18 +105,18 @@ def _search(dataset, targets, config, test, max_dim, early_stop) -> list[Discove
         if not level:
             continue
         # Each array of ``targets`` holds the target axis second to last.
-        live_targets = None if targets is None else tuple(a[..., live, :] for a in targets)
-        arrays = test(dataset, level, config, live_targets)
-        for t, column in zip(live, arrays[-1].reshape(len(level), -1).T.tolist()):
+        norms, dofs, *arrays = test(dataset, level, config, tuple(a[..., live, :] for a in targets))
+        for j, t in enumerate(live):
             walked = []
-            for i, (subset, rejected) in enumerate(zip(level, column)):
+            for i, (subset, rejected) in enumerate(zip(level, arrays[-1][:, j].tolist())):
                 if not covered(t, subset):
                     walked.append(i)
                     if not rejected:
                         running[t] = set(subset) if running[t] is None else running[t] & set(subset)
             tested[t] += len(walked)
-            if targets is None:
-                levels.append(([level[i] for i in walked], *(a[walked] for a in arrays)))
+            if len(running) == 1:
+                subsets = [level[i] for i in walked]
+                levels.append((subsets, norms[walked, :, j], dofs[walked], *(a[walked, j] for a in arrays)))
     return [
         DiscoveryResult(
             tuple(sorted(r or ())), tuple(levels), n, n < 2**d,
@@ -154,7 +155,7 @@ def discover(
     tested by ``test`` as by ``level_pvalues``.  A subset's evidence depends only
     on its own fit and on ``(config.seed, dofs, config.mc_samples)``, not on the order of testing.
     """
-    return _search(dataset, None, config, test, max_dim, early_stop)[0]
+    return _search(dataset, dataset.target[:, None], config, test, max_dim, early_stop)[0]
 
 
 def discover_targets(dataset: MultiEnvDataset, targets: np.ndarray, config: TestConfig) -> list[DiscoveryResult]:
@@ -165,9 +166,8 @@ def discover_targets(dataset: MultiEnvDataset, targets: np.ndarray, config: Test
     once, so one factorization per (subset, environment) and one draw serve
     every target; each keeps its own intersection and early stop, so result
     ``t`` equals ``discover`` of target ``t``'s own dataset under ``config``
-    with ``early_stop``, without reports.
+    with ``early_stop``, its evidence kept only when ``T = 1``.
     """
-    targets = (targets, *dataset.target_cross_products(targets))
     return _search(dataset, targets, config, level_pvalues, DEFAULT_MAX_DIM, True)
 
 

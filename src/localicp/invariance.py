@@ -17,11 +17,11 @@ dof vector become dependent, which the intersection does not need to avoid
 
 The subsets of one size are fitted and tested at once, in every environment,
 by ``level_pvalues``, which fits them with ``fit_subsets``; ``level_reports``
-turns its arrays into reports on demand, and ``phi_S`` is the one-subset call.  The
-fit reads the dataset's cached cross-products, in chunks of whole subsets;
-given several targets on the same covariates, one fit and one factorization
-serve them all, and ``level_pvalues`` tests them under one config, one draw
-per dof vector.
+turns its arrays into reports on demand, and ``phi_S`` is the one-subset call.
+Every fit is of ``T`` targets on the dataset's covariates, its own target
+being ``T = 1``: it reads the cached ``gram`` and the targets' ``X'y`` and
+``y'y``, in chunks of whole subsets, one factorization serving every target,
+and ``level_pvalues`` tests them under one config, one draw per dof vector.
 Each (subset, environment) Gram matrix is factored by Cholesky, by column
 recurrences with the pairs on the last axes.  A pair keeps that solve only
 when its pivots are positive and finite and a condition bound read off the
@@ -241,20 +241,18 @@ def _cholesky_solve(gram_all: np.ndarray, cols: np.ndarray, xty: np.ndarray, tol
         return (z * z).sum(0), z, l_inv, certified
 
 
-def _fit_environments(dataset: MultiEnvDataset, col_sets, targets=None):
-    """Squared residual norms and Gram ranks, each of shape ``(S, E)``.
+def _fit_environments(dataset: MultiEnvDataset, col_sets, targets):
+    """Squared residual norms ``(S, E, T)`` and Gram ranks ``(S, E)``.
 
     ``col_sets`` is an ``(S, w)`` array: row ``s`` names the ``w`` physical
-    columns of one column set.  The Gram blocks and ``X'y`` are gathered from
-    the dataset's cached cross-products, with the (column set, environment)
-    pair axes last.  The rank rule is the SVD's: singular values at most
+    columns of one column set.  ``targets`` is ``(values, X'y, y'y)`` of
+    ``(n_max, T, E)`` values, the products as ``target_cross_products`` gives
+    them.  The Gram blocks are gathered from ``dataset.gram`` and ``X'y`` from
+    the targets', the (column set, environment) pair axes last; one
+    factorization of a Gram block serves all ``T`` targets, which share its
+    rank.  The rank rule is the SVD's: singular values at most
     ``tol * sigma_max``, with ``tol = w * eps``, count as zero, both for the
     rank and in the pseudo-inverse solve.
-
-    ``targets``, ``(n_max, T, E)`` values with their ``(width, T, E)`` ``X'y``
-    and ``(T, E)`` ``y'y``, fits ``T`` targets in place of the dataset's own,
-    on an axis of ``X'y`` and ``z``: one factorization of a Gram block serves
-    them all, and they share its rank.  The norms are then ``(S, E, T)``.
 
     All pairs are first reduced by ``_cholesky_solve``.  Its certificate
     bounds the condition number of ``G`` a margin below ``1 / tol``, so a
@@ -270,17 +268,13 @@ def _fit_environments(dataset: MultiEnvDataset, col_sets, targets=None):
 
     Every step is elementwise, one matrix at a time (the SVD), or a sum over
     a leading axis, which numpy runs in a fixed order for each element when
-    the trailing axes hold at least two elements (two environments do, and
-    a lone explicit cell is summed twice).  So a (pair, target)'s bits do not
-    depend on the rest of the batch.
+    the trailing axes hold at least two elements (two environments do), or
+    over one contiguous row (each explicit cell's residual is one).  So a
+    (pair, target)'s bits do not depend on the rest of the batch.
     """
     col_sets = np.asarray(col_sets, dtype=np.intp)
-    xs = dataset.covariates
-    gram_all, xty_all = dataset.cross_products
-    if targets is None:
-        y, xty_all, yty = dataset.target[:, None], xty_all[:, None], dataset.target_sum_of_squares[None]
-    else:
-        y, xty_all, yty = targets
+    xs, gram_all = dataset.covariates, dataset.gram
+    y, xty_all, yty = targets
     cols = col_sets.T  # (w, S)
     width = len(cols)
     eps = np.finfo(np.float64).eps
@@ -292,9 +286,6 @@ def _fit_environments(dataset: MultiEnvDataset, col_sets, targets=None):
     explicit = ~(certified & (norms > (tol + eps) * RSS_MARGIN * yty[:, None]))
     if explicit.any():
         t, s, e = np.nonzero(explicit)
-        if len(t) == 1:
-            # A lone cell is summed twice, so its sum runs in the order of a batch.
-            t, s, e = (np.repeat(i, 2) for i in (t, s, e))
         with np.errstate(invalid="ignore", over="ignore"):
             beta = (l_inv[:, :, s, e] * z[:, None, t, s, e]).sum(0)  # L^-T z, (w, K)
         uncertified = ~certified
@@ -313,52 +304,50 @@ def _fit_environments(dataset: MultiEnvDataset, col_sets, targets=None):
             svd_beta = (np.moveaxis(vt, 0, -1)[:, :, None] * (s_inv.T[:, None] * uty)[:, None]).sum(0)
             index = np.cumsum(uncertified).reshape(uncertified.shape) - 1  # pair -> row of the SVD
             beta[:, svd] = svd_beta[:, t[svd], index[s[svd], e[svd]]]
-        resid = y[:, t, e]  # (n, K)
+        resid = np.ascontiguousarray(y[:, t, e].T)  # (K, n): each cell one contiguous row
         for c, b in zip(cols, beta):
-            resid -= xs[:, c[s], e] * b
+            resid -= xs[:, c[s], e].T * b[:, None]
         resid *= resid
-        norms[t, s, e] = resid.sum(0)
-    norms = np.moveaxis(norms, 0, -1)
-    return (norms[..., 0] if targets is None else norms), ranks
+        norms[t, s, e] = resid.sum(1)
+    return np.moveaxis(norms, 0, -1), ranks
 
 
-def fit_subsets(dataset: MultiEnvDataset, subsets: Sequence[Sequence[int]], targets=None):
+def fit_subsets(dataset: MultiEnvDataset, subsets: Sequence[Sequence[int]], targets):
     """``_fit_environments`` for 1-based subsets of one size, in chunks.
 
-    Returns squared residual norms and Gram ranks, each of shape ``(S, E)``,
-    or ``(S, E, T)`` norms for ``T`` ``targets`` as ``_fit_environments``
-    takes them.  The intercept column is added to every subset when the
-    dataset carries one.  A chunk holds as many subsets as fit in
-    ``FIT_CHUNK_DOUBLES`` live doubles, but at least one, which may need
-    more, counted per (subset, environment) pair: the solve holds the reduced
-    rows, ``X'y``, the pivots and one scratch block, ``w (2 w + T + 1) + w T
-    + max(w^2, (w - 1)(w + T))``, then ``z * z``, ``w T``, and about ``3 T``
-    for the norms and their guard.  The few cells whose residual is formed
-    explicitly are not counted.  A subset's result does not depend on its chunk.
+    Returns ``(S, E, T)`` squared residual norms and ``(S, E)`` Gram ranks
+    of ``T`` ``targets`` as ``_fit_environments`` takes them.  The
+    intercept column is added to every subset when the dataset carries one.
+    A chunk holds as many subsets as fit in ``FIT_CHUNK_DOUBLES`` live
+    doubles, but at least one, which may need more, counted per (subset,
+    environment) pair: the solve holds the reduced rows, ``X'y``, the pivots
+    and one scratch block, ``w (2 w + T + 1) + w T + max(w^2, (w - 1)(w +
+    T))``, then ``z * z``, ``w T``, and about ``3 T`` for the norms and
+    their guard.  The few cells whose residual is formed explicitly are not
+    counted.  A subset's result does not depend on its chunk.
     """
     cols = np.array(subsets, dtype=np.intp) - 1
     if dataset.intercept_added:
         cols = np.column_stack([cols, np.full(len(cols), dataset.num_covariates)])
-    width, t = cols.shape[1], 1 if targets is None else targets[0].shape[1]
+    width, t = cols.shape[1], targets[0].shape[1]
     per_pair = width * (2 * width + 1 + 3 * t) + max(width * width, (width - 1) * (width + t)) + 3 * t
     step = max(1, FIT_CHUNK_DOUBLES // (dataset.num_envs * per_pair))
     parts = [_fit_environments(dataset, cols[i : i + step], targets) for i in range(0, len(cols), step)]
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
-def level_pvalues(dataset: MultiEnvDataset, subsets, config: TestConfig, targets=None):
+def level_pvalues(dataset: MultiEnvDataset, subsets, config: TestConfig, targets):
     """Fit one level of ``subsets``, all of one size, and test it for ``T`` targets.
 
-    ``fit_subsets`` fits the level once: for the dataset's own target when
-    ``targets`` is ``None``, else for ``targets`` as it takes them.  The
-    rows with a finite statistic for some target are grouped by dof vector;
-    each group is drawn once, as ``mc_pvalue`` draws, and all its cells are
-    counted with one binary search (an infinite one counts every draw, so
-    p = 1).  Every other row gets p = 1.  Each p-value is that of
+    ``fit_subsets`` fits the level once for ``targets`` as it takes them.
+    The rows with a finite statistic for some target are grouped by dof
+    vector; each group is drawn once, as ``mc_pvalue`` draws, and all its
+    cells are counted with one binary search (an infinite one counts every
+    draw, so p = 1).  Every other row gets p = 1.  Each p-value is that of
     ``mc_pvalue``; the targets of one row share its draws, so theirs are
     dependent.  Returns the ``(S, E, T)`` norms with zero-dof entries
     zeroed, the ``(S, E)`` dofs, and ``(S, T)`` statistics, p-values and
-    rejections at ``config.alpha``, without the ``T`` axis for ``None``.
+    rejections at ``config.alpha``.
     """
     check_environments(dataset.num_envs)
     config.check_null_size(dataset.num_envs)
@@ -366,7 +355,7 @@ def level_pvalues(dataset: MultiEnvDataset, subsets, config: TestConfig, targets
     dofs = np.maximum(np.subtract(dataset.sample_sizes, ranks), 0)
     # Zero degrees of freedom means the regression interpolates; the residual
     # is exactly zero in exact arithmetic, so discard rounding noise.
-    norms = np.where(dofs[..., None] == 0, 0.0, norms.reshape(ranks.shape + (-1,)))
+    norms = np.where(dofs[..., None] == 0, 0.0, norms)
     statistics = test_statistic(np.moveaxis(norms, -1, 1))
     p_values = np.ones(statistics.shape)
     groups: dict[bytes, list[int]] = {}
@@ -374,13 +363,11 @@ def level_pvalues(dataset: MultiEnvDataset, subsets, config: TestConfig, targets
         groups.setdefault(dofs[i].tobytes(), []).append(i)
     for rows in groups.values():
         p_values[rows] = _null_pvalues(config.seed, dofs[rows[0]], config.mc_samples, statistics[rows])
-    if targets is None:
-        norms, statistics, p_values = norms[..., 0], statistics[:, 0], p_values[:, 0]
     return norms, dofs, statistics, p_values, p_values <= config.alpha
 
 
 def level_reports(subsets: Sequence[Sequence[int]], *arrays) -> list[SubsetTestReport]:
-    """The reports of ``subsets``, in order, from ``level_pvalues``' arrays of the dataset's own target."""
+    """The reports of ``subsets``, in order, from ``level_pvalues``' arrays at one target."""
     columns = zip(*(a.tolist() for a in arrays))
     return [SubsetTestReport(tuple(s), tuple(n), tuple(k), *r) for s, (n, k, *r) in zip(subsets, columns)]
 
@@ -392,7 +379,8 @@ def phi_S(dataset: MultiEnvDataset, subset: Sequence[int], config: TestConfig) -
     (plus the intercept column when the dataset carries one), forms the
     min/max residual statistic, compares it with the chi-squared reference
     ratio and decides at level ``config.alpha``: ``level_pvalues`` of a
-    one-subset level, fitted alone, its draws made for this call.
+    one-subset level and the dataset's own target, fitted alone, its draws
+    made for this call.
     """
     given = tuple(subset)
     if not all(type(s) is int or isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in given):
@@ -402,4 +390,7 @@ def phi_S(dataset: MultiEnvDataset, subset: Sequence[int], config: TestConfig) -
         raise InvalidInputError(f"subset contains repeated indices: {subset}")
     if any(s < 1 or s > d for s in subset):
         raise InvalidInputError(f"subset {subset} is not contained in 1..{d}")
-    return level_reports([subset], *level_pvalues(dataset, [subset], config))[0]
+    values = dataset.target[:, None]
+    targets = (values, *dataset.target_cross_products(values))
+    norms, dofs, *tested = level_pvalues(dataset, [subset], config, targets)
+    return level_reports([subset], norms[..., 0], dofs, *(a[:, 0] for a in tested))[0]

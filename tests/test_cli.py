@@ -323,6 +323,18 @@ class TestDiscover:
         doc = json.loads(capsys.readouterr().out)
         assert doc["env_labels"] == {"alpha": 1, "beta": 2}
 
+    def test_repeated_env_label_refused(self, dataset_json, tmp_path, capsys):
+        # Labels a, a, b would collapse env_labels to {"a": 2, "b": 3}.
+        doc = json.loads(Path(dataset_json).read_text())
+        for env, label in zip(doc["environments"], ("a", "a", "b", "c", "d", "e", "f", "g")):
+            env["label"] = label
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(doc))
+        assert main(["discover", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: environment label 'a' is repeated"]
+
 
 class TestSimulate:
     def scenario_file(self, tmp_path):
@@ -341,6 +353,17 @@ class TestSimulate:
         path = tmp_path / "scenario.json"
         path.write_text(json.dumps(doc))
         return str(path)
+
+    def test_repeated_parent_refused(self, tmp_path, capsys):
+        # Two coefficients would be drawn for one column and the last kept.
+        doc = json.loads(Path(self.scenario_file(tmp_path)).read_text())
+        doc["generator"]["parent_set"] = [2, 2]
+        path = tmp_path / "repeated.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", str(path)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: parent_set (2, 2) holds repeated indices"]
 
     def test_csv_default_output(self, tmp_path, capsys):
         assert main(["simulate", self.scenario_file(tmp_path), "--seed", "2"]) == EXIT_OK

@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -93,6 +94,8 @@ class TestIndependent:
         for parent_set in ((0,), (1.0,), (True,), "12"):
             with pytest.raises(InvalidInputError, match="parent_set .* must hold integers in 1..6"):
                 IndependentGenConfig(parent_set=parent_set)
+        with pytest.raises(InvalidInputError, match=r"^parent_set \(2, 2\) holds repeated indices$"):
+            IndependentGenConfig(parent_set=(2, 2))
         with pytest.raises(InvalidInputError):
             IndependentGenConfig(covariate_family="poisson")
         with pytest.raises(InvalidInputError):
@@ -263,6 +266,14 @@ class TestLorenz:
         LorenzGenConfig(horizon=largest)
         with pytest.raises(CapacityError, match=f"a trajectory of {largest + 1} steps"):
             LorenzGenConfig(horizon=largest + 1)
+        # A non-finite setting is refused, not left to look like a divergence
+        # that a fresh seed could cure.
+        for noise_std in (math.nan, math.inf, -1.0, "1"):
+            with pytest.raises(InvalidInputError, match="noise_std must be a non-negative finite number"):
+                LorenzGenConfig(noise_std=noise_std)
+        for state in ((math.nan, 1.0, 1.0, 1.0, 1.0, 1.0), (1.0,) * 5 + (-math.inf,), "abcdef", (1.0,) * 5):
+            with pytest.raises(InvalidInputError, match="initial_state must be six finite numbers"):
+                LorenzGenConfig(initial_state=state)
 
     def test_long_noisy_run_stays_bounded(self):
         series = gen_lorenz(LorenzGenConfig(horizon=8500), 2)
@@ -301,8 +312,7 @@ class TestSplitEnvironments:
             assert a.covariates.flags.c_contiguous
             assert np.array_equal(a.covariates, b.covariates)
             assert np.array_equal(a.target, b.target)
-            for x, y in zip(a.cross_products, b.cross_products):
-                assert np.array_equal(x, y)
+            assert np.array_equal(a.gram, b.gram)
 
     def test_too_short_series(self):
         series = np.zeros((10, 3))

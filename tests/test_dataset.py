@@ -75,7 +75,7 @@ class TestContainers:
 
     def test_with_intercept_leaves_padding_zero(self):
         # Unequal n_e: the ones column stops at each environment's own rows,
-        # so the cross-products match a per-environment reference.
+        # so the Gram matrices and X'y match a per-environment reference.
         rng = np.random.default_rng(3)
         covs = [rng.normal(size=(n, 2)) for n in (5, 9, 7)]
         tgts = [rng.normal(size=n) for n in (5, 9, 7)]
@@ -83,13 +83,13 @@ class TestContainers:
         np.testing.assert_array_equal(data.covariates[:, 2], np.arange(9)[:, None] < [5, 9, 7])
         explicit = from_arrays([np.column_stack([x, np.ones(len(x))]) for x in covs], tgts)
         assert np.array_equal(data.covariates, explicit.covariates)
-        gram, xty = data.cross_products
-        assert np.array_equal(gram, explicit.cross_products[0])
-        assert np.array_equal(xty, explicit.cross_products[1])
+        gram, (xty, _) = data.gram, data.target_cross_products(data.target[:, None])
+        assert np.array_equal(gram, explicit.gram)
+        assert np.array_equal(xty, explicit.target_cross_products(explicit.target[:, None])[0])
         for e, (x, y) in enumerate(zip(covs, tgts)):
             x1 = np.column_stack([x, np.ones(len(y))])
             np.testing.assert_allclose(gram[:, :, e], x1.T @ x1, rtol=1e-13, atol=1e-13)
-            np.testing.assert_allclose(xty[:, e], x1.T @ y, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(xty[:, 0, e], x1.T @ y, rtol=1e-13, atol=1e-13)
         assert data.sample_sizes == (5, 9, 7)
 
     def test_arrays_are_read_only_views(self):
@@ -97,21 +97,29 @@ class TestContainers:
         # matrices would leave later fits stale, so it is refused; the
         # caller's arrays stay writable and are shared, not copied.
         data = sample_dataset()
-        gram, xty = (a.copy() for a in data.cross_products)
+        gram = data.gram.copy()
         with pytest.raises(ValueError):
             data.environments[0].covariates[0, 0] = 100.0
         with pytest.raises(ValueError):
             data.target[0, 0] = 100.0
         with pytest.raises(ValueError):
-            data.cross_products[1][0, :] += 50.0
-        with pytest.raises(ValueError):
-            data.cross_products[0][0, 0] = 50.0
-        assert np.array_equal(data.cross_products[0], gram)
-        assert np.array_equal(data.cross_products[1], xty)
+            data.gram[0, 0] = 50.0
+        assert np.array_equal(data.gram, gram)
         xs, ys = np.zeros((3, 1, 2)), np.ones((3, 2))
         wrapped = MultiEnvDataset(xs, ys, (3, 3), 1)
         assert xs.flags.writeable and ys.flags.writeable
         assert np.shares_memory(wrapped.covariates, xs) and np.shares_memory(wrapped.target, ys)
+
+    def test_repeated_label_refused(self):
+        # Labels name the environments of discover's env_labels map, so a
+        # repeat would merge two of them; a label defaulted from the position
+        # ("2" for the second) can repeat a given one too.
+        with pytest.raises(InvalidInputError, match="^environment label 'a' is repeated$"):
+            sample_dataset(labels=("a", "a"))
+        doc = dataset_to_dict(sample_dataset(labels=("2", "b")))
+        del doc["environments"][1]["label"]
+        with pytest.raises(InvalidInputError, match="^environment label '2' is repeated$"):
+            dataset_from_dict(doc)
 
     def test_with_intercept_idempotent(self):
         data = sample_dataset().with_intercept()

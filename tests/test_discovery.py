@@ -46,13 +46,13 @@ def drawn(monkeypatch):
 def accepting(family):
     """Fake level test accepting exactly the subsets in `family`.
 
-    It returns ``level_pvalues``' arrays for one target: unit norms, one dof
-    and a unit statistic per subset, p = 1 if accepted and 0.001 if not."""
+    It returns ``level_pvalues``' arrays for one target, ``T = 1``: unit norms,
+    one dof and a unit statistic per subset, p = 1 if accepted and 0.001 if not."""
     accepted = {tuple(sorted(s)) for s in family}
 
     def fake(dataset, subsets, config, targets):
-        ok = np.array([tuple(sorted(s)) in accepted for s in subsets])
-        norms, dofs = np.ones((len(subsets), 1)), np.ones((len(subsets), 1), dtype=int)
+        ok = np.array([[tuple(sorted(s)) in accepted] for s in subsets])
+        norms, dofs = np.ones((len(subsets), 1, 1)), np.ones((len(subsets), 1), dtype=int)
         return norms, dofs, np.ones(ok.shape), np.where(ok, 1.0, 0.001), ~ok
 
     return fake

@@ -6,6 +6,7 @@ import re
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -371,7 +372,27 @@ class TestNetworkDetect:
             assert (a.estimated_parents, a.subsets_tested, a.early_stopped, a.status) == (
                 b.estimated_parents, b.subsets_tested, b.early_stopped, b.status
             )
+            assert a.levels == ()  # only a one-target search keeps its evidence
         return alone
+
+    def test_one_target_lockstep_equals_discover_with_its_evidence(self):
+        # A lockstep search of one target is discover of that target's own
+        # dataset with early_stop: the same estimate and the same evidence,
+        # level by level, bit for bit.
+        window, num_envs, warmup = 20, 40, 200
+        series = gen_lorenz(LorenzGenConfig(horizon=window_steps(window, num_envs, warmup)), derived_seed(1, 0, 0, 0))
+        config = TestConfig(mc_samples=50, seed=derived_seed(1, 0, 0, 1))
+        windows = split_environments(series, 1, window, warmup, num_envs).with_intercept()
+        ys = next_steps(series, window, warmup, num_envs)
+        for t, b in enumerate(self._independent_searches(series, window, warmup, num_envs, config)):
+            [a] = discover_targets(windows, ys[:, t : t + 1], config)
+            assert (a.estimated_parents, a.subsets_tested, a.early_stopped, a.status) == (
+                b.estimated_parents, b.subsets_tested, b.early_stopped, b.status
+            )
+            assert len(a.levels) == len(b.levels) > 0
+            for mine, theirs in zip(a.levels, b.levels):
+                assert mine[0] == theirs[0]
+                assert all(x.dtype == y.dtype and np.array_equal(x, y) for x, y in zip(mine[1:], theirs[1:]))
 
     @pytest.mark.parametrize(
         "window, num_envs, alpha, seed",

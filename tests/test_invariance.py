@@ -32,6 +32,24 @@ from localicp.invariance import (
 from localicp.invariance import test_statistic as min_max_statistic
 
 
+def _own(data):
+    """The dataset's own target as the fit takes it: ``(values, X'y, y'y)`` with ``T = 1``."""
+    values = data.target[:, None]
+    return (values, *data.target_cross_products(values))
+
+
+def _fit_own(data, level, fit=_fit_environments):
+    """``fit`` (``_fit_environments`` or ``fit_subsets``) of the dataset's own target, norms ``(S, E)``."""
+    norms, ranks = fit(data, level, _own(data))
+    return norms[..., 0], ranks
+
+
+def _own_level(data, subsets, config):
+    """``level_pvalues`` of the dataset's own target, its arrays at that target as ``level_reports`` takes them."""
+    norms, dofs, *tested = level_pvalues(data, subsets, config, _own(data))
+    return norms[..., 0], dofs, *(a[:, 0] for a in tested)
+
+
 class TestStatistic:
     def test_min_max_ratio(self):
         assert min_max_statistic([1.0, 2.0, 4.0]) == 0.25
@@ -148,7 +166,7 @@ class TestMcPvalue:
         # again and gives the same p-values.
         rng = np.random.default_rng(5)
         data = from_arrays([rng.normal(size=(n, 2)) for n in (8, 9)], [rng.normal(size=n) for n in (8, 9)])
-        fit = (np.array([[0.3, 1.0], [1.0, 0.6]]), np.array([[1, 1], [1, 1]]))
+        fit = (np.array([[[0.3], [1.0]], [[1.0], [0.6]]]), np.array([[1, 1], [1, 1]]))
         monkeypatch.setattr(invariance, "fit_subsets", lambda dataset, subsets, targets: fit)
         made = []
         original = invariance._null_pvalues
@@ -159,9 +177,9 @@ class TestMcPvalue:
 
         monkeypatch.setattr(invariance, "_null_pvalues", recording)
         config = TestConfig(mc_samples=20, seed=1)
-        first = level_pvalues(data, [(1,), (2,)], config)[3].tolist()
+        first = _own_level(data, [(1,), (2,)], config)[3].tolist()
         assert made == [((7, 8), [[0.3], [0.6]])]
-        assert level_pvalues(data, [(1,), (2,)], config)[3].tolist() == first
+        assert _own_level(data, [(1,), (2,)], config)[3].tolist() == first
         assert made == 2 * [((7, 8), [[0.3], [0.6]])]
         assert [mc_pvalue(t, [7, 8], 20, 1) for t in (0.3, 0.6)] == first
 
@@ -204,12 +222,12 @@ def test_reference_draws_seed_the_listed_entropy(seed, monkeypatch):
 
 
 def _assert_reports_match_scalar_path(data, subsets, config):
-    """Each report of ``level_reports(subsets, *level_pvalues(...))`` equals the one-row
+    """Each report of ``level_reports`` of the dataset's own target equals the one-row
     statistic and p-value of the fit that ``invariance.fit_subsets`` gives for
     its level."""
-    reports = level_reports(subsets, *level_pvalues(data, subsets, config))
+    reports = level_reports(subsets, *_own_level(data, subsets, config))
     assert [r.subset for r in reports] == [tuple(s) for s in subsets]
-    for report, norms, ranks in zip(reports, *invariance.fit_subsets(data, subsets)):
+    for report, norms, ranks in zip(reports, *_fit_own(data, subsets, invariance.fit_subsets)):
         dofs = np.maximum(np.subtract(data.sample_sizes, ranks), 0)
         norms = np.where(dofs == 0, 0.0, norms)
         statistic = min_max_statistic(norms)
@@ -244,7 +262,7 @@ def test_level_reports_match_the_scalar_path(monkeypatch):
         return original(dofs, rng, size)
 
     monkeypatch.setattr(invariance, "sample_null_ratio", counting)
-    monkeypatch.setattr(invariance, "fit_subsets", lambda dataset, level, targets=None: (norms, ranks))
+    monkeypatch.setattr(invariance, "fit_subsets", lambda dataset, level, targets: (norms[..., None], ranks))
     config = TestConfig(alpha=0.3, mc_samples=50, seed=4)
     reports = _assert_reports_match_scalar_path(data, subsets, config)
     assert math.isinf(reports[4].statistic) and reports[4].p_value == 1.0
@@ -254,9 +272,9 @@ def test_level_reports_match_the_scalar_path(monkeypatch):
     # A level call draws each finite dof vector once; the next call draws
     # the same five vectors again, since no draws outlive a call.
     drawn.clear()
-    level_pvalues(data, subsets, config)
+    _own_level(data, subsets, config)
     assert len(drawn) == len(set(drawn)) == 5
-    level_pvalues(data, subsets, config)
+    _own_level(data, subsets, config)
     assert len(drawn) == 10 and drawn[5:] == drawn[:5]
 
 
@@ -546,7 +564,7 @@ def test_batched_fit_matches_per_env_oracle(make):
     data = make()
     width, yty = _width_and_yty(data)
     for level in _levels(width):
-        for cols, norms, ranks in zip(level, *_fit_environments(data, level)):
+        for cols, norms, ranks in zip(level, *_fit_own(data, level)):
             ref_norms, ref_ranks = _per_env_oracle(data, list(cols))
             assert ranks.tolist() == ref_ranks.tolist(), cols
             # Scaled by y'y: an exact fit's RSS is itself rounding noise.
@@ -600,7 +618,7 @@ def test_ill_conditioned_fit_matches_qr_oracle():
     data = _straddling_to_1e12()
     width, yty = _width_and_yty(data)
     for level in _levels(width)[1:]:
-        for cols, norms, ranks in zip(level, *_fit_environments(data, level)):
+        for cols, norms, ranks in zip(level, *_fit_own(data, level)):
             assert np.all(ranks == len(cols)), cols
             assert np.all(np.abs(norms - _qr_oracle(data, list(cols))) <= 1e-12 * yty), cols
 
@@ -653,15 +671,14 @@ def _one_exact_environment():
     return from_arrays(covs, tgts).with_intercept()
 
 
-def _identity_cells(data, level, targets=None):
+def _identity_cells(data, level, targets):
     """The ``(S, E)`` mask of certified pairs of the fit of ``level``, and the
     ``(T, S, E)`` mask of the cells whose RSS it takes as ``y'y - ||z||^2``:
     certified, and above the guard."""
-    gram, xty = data.cross_products
-    _, xty, yty = (None, xty[:, None], data.target_sum_of_squares[None]) if targets is None else targets
+    _, xty, yty = targets
     cols = np.asarray(level, dtype=np.intp).T
     eps = np.finfo(np.float64).eps
-    z_sq, _, _, certified = invariance._cholesky_solve(gram, cols, np.moveaxis(xty[cols], 2, 1), len(cols) * eps)
+    z_sq, _, _, certified = invariance._cholesky_solve(data.gram, cols, np.moveaxis(xty[cols], 2, 1), len(cols) * eps)
     guard = (len(cols) + 1) * eps * invariance.RSS_MARGIN * yty[:, None]
     return certified, certified & (yty[:, None] - z_sq > guard)
 
@@ -677,13 +694,13 @@ def test_rss_identity_matches_the_explicit_residual(make, monkeypatch):
     # and of the per-environment fit.
     data = make()
     width, yty = _width_and_yty(data)
-    fits = [_fit_environments(data, level) for level in _levels(width)]
+    fits = [_fit_own(data, level) for level in _levels(width)]
     with monkeypatch.context() as patch:
         patch.setattr(invariance, "RSS_MARGIN", math.inf)
-        explicit = [_fit_environments(data, level) for level in _levels(width)]
+        explicit = [_fit_own(data, level) for level in _levels(width)]
     kept = fell_back = 0
     for level, (norms, ranks), (ref, ref_ranks) in zip(_levels(width), fits, explicit):
-        certified, identity = _identity_cells(data, level)
+        certified, identity = _identity_cells(data, level, _own(data))
         identity = identity[0]
         assert np.array_equal(ranks, ref_ranks)
         assert np.all(norms >= 0.0), level
@@ -706,7 +723,7 @@ def test_trap_datasets_hold_the_cells_they_pin():
     # explicitly and the noise target keeps the identity.
     data = _one_exact_environment()
     width = data.environments[0].covariates.shape[1]
-    assert (~_identity_cells(data, _levels(width)[1])[1]).sum() == 1
+    assert (~_identity_cells(data, _levels(width)[1], _own(data))[1]).sum() == 1
     data = _large_mean()
     targets = _targets(data)
     cells = [_identity_cells(data, level, targets)[1] for level in _levels(data.num_covariates + 1)]
@@ -731,10 +748,10 @@ def test_cholesky_fit_matches_svd_fit(make, monkeypatch):
     data = make()
     width, yty = _width_and_yty(data)
     targets = _targets(data)
-    fast = [_fit_environments(data, level) for level in _levels(width)]
+    fast = [_fit_own(data, level) for level in _levels(width)]
     monkeypatch.setattr(invariance, "CHOLESKY_MARGIN", math.inf)
     for level, (norms, ranks) in zip(_levels(width), fast):
-        ref_norms, ref_ranks = _fit_environments(data, level)
+        ref_norms, ref_ranks = _fit_own(data, level)
         assert ranks.tolist() == ref_ranks.tolist(), level
         assert np.all(np.abs(norms - ref_norms) <= 1e-12 * yty), level
         _assert_each_target_fits_as_alone(data, level, targets, *_fit_environments(data, level, targets))
@@ -752,16 +769,15 @@ def test_batch_does_not_change_a_subsets_bits(make, monkeypatch):
     data = make()
     width = data.environments[0].covariates.shape[1]
     data = dataclasses.replace(data, num_covariates=width, intercept_added=False)
-    targets = _targets(data)
-    assert np.array_equal(targets[1][:, 0], data.cross_products[1])
-    assert np.array_equal(targets[2][0], data.target_sum_of_squares)
-    whole = [_fit_environments(data, level) for level in _levels(width)]
+    targets, own = _targets(data), _own(data)
+    assert np.array_equal(targets[1][:, :1], own[1]) and np.array_equal(targets[2][:1], own[2])
+    whole = [_fit_own(data, level) for level in _levels(width)]
     several = [_fit_environments(data, level, targets) for level in _levels(width)]
     monkeypatch.setattr(invariance, "FIT_CHUNK_DOUBLES", 1)
     for level, (norms, ranks), (t_norms, t_ranks) in zip(_levels(width), whole, several):
         subsets = [tuple(cols + 1) for cols in level]
-        chunked = fit_subsets(data, subsets)
-        alone = [fit_subsets(data, [s]) for s in subsets]
+        chunked = _fit_own(data, subsets, fit_subsets)
+        alone = [_fit_own(data, [s], fit_subsets) for s in subsets]
         for fit in (chunked, tuple(np.concatenate(part) for part in zip(*alone))):
             assert np.array_equal(fit[0], norms)
             assert np.array_equal(fit[1], ranks)
@@ -792,7 +808,7 @@ def test_one_failing_pivot_stays_local(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     for level in _levels(width):
-        _fit_environments(data, level)
+        _fit_own(data, level)
     assert sum(seen) == singular
 
 
@@ -808,7 +824,7 @@ def test_empty_column_set_is_an_ordinary_solve(monkeypatch):
         raise AssertionError("np.linalg.svd called")
 
     monkeypatch.setattr(np.linalg, "svd", refusing)
-    norms, ranks = _fit_environments(data, [[]])
+    norms, ranks = _fit_own(data, [[]])
     assert ranks.tolist() == [[0, 0, 0]]
     assert np.array_equal(norms[0], (data.target**2).sum(0))
 
@@ -860,7 +876,7 @@ def test_batched_fit_matches_parent_fit(make):
     data = make()
     width, yty = _width_and_yty(data)
     for level in _levels(width):
-        for cols, norms, ranks in zip(level, *_fit_environments(data, level)):
+        for cols, norms, ranks in zip(level, *_fit_own(data, level)):
             ref_norms, ref_ranks = _parent_fit(data, list(cols))
             assert ranks.tolist() == ref_ranks.tolist(), cols
             assert np.all(np.abs(norms - ref_norms) <= 1e-12 * yty), cols

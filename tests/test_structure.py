@@ -30,6 +30,10 @@
 - One SVD fallback: outside ``linalg.py``, ``svd`` is used only in
   ``invariance._fit_environments``, for the pairs the Cholesky solve leaves
   uncertified; the empty column set is an ordinary width-0 solve.
+- One target shape: only ``discovery._search`` and ``invariance.phi_S`` call
+  ``target_cross_products``, so every fit takes its targets as one
+  ``(values, X'y, y'y)`` triple, the dataset's own target included; no
+  module reads ``target_sum_of_squares`` or ``cross_products``.
 """
 
 import ast
@@ -146,6 +150,11 @@ def test_one_monte_carlo_estimator():
 def test_one_svd_fallback():
     users = {user for user in _users("svd") if user[0] != "linalg.py"}
     assert users == {("invariance.py", "_fit_environments")}
+
+
+def test_one_target_shape():
+    assert _users("target_cross_products", _Callers) == {("discovery.py", "_search"), ("invariance.py", "phi_S")}
+    assert _users("target_sum_of_squares") == _users("cross_products") == set()
 
 
 def test_size_limit_read_only_in_errors():
