@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import MultiEnvDataset, from_arrays
-from .errors import DivergenceError, InvalidInputError, ShapeError, check_capacity, check_counts
+from .errors import DivergenceError, InvalidInputError, ShapeError, check_capacity, check_counts, finite
 
 __all__ = [
     "IndependentGenConfig",
@@ -95,19 +94,14 @@ def _check_size(num_envs: int, samples_per_env: int, columns: int) -> None:
     check_capacity(size, what)
 
 
-def _finite(value) -> bool:
-    """Whether ``value`` is a real number, not a bool, within the finite doubles."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
-
-
 def _check_range(name: str, pair) -> None:
     lo, hi = pair if isinstance(pair, (tuple, list)) and len(pair) == 2 else (None, None)
-    if not (_finite(lo) and _finite(hi) and lo <= hi and _finite(hi - lo)):
+    if not (finite(lo) and finite(hi) and lo <= hi and finite(hi - lo)):
         raise InvalidInputError(f"{name} must be finite numbers low <= high, a finite span apart, got {pair!r}")
 
 
 def _check_positive(name: str, value) -> None:
-    if not (_finite(value) and value > 0):
+    if not (finite(value) and value > 0):
         raise InvalidInputError(f"{name} must be a positive finite number, got {value!r}")
 
 
@@ -150,6 +144,7 @@ def gen_independent(
     config: IndependentGenConfig, seed: int
 ) -> tuple[MultiEnvDataset, GroundTruth]:
     """Independent covariates with per-environment scales, means and coefficients."""
+    check_counts(minimum=0, seed=seed)
     d = config.dimension
     n = config.samples_per_env
     parents = tuple(sorted(config.parent_set))
@@ -195,7 +190,7 @@ class SemGenConfig:
         if self.sigma_range[0] <= 0:
             raise InvalidInputError("noise scales must be positive")
         _check_positive("sigma_y", self.sigma_y)
-        if self.heterogeneity is not None and not (_finite(self.heterogeneity) and self.heterogeneity >= 0):
+        if self.heterogeneity is not None and not (finite(self.heterogeneity) and self.heterogeneity >= 0):
             raise InvalidInputError(f"heterogeneity must be a finite number >= 0, got {self.heterogeneity!r}")
         _check_family(self.noise_family, self.student_t_dof)
 
@@ -230,6 +225,7 @@ def sem_cascade(
 
 def gen_sem(config: SemGenConfig, seed: int) -> tuple[MultiEnvDataset, GroundTruth]:
     """Six-node linear SEM; X5 and X6 are descendants of the target."""
+    check_counts(minimum=0, seed=seed)
     n = config.samples_per_env
     sigma_rng, beta_rng = config.env_ranges()
     covs, tgts, betas = [], [], []
@@ -265,9 +261,9 @@ class LorenzGenConfig:
         size = 12 * self.horizon + 6  # noise (horizon x 6) and states ((horizon + 1) x 6)
         check_capacity(size, f"a trajectory of {self.horizon} steps needs {size} doubles")
         state = self.initial_state
-        if not (isinstance(state, (tuple, list)) and len(state) == 6 and all(map(_finite, state))):
+        if not (isinstance(state, (tuple, list)) and len(state) == 6 and all(map(finite, state))):
             raise InvalidInputError(f"initial_state must be six finite numbers, got {state!r}")
-        if not (_finite(self.noise_std) and self.noise_std >= 0):
+        if not (finite(self.noise_std) and self.noise_std >= 0):
             raise InvalidInputError(f"noise_std must be a non-negative finite number, got {self.noise_std!r}")
 
 
@@ -279,6 +275,7 @@ def gen_lorenz(config: LorenzGenConfig, seed: int) -> np.ndarray:
     exceeds ``LORENZ_OVERFLOW`` in magnitude or is nan; the loop's Python floats
     overflow to inf or nan without raising, so the series is checked once.
     """
+    check_counts(minimum=0, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     eps = config.noise_std * rng.standard_normal((config.horizon, 6))
     x1, x2, x3, x4, x5, x6 = (float(v) for v in config.initial_state)

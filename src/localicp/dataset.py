@@ -199,8 +199,7 @@ def read_csv(path) -> MultiEnvDataset:
             raise InvalidInputError(
                 f"{path}: line 1: expected header {','.join(expected)}, got {','.join(header)}"
             )
-        order: list[str] = []
-        rows: dict[str, list[list[float]]] = {}
+        rows: dict[str, list[list[float]]] = {}  # insertion order is first appearance
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -216,18 +215,11 @@ def read_csv(path) -> MultiEnvDataset:
             for name, value in zip(header[1:], values):
                 if not math.isfinite(value):
                     raise InvalidInputError(f"{path}: line {lineno}: {name} is {value}, not finite")
-            if label not in rows:
-                rows[label] = []
-                order.append(label)
-            rows[label].append(values)
-    if not order:
+            rows.setdefault(label, []).append(values)
+    if not rows:
         raise InvalidInputError(f"{path}: no data rows")
-    covs, tgts = [], []
-    for label in order:
-        block = np.asarray(rows[label], dtype=np.float64)
-        covs.append(block[:, :d])
-        tgts.append(block[:, d])
-    return from_arrays(covs, tgts, env_labels=order)
+    blocks = [np.asarray(block, dtype=np.float64) for block in rows.values()]
+    return from_arrays([b[:, :d] for b in blocks], [b[:, d] for b in blocks], env_labels=list(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .dataset import MultiEnvDataset
-from .errors import CapacityError, InvalidInputError
+from .errors import CapacityError, InvalidInputError, check_counts, finite
 from .invariance import SubsetTestReport, TestConfig, level_pvalues, level_reports
 
 __all__ = [
@@ -194,10 +194,13 @@ class HeterogeneityInput:
     def __post_init__(self):
         k = len(self.parents)
         for name in ("beta1", "beta2", "sigma_v", "sigma_w"):
-            if len(getattr(self, name)) != k:
+            values = getattr(self, name)
+            if len(values) != k:
                 raise InvalidInputError(f"{name} must align with parents (length {k})")
-        if self.sigma_y <= 0:
-            raise InvalidInputError("sigma_y must be positive")
+            if not all(map(finite, values)):
+                raise InvalidInputError(f"{name} must hold finite numbers, got {values!r}")
+        if not (finite(self.sigma_y) and self.sigma_y > 0):
+            raise InvalidInputError(f"sigma_y must be a positive finite number, got {self.sigma_y!r}")
         if any(s <= 0 for s in self.sigma_v) or any(s <= 0 for s in self.sigma_w):
             raise InvalidInputError("covariate standard deviations must be positive")
         if not set(self.omitted) <= set(self.parents):
@@ -224,8 +227,9 @@ def power_bound(i_s: float, k: int, e: int, alpha: float) -> float:
     """
     if not (0.0 < i_s <= 1.0):
         raise InvalidInputError("the heterogeneity index must lie in (0, 1]")
-    if k < 1 or e < 1 or alpha <= 0:
-        raise InvalidInputError("require k >= 1, e >= 1 and alpha > 0")
+    check_counts(k=k, e=e)
+    if not (0.0 < alpha < 1.0):
+        raise InvalidInputError("alpha must lie in (0, 1)")
     if i_s >= 1.0:
         return 1.0
     half_k = k / 2.0
@@ -245,8 +249,9 @@ def infinite_env_limit(i_s: float, k: int, alpha: float) -> tuple[float, float]:
     """
     if not (0.0 < i_s <= 1.0):
         raise InvalidInputError("the heterogeneity index must lie in (0, 1]")
-    if k < 1 or not (0.0 < alpha < 1.0):
-        raise InvalidInputError("require k >= 1 and alpha in (0, 1)")
+    check_counts(k=k)
+    if not (0.0 < alpha < 1.0):
+        raise InvalidInputError("alpha must lie in (0, 1)")
     t = i_s ** (k / 2.0)
     upper = (1.0 / alpha) * (2.0 * t / (2.0 * t + 1.0))
     threshold = t / (t + 1.0)

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the one check of every count, seed and size."""
+"""Exception types shared across the package, and the one check of every count, seed, size and real number."""
 
 import numbers
+import sys
 
 # Largest array an input may ask for, in doubles (2^27, 1 GiB).
 MAX_DOUBLES = 2**27
@@ -33,6 +34,11 @@ def check_counts(minimum: int = 1, **counts) -> None:
         if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
             kind = "positive" if minimum else "non-negative"
             raise InvalidInputError(f"{name} must be a {kind} integer, got {value!r}")
+
+
+def finite(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, within the finite doubles."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def check_capacity(size: int, what: str) -> None:

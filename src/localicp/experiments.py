@@ -80,7 +80,9 @@ def derived_seed(*parts: int) -> int:
 def clopper_pearson(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
     """Exact binomial confidence interval: each endpoint bisected over doubles on the tail
     ``P(Bin(n, p) >= s) = I_p(s, n - s + 1)``, summed as log-pmf terms."""
-    if not (0 <= successes <= trials) or trials < 1:
+    check_counts(minimum=0, successes=successes)
+    check_counts(trials=trials)
+    if successes > trials:
         raise InvalidInputError(f"need 0 <= successes <= trials, got {successes}/{trials}")
     if not (0.0 < level < 1.0):
         raise InvalidInputError("level must lie in (0, 1)")
@@ -102,7 +104,9 @@ def binomial_test_greater(successes: int, trials: int, p0: float) -> float:
     """Exact one-sided tail P(Bin(trials, p0) >= successes), correctly rounded: with
     ``p0 = a / b`` exactly, the integer numerator of ``sum_k C(n, k) a^k (b - a)^(n - k) / b^n``
     is summed in Horner form, and ``int / int`` rounds the one division correctly."""
-    if not (0 <= successes <= trials) or trials < 1:
+    check_counts(minimum=0, successes=successes)
+    check_counts(trials=trials)
+    if successes > trials:
         raise InvalidInputError(f"need 0 <= successes <= trials, got {successes}/{trials}")
     if not (0.0 < p0 < 1.0):
         raise InvalidInputError("p0 must lie in (0, 1)")

@@ -144,18 +144,18 @@ def sample_null_ratio(dofs: Sequence[int], rng: np.random.Generator, size: int) 
     An entry with zero degrees of freedom contributes an exact 0; if every
     entry is 0 the ratio is ``+inf`` (same convention as the statistic).
     """
-    df = np.asarray(dofs, dtype=np.int64)
+    df = np.asarray(dofs)
     if df.size == 0:
         raise InvalidInputError("dofs must be non-empty")
-    if np.any(df < 0):
-        raise InvalidInputError("dofs must be non-negative")
+    if df.dtype.kind not in "iu" or np.any(df < 0):
+        raise InvalidInputError(f"dofs must be non-negative integers, got {dofs!r}")
+    check_counts(minimum=0, size=size)
     positive = df > 0
-    if positive.all():
-        # A scalar df draws the same stream as an array of equal dfs, only faster.
-        z = rng.chisquare(df[0] if (df == df[0]).all() else df, size=(size, df.size))
-    else:
-        z = np.zeros((size, df.size))
-        z[:, positive] = rng.chisquare(df[positive], size=(size, int(positive.sum())))
+    drawn = df[positive]
+    z = np.zeros((size, df.size))
+    # A scalar df draws the same stream as an array of equal dfs, only faster.
+    equal = drawn.size > 0 and (drawn == drawn[0]).all()
+    z[:, positive] = rng.chisquare(drawn[0] if equal else drawn, size=(size, drawn.size))
     top = z.max(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         return np.where(top > 0.0, z.min(axis=1) / top, math.inf)
@@ -165,10 +165,9 @@ def _null_pvalues(seed: int, dofs: np.ndarray, b: int, statistics):
     """``(1 + #{R <= T}) / (B + 1)`` of each statistic ``T`` against the ``b`` sorted reference
     ratios ``R`` of ``dofs``, drawn from ``SeedSequence([seed, *dofs])``, its entropy given as
     the ``uint32`` array it makes of that list: the seed's 32-bit little-endian words, then the
-    dofs (each below 2^32).  Ties count against the statistic, so an infinite one counts every draw."""
+    dofs (each below 2^32, as its callers check).  Ties count against the statistic, so an
+    infinite one counts every draw."""
     seed = int(seed)
-    if seed < 0 or np.any(dofs < 0):
-        raise InvalidInputError("the seed and the dofs must be non-negative")
     words = [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
     entropy = np.concatenate([np.array(words, dtype=np.uint32), dofs.astype(np.uint32)])
     rng = np.random.default_rng(np.random.SeedSequence(entropy))
@@ -185,9 +184,12 @@ def mc_pvalue(statistic: float, dofs: Sequence[int], b: int, seed: int) -> float
     An infinite statistic signals interpolated data, which carries no
     evidence against invariance; the p-value is then 1 and nothing is drawn.
     Any other statistic outside ``[0, 1]``, NaN included, is no min/max ratio
-    and is refused.
+    and is refused, and so is a dof that is not an integer in ``[0, 2^32)``.
     """
     check_counts(b=b)
+    check_counts(minimum=0, seed=seed)
+    if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) and 0 <= d < 2**32 for d in dofs):
+        raise InvalidInputError(f"dofs must be integers in [0, 2^32), got {dofs!r}")
     check_capacity(b * len(dofs), f"b={b} x {len(dofs)} environments is {b * len(dofs)} doubles per null draw")
     if not (0.0 <= statistic <= 1.0 or statistic == math.inf):
         raise InvalidInputError(f"statistic must lie in [0, 1] or be +inf, got {statistic!r}")
@@ -212,16 +214,12 @@ def _cholesky_solve(gram_all: np.ndarray, cols: np.ndarray, xty: np.ndarray, tol
     and the ``(S, E)`` mask of certified pairs: every pivot positive and
     finite, and ``||G||_F * ||L^-1||_F^2 * tol * CHOLESKY_MARGIN < 1``.
     """
-    width, targets, pairs, count = len(cols), xty.shape[1], xty.shape[2:], math.prod(xty.shape[2:])
+    width, targets, pairs = len(cols), xty.shape[1], xty.shape[2:]
     a = np.zeros((width, 2 * width + targets) + pairs)
     a[:, :width] = gram_all[cols[:, None], cols[None]]
     a[:, width : width + targets] = xty
     a[np.arange(width), np.arange(width + targets, 2 * width + targets)] = 1.0
-    # One scratch block holds each step's update and the squares of G and L^-1.
-    work = np.empty(max(width * width, (width - 1) * (width + targets)) * count)
-    square = work[: width * width * count].reshape((width, width) + pairs)
-    np.multiply(a[:, :width], a[:, :width], out=square)
-    gram_norm = np.sqrt(square.sum((0, 1)))
+    gram_norm = np.sqrt(np.square(a[:, :width]).sum((0, 1)))
     roots = np.empty((width,) + pairs)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         for j in range(width):
@@ -230,14 +228,10 @@ def _cholesky_solve(gram_all: np.ndarray, cols: np.ndarray, xty: np.ndarray, tol
             end = width + targets + 1 + j
             roots[j] = np.sqrt(a[j, j])
             a[j, j:end] /= roots[j]
-            outer = work[: (width - 1 - j) * (width + targets) * count]
-            outer = outer.reshape((width - 1 - j, width + targets) + pairs)
-            np.multiply(a[j, j + 1 : width, None], a[j, None, j + 1 : end], out=outer)
-            a[j + 1 :, j + 1 : end] -= outer
+            a[j + 1 :, j + 1 : end] -= a[j, j + 1 : width, None] * a[j, None, j + 1 : end]
         z, l_inv = a[:, width : width + targets], a[:, width + targets :]
-        np.multiply(l_inv, l_inv, out=square)
         certified = ((roots > 0.0) & (roots < math.inf)).all(0)
-        certified &= gram_norm * square.sum((0, 1)) * (tol * CHOLESKY_MARGIN) < 1.0
+        certified &= gram_norm * np.square(l_inv).sum((0, 1)) * (tol * CHOLESKY_MARGIN) < 1.0
         return (z * z).sum(0), z, l_inv, certified
 
 
@@ -321,10 +315,11 @@ def fit_subsets(dataset: MultiEnvDataset, subsets: Sequence[Sequence[int]], targ
     A chunk holds as many subsets as fit in ``FIT_CHUNK_DOUBLES`` live
     doubles, but at least one, which may need more, counted per (subset,
     environment) pair: the solve holds the reduced rows, ``X'y``, the pivots
-    and one scratch block, ``w (2 w + T + 1) + w T + max(w^2, (w - 1)(w +
-    T))``, then ``z * z``, ``w T``, and about ``3 T`` for the norms and
-    their guard.  The few cells whose residual is formed explicitly are not
-    counted.  A subset's result does not depend on its chunk.
+    and its largest temporary (a step's outer product or the squares of ``G``),
+    ``w (2 w + T + 1) + w T + max(w^2, (w - 1)(w + T))``, then ``z * z``,
+    ``w T``, and about ``3 T`` for the norms and their guard.  The few cells
+    whose residual is formed explicitly are not counted.  A subset's result
+    does not depend on its chunk.
     """
     cols = np.array(subsets, dtype=np.intp) - 1
     if dataset.intercept_added:

@@ -363,3 +363,20 @@ def test_check_capacity_admits_max_doubles_and_refuses_one_more():
     with pytest.raises(CapacityError) as exc:
         check_capacity(MAX_DOUBLES + 1, f"a block of {MAX_DOUBLES + 1} doubles")
     assert str(exc.value) == "a block of 134217729 doubles, above the limit of 134217728 (1 GiB)"
+
+
+@pytest.mark.parametrize("seed", [1.5, -1, True, "1", None])
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda seed: gen_independent(IndependentGenConfig(num_envs=2, samples_per_env=5), seed),
+        lambda seed: gen_sem(SemGenConfig(num_envs=2, samples_per_env=5), seed),
+        lambda seed: gen_lorenz(LorenzGenConfig(horizon=5), seed),
+    ],
+    ids=["independent", "sem", "lorenz"],
+)
+def test_generators_refuse_a_seed_that_is_no_non_negative_integer(generate, seed):
+    # 1.5 was taken as seed 1, and -1 ended in numpy's own ValueError.
+    with pytest.raises(InvalidInputError, match=re.escape(f"seed must be a non-negative integer, got {seed!r}")):
+        generate(seed)
+

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -225,6 +226,25 @@ class TestHeterogeneityIndex:
             )
 
 
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("sigma_y", math.nan, "sigma_y must be a positive finite number, got nan"),
+            ("sigma_y", math.inf, "sigma_y must be a positive finite number, got inf"),
+            ("sigma_y", True, "sigma_y must be a positive finite number, got True"),
+            ("beta1", (math.nan,), "beta1 must hold finite numbers, got (nan,)"),
+            ("beta2", (-math.inf,), "beta2 must hold finite numbers, got (-inf,)"),
+            ("sigma_v", (math.inf,), "sigma_v must hold finite numbers, got (inf,)"),
+            ("sigma_w", ("1",), "sigma_w must hold finite numbers, got ('1',)"),
+        ],
+    )
+    def test_rejects_a_number_that_is_not_finite(self, field, value, message):
+        # A NaN sigma_y or beta1 gave the index NaN, an infinite sigma_v 0.0.
+        fields = dict(parents=(1,), beta1=(2.0,), beta2=(1.0,), sigma_v=(1.0,), sigma_w=(1.0,), sigma_y=1.0, omitted=(1,))
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            HeterogeneityInput(**{**fields, field: value})
+
+
 class TestPowerBound:
     def test_vacuous_at_one(self):
         assert power_bound(1.0, 10, 30, 0.1) == 1.0
@@ -253,6 +273,28 @@ class TestPowerBound:
         assert 0.0 <= value <= 1.0
 
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 5.0, 1.0, 0.0])
+    def test_rejects_an_alpha_outside_the_unit_interval(self, alpha):
+        # nan and 5.0 gave 1.0, inf gave 0.0.
+        with pytest.raises(InvalidInputError, match=re.escape("alpha must lie in (0, 1)")):
+            power_bound(0.5, 2, 10, alpha)
+
+    @pytest.mark.parametrize(
+        "k,e,message",
+        [
+            (1.5, 10, "k must be a positive integer, got 1.5"),
+            (True, 10, "k must be a positive integer, got True"),
+            (0, 10, "k must be a positive integer, got 0"),
+            (2, math.nan, "e must be a positive integer, got nan"),
+            (2, 2.5, "e must be a positive integer, got 2.5"),
+        ],
+    )
+    def test_rejects_k_or_e_that_is_no_count(self, k, e, message):
+        # k = 1.5 and k = True were taken as k = 1, e = nan gave 1.0.
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            power_bound(0.5, k, e, 0.1)
+
+
 class TestInfiniteEnvLimit:
     def test_index_one_substitution(self):
         lower, upper = infinite_env_limit(1.0, 7, 0.1)
@@ -279,6 +321,13 @@ class TestInfiniteEnvLimit:
         lo, _ = infinite_env_limit(i_s, k, alpha)
         assert lo == pytest.approx((t / (t + 1) - alpha) / (1 - alpha), rel=1e-12)
         assert lo > 0.0
+
+
+    @pytest.mark.parametrize("k", [math.nan, 1.5, True])
+    def test_rejects_a_k_that_is_no_count(self, k):
+        # k = nan gave (0.0, nan).
+        with pytest.raises(InvalidInputError, match=re.escape(f"k must be a positive integer, got {k!r}")):
+            infinite_env_limit(0.5, k, 0.1)
 
 
 def test_result_serialization_round_trip_fields():

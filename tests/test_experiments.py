@@ -102,6 +102,23 @@ class TestCloppersPearson:
         with pytest.raises(InvalidInputError):
             clopper_pearson(1, 10, level=1.0)
 
+    @pytest.mark.parametrize(
+        "successes,trials,message",
+        [
+            (True, 10, "successes must be a non-negative integer, got True"),
+            (2.5, 10, "successes must be a non-negative integer, got 2.5"),
+            (-1, 10, "successes must be a non-negative integer, got -1"),
+            (2, 10.0, "trials must be a positive integer, got 10.0"),
+            (0, 0, "trials must be a positive integer, got 0"),
+        ],
+    )
+    def test_rejects_counts_that_are_not_integers(self, successes, trials, message):
+        # True was read as 1 success, and 2.5 ended in a raw TypeError.
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            clopper_pearson(successes, trials)
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            binomial_test_greater(successes, trials, 0.1)
+
 
 class TestBinomialTestGreater:
     @pytest.mark.parametrize("k,n,p0", [(3, 10, 0.1), (15, 50, 0.1), (1, 4, 0.5)])

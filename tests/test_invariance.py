@@ -86,9 +86,9 @@ class TestNullRatio:
 
     @pytest.mark.parametrize("dofs", [[17] * 30, [5, 9, 17, 5], [0, 4, 4], [0, 3, 8], [6]])
     def test_draws_equal_the_zero_filled_masked_draws(self, dofs):
-        # The fast path (no zero dof: one draw into the result, a scalar df when
-        # all are equal) must give the bits of filling zeros and drawing the
-        # positive dofs through a mask.
+        # The one draw (a scalar df when the positive dofs are all equal, zero
+        # dofs among them or not) must give the bits of filling zeros and
+        # drawing the array of positive dofs through a mask.
         def masked(dofs, rng, size):
             df = np.asarray(dofs, dtype=np.int64)
             z = np.zeros((size, df.size))
@@ -101,6 +101,17 @@ class TestNullRatio:
         for seed in range(3):
             expected = masked(dofs, np.random.default_rng(seed), 500)
             np.testing.assert_array_equal(sample_null_ratio(dofs, np.random.default_rng(seed), 500), expected)
+
+    @pytest.mark.parametrize("dofs", [[2.5, 4], [3.0, 4.0], [True, False], ["3", "4"]])
+    def test_rejects_a_dof_that_is_no_integer(self, dofs):
+        # [2.5, 4] was drawn as dof 2.
+        with pytest.raises(InvalidInputError, match="dofs must be non-negative integers"):
+            sample_null_ratio(dofs, np.random.default_rng(0), 5)
+
+    @pytest.mark.parametrize("size", [-1, 2.5])
+    def test_rejects_a_size_that_is_no_count(self, size):
+        with pytest.raises(InvalidInputError, match=re.escape(f"size must be a non-negative integer, got {size!r}")):
+            sample_null_ratio([3, 4], np.random.default_rng(0), size)
 
     def test_two_env_mean_matches_simulation_oracle(self):
         draws = sample_null_ratio([10, 10], np.random.default_rng(5), size=100_000)
@@ -122,6 +133,22 @@ class TestMcPvalue:
             mc_pvalue(0.5, [-1, 2], 10, 0)
         with pytest.raises(InvalidInputError):
             mc_pvalue(0.5, [1, 2], 10, -1)
+
+    @pytest.mark.parametrize("seed", [1.5, True, "1"])
+    def test_rejects_a_seed_that_is_no_integer(self, seed):
+        # 1.5 was taken as seed 1.
+        with pytest.raises(InvalidInputError, match=re.escape(f"seed must be a non-negative integer, got {seed!r}")):
+            mc_pvalue(0.5, [3, 4], 50, seed)
+
+    @pytest.mark.parametrize("dofs", [[2**32 + 3, 3], [2**32, 3], [2.5, 4], [True, 4], [3, -1], [2**64, 3]])
+    def test_rejects_a_dof_outside_the_32_bit_integers(self, dofs):
+        # [2**32 + 3, 3] was drawn from the entropy of [3, 3], its dofs cast to uint32.
+        with pytest.raises(InvalidInputError, match=re.escape(f"dofs must be integers in [0, 2^32), got {dofs!r}")):
+            mc_pvalue(0.5, dofs, 10, 0)
+
+    def test_takes_the_largest_32_bit_dof_and_numpy_dofs(self):
+        assert 0.0 < mc_pvalue(0.5, [2**32 - 1, 3], 10, 0) <= 1.0
+        assert mc_pvalue(0.5, np.array([3, 4]), 10, np.uint64(2)) == mc_pvalue(0.5, [3, 4], 10, 2)
 
     @pytest.mark.parametrize("b", [0, 2.5, True])
     def test_rejects_a_non_count_b(self, b):

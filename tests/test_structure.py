@@ -15,6 +15,8 @@
   package needs numpy and the standard library only.
 - One size limit: only ``errors.py`` reads ``MAX_DOUBLES``; every other
   module asks ``check_capacity``.
+- One real-number rule: only ``errors.py`` reads ``sys.float_info``; every
+  other module asks ``errors.finite``.
 - Each result document is its dataclass, written by ``dataclasses.asdict``:
   the one ``to_dict`` is ``NetworkResult``'s, which adds the schema version.
 - One level test: only ``invariance.level_pvalues`` calls ``fit_subsets``, so
@@ -159,6 +161,11 @@ def test_one_target_shape():
 
 def test_size_limit_read_only_in_errors():
     users = _users("MAX_DOUBLES")
+    assert {module for module, _ in users} == {"errors.py"}, sorted(users)
+
+
+def test_finite_reals_judged_only_in_errors():
+    users = _users("float_info")
     assert {module for module, _ in users} == {"errors.py"}, sorted(users)
 
 
