@@ -4,7 +4,6 @@ from .dataset import EnvironmentData, MultiEnvDataset, from_arrays
 from .datagen import (
     GroundTruth,
     IndependentGenConfig,
-    LorenzGenConfig,
     SemGenConfig,
     gen_independent,
     gen_lorenz,
@@ -42,7 +41,6 @@ __all__ = [
     "HeterogeneityInput",
     "IndependentGenConfig",
     "InvalidInputError",
-    "LorenzGenConfig",
     "MultiEnvDataset",
     "NetworkResult",
     "Scenario",

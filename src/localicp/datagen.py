@@ -10,8 +10,9 @@ Three generator families:
   random walk, with a splitter that turns the trajectory into consecutive
   time-window environments.
 
-Every generator derives per-environment substreams from ``(seed, env_index)``,
-so a fixed seed yields bit-identical data for any worker layout.
+The independent and SEM generators draw environment ``e`` from its own stream
+``SeedSequence([seed, e])``, so adding environments leaves the earlier ones'
+data bit for bit as they were; a Lorenz trajectory is the one stream ``SeedSequence([seed])``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .errors import DivergenceError, InvalidInputError, ShapeError, check_capaci
 __all__ = [
     "IndependentGenConfig",
     "SemGenConfig",
-    "LorenzGenConfig",
     "GroundTruth",
     "gen_independent",
     "gen_sem",
@@ -43,7 +43,7 @@ FAMILIES = ("normal", "uniform", "student_t")
 # X4 = 0.2 X3, X5 = 0.1 X2 + Y, X6 = Y (each plus noise).
 SEM_PARENTS = (2, 3)
 
-LORENZ_DEFAULT_STATE = (2.0, 0.97, 0.99, 1.0, 0.97, 1.0)
+LORENZ_INITIAL_STATE = (2.0, 0.97, 0.99, 1.0, 0.97, 1.0)
 LORENZ_OVERFLOW = 1e15
 
 
@@ -250,35 +250,28 @@ def gen_sem(config: SemGenConfig, seed: int) -> tuple[MultiEnvDataset, GroundTru
 # Lorenz system and time-window environments
 
 
-@dataclass(frozen=True)
-class LorenzGenConfig:
-    horizon: int = 8500
-    initial_state: tuple[float, ...] = LORENZ_DEFAULT_STATE
-    noise_std: float = 1.0
-
-    def __post_init__(self):
-        check_counts(horizon=self.horizon)
-        size = 12 * self.horizon + 6  # noise (horizon x 6) and states ((horizon + 1) x 6)
-        check_capacity(size, f"a trajectory of {self.horizon} steps needs {size} doubles")
-        state = self.initial_state
-        if not (isinstance(state, (tuple, list)) and len(state) == 6 and all(map(finite, state))):
-            raise InvalidInputError(f"initial_state must be six finite numbers, got {state!r}")
-        if not (finite(self.noise_std) and self.noise_std >= 0):
-            raise InvalidInputError(f"noise_std must be a non-negative finite number, got {self.noise_std!r}")
+def _check_horizon(horizon: int, prefix: str = "") -> None:
+    """Refuse a horizon that is no positive integer, or whose noise (horizon x 6) and states
+    ((horizon + 1) x 6) exceed ``MAX_DOUBLES``; ``prefix`` leads the capacity message."""
+    check_counts(horizon=horizon)
+    size = 12 * horizon + 6
+    check_capacity(size, f"{prefix}a trajectory of {horizon} steps needs {size} doubles")
 
 
-def gen_lorenz(config: LorenzGenConfig, seed: int) -> np.ndarray:
-    """Iterate the noisy discrete Lorenz map; returns a (horizon + 1, 6) series.
+def gen_lorenz(horizon: int, seed: int) -> np.ndarray:
+    """Iterate the noisy discrete Lorenz map ``horizon`` steps from ``LORENZ_INITIAL_STATE``
+    under unit Gaussian noise; returns a (horizon + 1, 6) series.
 
     Coordinates 1..5 form the chaotic system, coordinate 6 an independent
     random walk.  Raises :class:`DivergenceError` at the first step whose state
     exceeds ``LORENZ_OVERFLOW`` in magnitude or is nan; the loop's Python floats
     overflow to inf or nan without raising, so the series is checked once.
     """
+    _check_horizon(horizon)
     check_counts(minimum=0, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-    eps = config.noise_std * rng.standard_normal((config.horizon, 6))
-    x1, x2, x3, x4, x5, x6 = (float(v) for v in config.initial_state)
+    eps = rng.standard_normal((horizon, 6))
+    x1, x2, x3, x4, x5, x6 = LORENZ_INITIAL_STATE
     states = [(x1, x2, x3, x4, x5, x6)]
     for e1, e2, e3, e4, e5, e6 in eps.tolist():
         n1 = 0.9 * x1 + 0.1 * x2 + e1
@@ -292,17 +285,19 @@ def gen_lorenz(config: LorenzGenConfig, seed: int) -> np.ndarray:
     diverged = np.flatnonzero(~(np.abs(out[1:]) <= LORENZ_OVERFLOW).all(axis=1)).tolist()
     if diverged:
         raise DivergenceError(
-            f"trajectory diverged at step {diverged[0] + 1} (state magnitude above {LORENZ_OVERFLOW:g})",
-            step=diverged[0] + 1,
+            f"trajectory diverged at step {diverged[0] + 1} (state magnitude above {LORENZ_OVERFLOW:g})"
         )
     return out
 
 
 def window_steps(window: int, num_envs: int, warmup: int) -> int:
-    """Steps ``warmup + num_envs * window`` that ``num_envs`` windows after ``warmup`` read."""
+    """Steps ``warmup + num_envs * window`` that ``num_envs`` windows after ``warmup`` read, refused
+    as ``gen_lorenz`` refuses that horizon, with a capacity message that names the three counts."""
     check_counts(window=window, num_envs=num_envs)
     check_counts(minimum=0, warmup=warmup)
-    return warmup + num_envs * window
+    steps = warmup + num_envs * window
+    _check_horizon(steps, f"warmup + num_envs x window = {warmup} + {num_envs} x {window}: ")
+    return steps
 
 
 def split_environments(
@@ -333,7 +328,9 @@ def next_steps(series: np.ndarray, window: int, warmup: int, num_envs: int) -> n
     series = np.asarray(series, dtype=np.float64)
     if series.ndim != 2:
         raise ShapeError("series must be a (steps, coords) array")
-    required = window_steps(window, num_envs, warmup) + 1
+    check_counts(window=window, num_envs=num_envs)
+    check_counts(minimum=0, warmup=warmup)
+    required = warmup + num_envs * window + 1
     if series.shape[0] < required:
         raise ShapeError(
             f"series has {series.shape[0]} steps but warmup={warmup}, "

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -192,6 +193,12 @@ class HeterogeneityInput:
     omitted: tuple[int, ...]
 
     def __post_init__(self):
+        for name in ("parents", "omitted"):
+            values = getattr(self, name)
+            if not all(isinstance(p, numbers.Integral) and not isinstance(p, bool) and p >= 1 for p in values):
+                raise InvalidInputError(f"{name} {values!r} must hold positive integers")
+            if len(set(values)) != len(values):
+                raise InvalidInputError(f"{name} {values!r} holds repeated indices")
         k = len(self.parents)
         for name in ("beta1", "beta2", "sigma_v", "sigma_w"):
             values = getattr(self, name)
@@ -208,15 +215,15 @@ class HeterogeneityInput:
 
 
 def heterogeneity_index(inp: HeterogeneityInput) -> float:
-    """Residual-scale ratio in (0, 1]; 1 means the two types are indistinguishable."""
+    """Residual-scale ratio in (0, 1]; 1 means the two types are indistinguishable.  A residual
+    scale that overflows, or underflows to 0, is refused."""
     pos = {p: i for i, p in enumerate(inp.parents)}
-    var_y = inp.sigma_y ** 2
-    rho_v = var_y + sum(
-        inp.beta1[pos[u]] ** 2 * inp.sigma_v[pos[u]] ** 2 for u in inp.omitted
+    rho_v, rho_w = (
+        inp.sigma_y * inp.sigma_y + sum(b[pos[u]] * b[pos[u]] * (s[pos[u]] * s[pos[u]]) for u in inp.omitted)
+        for b, s in ((inp.beta1, inp.sigma_v), (inp.beta2, inp.sigma_w))
     )
-    rho_w = var_y + sum(
-        inp.beta2[pos[u]] ** 2 * inp.sigma_w[pos[u]] ** 2 for u in inp.omitted
-    )
+    if not (finite(rho_v) and finite(rho_w) and rho_v > 0 and rho_w > 0):
+        raise InvalidInputError(f"the residual scales {rho_v!r} and {rho_w!r} must be positive and finite")
     return min(rho_v / rho_w, rho_w / rho_v)
 
 
@@ -225,10 +232,10 @@ def power_bound(i_s: float, k: int, e: int, alpha: float) -> float:
 
     Vacuous (returns 1) when ``i_s`` is not below 1.
     """
-    if not (0.0 < i_s <= 1.0):
+    if not (finite(i_s) and 0.0 < i_s <= 1.0):
         raise InvalidInputError("the heterogeneity index must lie in (0, 1]")
     check_counts(k=k, e=e)
-    if not (0.0 < alpha < 1.0):
+    if not (finite(alpha) and 0.0 < alpha < 1.0):
         raise InvalidInputError("alpha must lie in (0, 1)")
     if i_s >= 1.0:
         return 1.0
@@ -247,10 +254,10 @@ def infinite_env_limit(i_s: float, k: int, alpha: float) -> tuple[float, float]:
     The lower bound is 0 unless ``alpha`` is below the limiting acceptance
     threshold ``i_s^{k/2} / (i_s^{k/2} + 1)``.
     """
-    if not (0.0 < i_s <= 1.0):
+    if not (finite(i_s) and 0.0 < i_s <= 1.0):
         raise InvalidInputError("the heterogeneity index must lie in (0, 1]")
     check_counts(k=k)
-    if not (0.0 < alpha < 1.0):
+    if not (finite(alpha) and 0.0 < alpha < 1.0):
         raise InvalidInputError("alpha must lie in (0, 1)")
     t = i_s ** (k / 2.0)
     upper = (1.0 / alpha) * (2.0 * t / (2.0 * t + 1.0))

@@ -20,11 +20,7 @@ class CapacityError(RuntimeError):
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an iterated simulation leaves the representable range."""
-
-    def __init__(self, message: str, step: int | None = None):
-        super().__init__(message)
-        self.step = step
+    """Raised when an iterated simulation leaves the representable range; the message names the step."""
 
 
 def check_counts(minimum: int = 1, **counts) -> None:

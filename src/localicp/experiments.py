@@ -36,7 +36,6 @@ import numpy as np
 
 from .datagen import (
     IndependentGenConfig,
-    LorenzGenConfig,
     SemGenConfig,
     gen_independent,
     gen_lorenz,
@@ -46,7 +45,7 @@ from .datagen import (
     window_steps,
 )
 from .discovery import DEFAULT_MAX_DIM, discover, discover_targets
-from .errors import CapacityError, DivergenceError, InvalidInputError, check_counts, check_environments
+from .errors import DivergenceError, InvalidInputError, check_counts, check_environments
 from .invariance import TestConfig
 
 __all__ = [
@@ -69,6 +68,8 @@ MAX_ATTEMPTS = 3
 # Edge rule of the network study (see ``network_detect``).
 EDGE_ALPHA = 0.05
 NULL_RATE = 0.10
+# Confidence level of every Clopper-Pearson interval a sweep reports.
+CI_LEVEL = 0.95
 
 
 def derived_seed(*parts: int) -> int:
@@ -77,16 +78,14 @@ def derived_seed(*parts: int) -> int:
     return (int(state[0]) << 32) | int(state[1])
 
 
-def clopper_pearson(successes: int, trials: int, level: float = 0.95) -> tuple[float, float]:
-    """Exact binomial confidence interval: each endpoint bisected over doubles on the tail
-    ``P(Bin(n, p) >= s) = I_p(s, n - s + 1)``, summed as log-pmf terms."""
+def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
+    """Exact binomial confidence interval at level ``CI_LEVEL``: each endpoint bisected over
+    doubles on the tail ``P(Bin(n, p) >= s) = I_p(s, n - s + 1)``, summed as log-pmf terms."""
     check_counts(minimum=0, successes=successes)
     check_counts(trials=trials)
     if successes > trials:
         raise InvalidInputError(f"need 0 <= successes <= trials, got {successes}/{trials}")
-    if not (0.0 < level < 1.0):
-        raise InvalidInputError("level must lie in (0, 1)")
-    n, tail = trials, (1.0 - level) / 2.0
+    n, tail = trials, (1.0 - CI_LEVEL) / 2.0
     i = np.arange(n + 1)
     log_comb = np.array([math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1) for k in range(n + 1)])
 
@@ -370,10 +369,7 @@ def network_detect(
     check_counts(runs=runs, workers=workers)
     check_counts(minimum=0, seed=seed)
     _check_unseeded(test_config)
-    try:
-        lorenz_config = LorenzGenConfig(horizon=window_steps(window, num_envs, warmup))
-    except CapacityError as exc:
-        raise CapacityError(f"warmup + num_envs x window = {warmup} + {num_envs} x {window}: {exc}") from None
+    horizon = window_steps(window, num_envs, warmup)
     check_environments(num_envs)
     test_config.check_null_size(num_envs)
     d = 6
@@ -382,7 +378,7 @@ def network_detect(
         attempts = []
         for attempt in range(MAX_ATTEMPTS):
             try:
-                series = gen_lorenz(lorenz_config, derived_seed(seed, run, attempt, 0))
+                series = gen_lorenz(horizon, derived_seed(seed, run, attempt, 0))
             except DivergenceError as exc:
                 attempts.append({"type": type(exc).__name__, "message": str(exc)})
                 continue

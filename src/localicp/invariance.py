@@ -147,7 +147,10 @@ def sample_null_ratio(dofs: Sequence[int], rng: np.random.Generator, size: int) 
     df = np.asarray(dofs)
     if df.size == 0:
         raise InvalidInputError("dofs must be non-empty")
-    if df.dtype.kind not in "iu" or np.any(df < 0):
+    # asarray reads [True, 3] as integers, so dofs that are no array are searched for bools.
+    if df.dtype.kind not in "iu" or np.any(df < 0) or (
+        not isinstance(dofs, np.ndarray) and any(isinstance(d, (bool, np.bool_)) for d in dofs)
+    ):
         raise InvalidInputError(f"dofs must be non-negative integers, got {dofs!r}")
     check_counts(minimum=0, size=size)
     positive = df > 0

@@ -1,14 +1,13 @@
-import math
 import re
 import warnings
 
 import numpy as np
 import pytest
 
+from localicp import datagen
 from localicp.datagen import (
-    LORENZ_OVERFLOW,
+    LORENZ_INITIAL_STATE,
     IndependentGenConfig,
-    LorenzGenConfig,
     SemGenConfig,
     gen_independent,
     gen_lorenz,
@@ -16,6 +15,7 @@ from localicp.datagen import (
     next_steps,
     sem_cascade,
     split_environments,
+    window_steps,
 )
 from localicp.dataset import from_arrays
 from localicp.errors import (
@@ -179,56 +179,54 @@ class TestSem:
 
 class TestLorenz:
     def test_single_noiseless_step(self):
-        series = gen_lorenz(LorenzGenConfig(horizon=1, noise_std=0.0), 0)
-        np.testing.assert_allclose(series[0], (2.0, 0.97, 0.99, 1.0, 0.97, 1.0))
+        # The first step of seed 0 less its own noise draw is the noiseless
+        # map's step from the fixed initial state, worked by hand.
+        series = gen_lorenz(1, 0)
+        eps = np.random.default_rng(np.random.SeedSequence([0])).standard_normal((1, 6))
+        np.testing.assert_array_equal(series[0], LORENZ_INITIAL_STATE)
         np.testing.assert_allclose(
-            series[1],
+            series[1] - eps[0],
             (1.897, 1.5005, 0.962967, 0.9176, 0.9712, 1.0),
+            rtol=0,
             atol=1e-12,
         )
 
     def test_shape_and_determinism(self):
-        cfg = LorenzGenConfig(horizon=200)
-        a = gen_lorenz(cfg, 12)
-        b = gen_lorenz(cfg, 12)
+        a = gen_lorenz(200, 12)
+        b = gen_lorenz(200, 12)
         assert a.shape == (201, 6)
         assert a.tobytes() == b.tobytes()
-        assert a.tobytes() != gen_lorenz(cfg, 13).tobytes()
+        assert a.tobytes() != gen_lorenz(200, 13).tobytes()
 
     def test_random_walk_coordinate_is_autonomous(self):
         # Coordinate 6 ignores the chaotic block: increments are the pure
         # noise stream, independent of the other coordinates.
-        cfg = LorenzGenConfig(horizon=100)
-        series = gen_lorenz(cfg, 4)
+        series = gen_lorenz(100, 4)
         rng = np.random.default_rng(np.random.SeedSequence([4]))
-        eps = cfg.noise_std * rng.standard_normal((cfg.horizon, 6))
+        eps = rng.standard_normal((100, 6))
         np.testing.assert_allclose(np.diff(series[:, 5]), eps[:, 5], atol=1e-12)
 
-    def test_divergence_reported_with_step(self):
-        # The first step whose state leaves the bound is reported, also when
-        # the state overflows to inf or nan later, and nothing warns.
-        cases = [
-            (LorenzGenConfig(horizon=50, initial_state=(1e9,) * 5 + (0.0,), noise_std=0.0), 0, 1),
-            (LorenzGenConfig(horizon=3000, noise_std=1e3), 3, 7),
-            (LorenzGenConfig(horizon=500, noise_std=1e200), 3, 1),
-        ]
-        for cfg, seed, step in cases:
+    def test_divergence_reported_with_step(self, monkeypatch):
+        # With the bound lowered to 3, the first step whose state leaves it is
+        # reported in the message, and nothing warns.
+        monkeypatch.setattr(datagen, "LORENZ_OVERFLOW", 3.0)
+        for seed, step in ((0, 2), (3, 1), (7, 2)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(DivergenceError, match=f"diverged at step {step} ") as err:
-                    gen_lorenz(cfg, seed)
-            assert err.value.step == step
+                message = f"trajectory diverged at step {step} (state magnitude above 3)"
+                with pytest.raises(DivergenceError, match=f"^{re.escape(message)}$"):
+                    gen_lorenz(50, seed)
 
-    def test_matches_the_array_filling_loop(self):
+    def test_matches_the_array_filling_loop(self, monkeypatch):
         # The step loop writing each state into a preallocated array, with the
         # same divergence check: the list-building loop must give its bits.
-        def filled(config, seed):
+        def filled(horizon, seed):
             rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
-            eps = config.noise_std * rng.standard_normal((config.horizon, 6))
-            out = np.empty((config.horizon + 1, 6))
-            out[0] = config.initial_state
-            x1, x2, x3, x4, x5, x6 = (float(v) for v in config.initial_state)
-            for t in range(config.horizon):
+            eps = rng.standard_normal((horizon, 6))
+            out = np.empty((horizon + 1, 6))
+            out[0] = LORENZ_INITIAL_STATE
+            x1, x2, x3, x4, x5, x6 = LORENZ_INITIAL_STATE
+            for t in range(horizon):
                 e1, e2, e3, e4, e5, e6 = eps[t].tolist()
                 n1 = 0.9 * x1 + 0.1 * x2 + e1
                 n2 = 0.28 * x1 - 0.01 * x1 * x3 + 0.99 * x2 + e2
@@ -237,46 +235,41 @@ class TestLorenz:
                 n5 = 0.02 * x1 * x4 + 0.96 * x5 + e5
                 x1, x2, x3, x4, x5, x6 = n1, n2, n3, n4, n5, x6 + e6
                 out[t + 1] = (x1, x2, x3, x4, x5, x6)
-            diverged = np.flatnonzero(~(np.abs(out[1:]) <= LORENZ_OVERFLOW).all(axis=1)).tolist()
+            bound = datagen.LORENZ_OVERFLOW
+            diverged = np.flatnonzero(~(np.abs(out[1:]) <= bound).all(axis=1)).tolist()
             if diverged:
-                raise DivergenceError(
-                    f"trajectory diverged at step {diverged[0] + 1} (state magnitude above {LORENZ_OVERFLOW:g})",
-                    step=diverged[0] + 1,
-                )
+                raise DivergenceError(f"trajectory diverged at step {diverged[0] + 1} (state magnitude above {bound:g})")
             return out
 
-        cfg = LorenzGenConfig(horizon=2000)
         for seed in (0, 5, 17, 2024):
-            expected, series = filled(cfg, seed), gen_lorenz(cfg, seed)
+            expected, series = filled(2000, seed), gen_lorenz(2000, seed)
             assert series.dtype == expected.dtype and series.flags.c_contiguous
             np.testing.assert_array_equal(series, expected)
-        diverging = LorenzGenConfig(horizon=3000, noise_std=1e3)
-        with pytest.raises(DivergenceError) as want:
-            filled(diverging, 3)
-        with pytest.raises(DivergenceError) as got:
-            gen_lorenz(diverging, 3)
-        assert (got.value.step, str(got.value)) == (want.value.step, str(want.value))
+        monkeypatch.setattr(datagen, "LORENZ_OVERFLOW", 3.0)
+        for seed in (0, 3, 7):
+            with pytest.raises(DivergenceError) as want:
+                filled(2000, seed)
+            with pytest.raises(DivergenceError) as got:
+                gen_lorenz(2000, seed)
+            assert str(got.value) == str(want.value)
 
-    def test_config_validation(self):
+    def test_horizon_validation(self):
         for horizon in (2.5, 0, True):
             with pytest.raises(InvalidInputError, match="horizon must be a positive integer"):
-                LorenzGenConfig(horizon=horizon)
-        # Noise (horizon x 6) and states ((horizon + 1) x 6) share the ceiling.
+                gen_lorenz(horizon, 0)
+        # Noise (horizon x 6) and states ((horizon + 1) x 6) share the ceiling,
+        # which is checked before anything is drawn.
+        # window_steps applies the same check without simulating the largest.
         largest = (MAX_DOUBLES - 6) // 12
-        LorenzGenConfig(horizon=largest)
-        with pytest.raises(CapacityError, match=f"a trajectory of {largest + 1} steps"):
-            LorenzGenConfig(horizon=largest + 1)
-        # A non-finite setting is refused, not left to look like a divergence
-        # that a fresh seed could cure.
-        for noise_std in (math.nan, math.inf, -1.0, "1"):
-            with pytest.raises(InvalidInputError, match="noise_std must be a non-negative finite number"):
-                LorenzGenConfig(noise_std=noise_std)
-        for state in ((math.nan, 1.0, 1.0, 1.0, 1.0, 1.0), (1.0,) * 5 + (-math.inf,), "abcdef", (1.0,) * 5):
-            with pytest.raises(InvalidInputError, match="initial_state must be six finite numbers"):
-                LorenzGenConfig(initial_state=state)
+        assert window_steps(largest, 1, 0) == largest
+        message = f"a trajectory of {largest + 1} steps needs {12 * largest + 18} doubles, above the limit"
+        with pytest.raises(CapacityError, match=f"^{message}"):
+            gen_lorenz(largest + 1, 0)
+        with pytest.raises(CapacityError, match=rf"^warmup \+ num_envs x window = 0 \+ 1 x {largest + 1}: {message}"):
+            window_steps(largest + 1, 1, 0)
 
     def test_long_noisy_run_stays_bounded(self):
-        series = gen_lorenz(LorenzGenConfig(horizon=8500), 2)
+        series = gen_lorenz(8500, 2)
         assert np.isfinite(series).all()
 
 
@@ -301,7 +294,7 @@ class TestSplitEnvironments:
         assert starts == [2, 10, 18, 26, 34]
 
     def test_equals_from_arrays_of_window_slices(self):
-        series = gen_lorenz(LorenzGenConfig(horizon=300), 1)
+        series = gen_lorenz(300, 1)
         starts = range(100, 300, 20)
         ref = from_arrays(
             [series[s : s + 20] for s in starts], [series[s + 1 : s + 21, 2] for s in starts]
@@ -318,6 +311,10 @@ class TestSplitEnvironments:
         series = np.zeros((10, 3))
         with pytest.raises(ShapeError):
             split_environments(series, target=1, window=5, warmup=0, num_envs=2)
+        # A given series is measured against the windows, not against the
+        # ceiling of a trajectory gen_lorenz would simulate.
+        with pytest.raises(ShapeError, match="series has 10 steps"):
+            split_environments(series, target=1, window=20, warmup=0, num_envs=10**8)
 
     def test_counts_must_be_integers(self):
         series = np.zeros((30, 3))
@@ -345,7 +342,7 @@ class TestSplitEnvironments:
         assert np.array_equal(data.environments[0].target, series[1:6, 1])
 
     def test_next_steps_are_every_coordinates_target(self):
-        series = gen_lorenz(LorenzGenConfig(horizon=300), 2)
+        series = gen_lorenz(300, 2)
         steps = next_steps(series, window=20, warmup=100, num_envs=10)
         assert steps.shape == (20, 6, 10)
         for target in range(1, 7):
@@ -371,7 +368,7 @@ def test_check_capacity_admits_max_doubles_and_refuses_one_more():
     [
         lambda seed: gen_independent(IndependentGenConfig(num_envs=2, samples_per_env=5), seed),
         lambda seed: gen_sem(SemGenConfig(num_envs=2, samples_per_env=5), seed),
-        lambda seed: gen_lorenz(LorenzGenConfig(horizon=5), seed),
+        lambda seed: gen_lorenz(5, seed),
     ],
     ids=["independent", "sem", "lorenz"],
 )

@@ -244,6 +244,37 @@ class TestHeterogeneityIndex:
         with pytest.raises(InvalidInputError, match=re.escape(message)):
             HeterogeneityInput(**{**fields, field: value})
 
+    @pytest.mark.parametrize(
+        "parents,omitted,message",
+        [
+            ((1, 1), (1,), "parents (1, 1) holds repeated indices"),
+            ((1, 2), (1, 1), "omitted (1, 1) holds repeated indices"),
+            ((1, 2), (True,), "omitted (True,) must hold positive integers"),
+            ((1, 2.0), (1,), "parents (1, 2.0) must hold positive integers"),
+            ((0, 1), (1,), "parents (0, 1) must hold positive integers"),
+        ],
+    )
+    def test_rejects_repeated_or_non_integer_indices(self, parents, omitted, message):
+        # parents (1, 1) read only its second entry (0.2), omitted (1, 1)
+        # counted parent 1 twice (0.333 for 0.4), and True was parent 1.
+        fields = dict(beta1=(2.0, 3.0), beta2=(1.0, 1.0), sigma_v=(1.0, 1.0), sigma_w=(1.0, 1.0), sigma_y=1.0)
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            HeterogeneityInput(parents=parents, omitted=omitted, **fields)
+
+    @pytest.mark.parametrize(
+        "big,sigma_y,omitted,scales",
+        [(1e155, 1.0, (1,), "inf and inf"), (1.0, 1e-200, (), "0.0 and 0.0")],
+    )
+    def test_rejects_a_residual_scale_that_is_not_positive_and_finite(self, big, sigma_y, omitted, scales):
+        # 1e155 ** 2 ended in a raw OverflowError, and an underflowed sigma_y ** 2 with
+        # nothing omitted in a ZeroDivisionError.
+        inp = HeterogeneityInput(
+            parents=(1,), beta1=(big,), beta2=(big,), sigma_v=(big,), sigma_w=(big,), sigma_y=sigma_y, omitted=omitted,
+        )
+        message = f"the residual scales {scales} must be positive and finite"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            heterogeneity_index(inp)
+
 
 class TestPowerBound:
     def test_vacuous_at_one(self):
@@ -273,11 +304,22 @@ class TestPowerBound:
         assert 0.0 <= value <= 1.0
 
 
-    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 5.0, 1.0, 0.0])
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, 5.0, 1.0, 0.0, "a", True])
     def test_rejects_an_alpha_outside_the_unit_interval(self, alpha):
-        # nan and 5.0 gave 1.0, inf gave 0.0.
+        # nan and 5.0 gave 1.0, inf gave 0.0, and "a" ended in a raw TypeError.
         with pytest.raises(InvalidInputError, match=re.escape("alpha must lie in (0, 1)")):
             power_bound(0.5, 2, 10, alpha)
+        with pytest.raises(InvalidInputError, match=re.escape("alpha must lie in (0, 1)")):
+            infinite_env_limit(0.5, 2, alpha)
+
+    @pytest.mark.parametrize("i_s", ["a", None, math.nan, True, 0.0, 1.5])
+    def test_rejects_an_index_outside_the_unit_interval(self, i_s):
+        # "a" and None ended in a raw TypeError, and True was taken as 1.0.
+        message = "the heterogeneity index must lie in (0, 1]"
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            power_bound(i_s, 2, 10, 0.1)
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            infinite_env_limit(i_s, 2, 0.1)
 
     @pytest.mark.parametrize(
         "k,e,message",

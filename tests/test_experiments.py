@@ -13,7 +13,6 @@ from scipy import stats
 from localicp import experiments, invariance
 from localicp.datagen import (
     IndependentGenConfig,
-    LorenzGenConfig,
     SemGenConfig,
     gen_lorenz,
     next_steps,
@@ -99,8 +98,6 @@ class TestCloppersPearson:
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidInputError):
             clopper_pearson(5, 3)
-        with pytest.raises(InvalidInputError):
-            clopper_pearson(1, 10, level=1.0)
 
     @pytest.mark.parametrize(
         "successes,trials,message",
@@ -198,10 +195,10 @@ class TestScenario:
 
     def test_generator_config_of_another_class_refused(self):
         # The config's class picks the generator, so only a generator's config is taken.
-        fields = dict(test_config=TestConfig(), sweep_parameter="horizon", grid=(10,), runs=1)
-        message = "generator_config must be one of IndependentGenConfig, SemGenConfig, got LorenzGenConfig"
-        with pytest.raises(InvalidInputError, match=message):
-            Scenario(generator_config=LorenzGenConfig(horizon=10), **fields)
+        fields = dict(test_config=TestConfig(), sweep_parameter="alpha", grid=(0.1,), runs=1)
+        message = "generator_config must be one of IndependentGenConfig, SemGenConfig, got TestConfig("
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            Scenario(generator_config=TestConfig(), **fields)
 
     def test_unknown_config_field(self):
         doc = self.doc()
@@ -359,11 +356,11 @@ class TestNetworkDetect:
     def test_flaky_generator_is_retried(self, monkeypatch):
         calls = {"n": 0}
 
-        def flaky(cfg, seed):
+        def flaky(horizon, seed):
             calls["n"] += 1
             if calls["n"] % 2 == 1:
-                raise DivergenceError("transient", step=1)
-            return gen_lorenz(cfg, seed)
+                raise DivergenceError("transient")
+            return gen_lorenz(horizon, seed)
 
         monkeypatch.setattr(experiments, "gen_lorenz", flaky)
         result = self.small()
@@ -397,7 +394,7 @@ class TestNetworkDetect:
         # dataset with early_stop: the same estimate and the same evidence,
         # level by level, bit for bit.
         window, num_envs, warmup = 20, 40, 200
-        series = gen_lorenz(LorenzGenConfig(horizon=window_steps(window, num_envs, warmup)), derived_seed(1, 0, 0, 0))
+        series = gen_lorenz(window_steps(window, num_envs, warmup), derived_seed(1, 0, 0, 0))
         config = TestConfig(mc_samples=50, seed=derived_seed(1, 0, 0, 1))
         windows = split_environments(series, 1, window, warmup, num_envs).with_intercept()
         ys = next_steps(series, window, warmup, num_envs)
@@ -424,9 +421,7 @@ class TestNetworkDetect:
     )
     def test_lockstep_search_equals_six_searches(self, window, num_envs, alpha, seed, monkeypatch):
         warmup = 200
-        series = gen_lorenz(
-            LorenzGenConfig(horizon=window_steps(window, num_envs, warmup)), derived_seed(seed, 0, 0, 0)
-        )
+        series = gen_lorenz(window_steps(window, num_envs, warmup), derived_seed(seed, 0, 0, 0))
         config = TestConfig(alpha=alpha, mc_samples=50, seed=derived_seed(seed, 0, 0, 1))
         fitted = []  # (subset size, targets fitted) of each fit call of the lockstep search
         original = invariance.fit_subsets
@@ -451,18 +446,18 @@ class TestNetworkDetect:
         # Every first attempt diverges, so each run's seeds come from attempt 1.
         calls = {"n": 0}
 
-        def flaky(cfg, seed):
+        def flaky(horizon, seed):
             calls["n"] += 1
             if calls["n"] % 2 == 1:
-                raise DivergenceError("transient", step=1)
-            return gen_lorenz(cfg, seed)
+                raise DivergenceError("transient")
+            return gen_lorenz(horizon, seed)
 
         monkeypatch.setattr(experiments, "gen_lorenz", flaky)
         result = self.small(seed=3)
         assert calls["n"] == 4 and result.failures == 0
-        lorenz = LorenzGenConfig(horizon=window_steps(10, 20, 200))
+        horizon = window_steps(10, 20, 200)
         for run, found in enumerate(result.per_run):
-            series = gen_lorenz(lorenz, derived_seed(3, run, 1, 0))
+            series = gen_lorenz(horizon, derived_seed(3, run, 1, 0))
             config = TestConfig(mc_samples=50, seed=derived_seed(3, run, 1, 1))
             lockstep = self._lockstep(series, 10, 200, 20, config)
             alone = self._assert_lockstep_matches(lockstep, series, 10, 200, 20, config)
@@ -471,11 +466,11 @@ class TestNetworkDetect:
     def test_persistent_failure_counts_and_total_failure_raises(self, monkeypatch):
         calls = {"n": 0}
 
-        def first_run_diverges(cfg, seed):
+        def first_run_diverges(horizon, seed):
             calls["n"] += 1
             if calls["n"] <= MAX_ATTEMPTS:
-                raise DivergenceError("diverged", step=1)
-            return gen_lorenz(cfg, seed)
+                raise DivergenceError("diverged")
+            return gen_lorenz(horizon, seed)
 
         monkeypatch.setattr(experiments, "gen_lorenz", first_run_diverges)
         result = self.small()
@@ -484,8 +479,8 @@ class TestNetworkDetect:
         assert result.failed_runs == ({"run": 0, "attempts": [attempt] * MAX_ATTEMPTS},)
         assert result.to_dict()["failed_runs"] == ({"run": 0, "attempts": [attempt] * MAX_ATTEMPTS},)
 
-        def always_diverges(cfg, seed):
-            raise DivergenceError("diverged", step=1)
+        def always_diverges(horizon, seed):
+            raise DivergenceError("diverged")
 
         monkeypatch.setattr(experiments, "gen_lorenz", always_diverges)
         with pytest.raises(InvalidInputError, match="all 2 network runs failed"):
@@ -494,7 +489,7 @@ class TestNetworkDetect:
         # Any other error is deterministic: raised on the first call, not retried.
         calls["n"] = 0
 
-        def broken(cfg, seed):
+        def broken(horizon, seed):
             calls["n"] += 1
             raise RuntimeError("bug")
 
@@ -504,7 +499,7 @@ class TestNetworkDetect:
         assert calls["n"] == 1
 
     def test_counts_checked_before_simulating(self, monkeypatch):
-        def unexpected(cfg, seed):
+        def unexpected(horizon, seed):
             raise AssertionError("gen_lorenz called")
 
         monkeypatch.setattr(experiments, "gen_lorenz", unexpected)
@@ -519,7 +514,7 @@ class TestNetworkDetect:
             network_detect(**{**small, "num_envs": 999999999}, test_config=TestConfig(), seed=0)
 
     def test_seed_and_workers_checked_before_simulating(self, monkeypatch):
-        def unexpected(cfg, seed):
+        def unexpected(horizon, seed):
             raise AssertionError("gen_lorenz called")
 
         monkeypatch.setattr(experiments, "gen_lorenz", unexpected)
@@ -533,7 +528,7 @@ class TestNetworkDetect:
                 network_detect(**{**small, **change})
 
     def test_single_environment_refused_before_simulating(self, monkeypatch):
-        def unexpected(cfg, seed):
+        def unexpected(horizon, seed):
             raise AssertionError("gen_lorenz called")
 
         monkeypatch.setattr(experiments, "gen_lorenz", unexpected)

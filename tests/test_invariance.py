@@ -10,7 +10,6 @@ import scipy.stats
 from localicp import invariance, linalg
 from localicp.datagen import (
     IndependentGenConfig,
-    LorenzGenConfig,
     gen_independent,
     gen_lorenz,
     split_environments,
@@ -102,9 +101,11 @@ class TestNullRatio:
             expected = masked(dofs, np.random.default_rng(seed), 500)
             np.testing.assert_array_equal(sample_null_ratio(dofs, np.random.default_rng(seed), 500), expected)
 
-    @pytest.mark.parametrize("dofs", [[2.5, 4], [3.0, 4.0], [True, False], ["3", "4"]])
+    @pytest.mark.parametrize(
+        "dofs", [[2.5, 4], [3.0, 4.0], [True, False], ["3", "4"], [True, 3], (3, np.True_), np.array([True, False])]
+    )
     def test_rejects_a_dof_that_is_no_integer(self, dofs):
-        # [2.5, 4] was drawn as dof 2.
+        # [2.5, 4] was drawn as dof 2, and [True, 3] as dofs [1, 3].
         with pytest.raises(InvalidInputError, match="dofs must be non-negative integers"):
             sample_null_ratio(dofs, np.random.default_rng(0), 5)
 
@@ -496,7 +497,7 @@ def _per_env_oracle(dataset, cols):
 
 
 def _lorenz_ragged():
-    series = gen_lorenz(LorenzGenConfig(horizon=1000), 3)
+    series = gen_lorenz(1000, 3)
     windows = split_environments(series, 2, window=20, warmup=500, num_envs=25)
     covs = [e.covariates[: 16 + i % 5] for i, e in enumerate(windows.environments)]
     tgts = [e.target[: 16 + i % 5] for i, e in enumerate(windows.environments)]
@@ -656,7 +657,7 @@ def _independent():
 
 
 def _lorenz_windows():
-    series = gen_lorenz(LorenzGenConfig(horizon=2000), 5)
+    series = gen_lorenz(2000, 5)
     return split_environments(series, 4, window=20, warmup=500, num_envs=75).with_intercept()
 
 
