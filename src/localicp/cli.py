@@ -15,7 +15,6 @@ import argparse
 import io
 import json
 import math
-import os
 import sys
 from typing import Iterable, Iterator, Sequence
 
@@ -61,11 +60,6 @@ OPTIONS = {
         type=int, default=100, metavar="B", help="Monte-Carlo samples per test (default 100)"
     ),
     "--seed": dict(type=_seed, default=0, help="base random seed (a non-negative integer)"),
-    "--workers": dict(
-        type=_positive, default=os.cpu_count() or 1,
-        help="threads over the independent runs of network (results are identical for "
-        "any value); no effect on discover",
-    ),
     "--no-intercept": dict(
         action="store_true", help="do not append a constant-one column before regression"
     ),
@@ -176,7 +170,6 @@ def cmd_network(args) -> int:
         test_config=TestConfig(alpha=args.alpha, mc_samples=args.mc_samples),
         seed=args.seed,
         warmup=args.warmup,
-        workers=args.workers,
     )
     _emit([_dump_json(result.to_dict())], args.output)
     return EXIT_OK
@@ -203,12 +196,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Causal parent discovery from multi-environment data "
         "under locally linear models.",
     )
+    # Not an option: read only by perfbench's environment record.
+    parser.set_defaults(workers=1)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("discover", help="estimate causal parents from a dataset file")
     p.add_argument("input", help="dataset file (CSV: env,x1..xD,y; or JSON)")
     _add_options(
-        p, "--alpha", "--mc-samples", "--seed", "--workers", "--no-intercept", "--max-dim",
+        p, "--alpha", "--mc-samples", "--seed", "--no-intercept", "--max-dim",
         "--output",
         format_help="input format (default: json for a .json file, csv otherwise)",
     )
@@ -224,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, default=20, help="environment window length (default 20)")
     p.add_argument("--num-envs", type=int, default=300, help="windows per run (default 300)")
     p.add_argument("--runs", type=int, default=50, help="independent trajectories (default 50)")
-    _add_options(p, "--alpha", "--mc-samples", "--seed", "--workers", "--output")
+    _add_options(p, "--alpha", "--mc-samples", "--seed", "--output")
     p.set_defaults(func=cmd_network)
 
     p = sub.add_parser("calibrate", help="run statistical self-checks")

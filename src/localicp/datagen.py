@@ -262,26 +262,39 @@ def gen_lorenz(horizon: int, seed: int) -> np.ndarray:
     """Iterate the noisy discrete Lorenz map ``horizon`` steps from ``LORENZ_INITIAL_STATE``
     under unit Gaussian noise; returns a (horizon + 1, 6) series.
 
-    Coordinates 1..5 form the chaotic system, coordinate 6 an independent
-    random walk.  Raises :class:`DivergenceError` at the first step whose state
-    exceeds ``LORENZ_OVERFLOW`` in magnitude or is nan; the loop's Python floats
-    overflow to inf or nan without raising, so the series is checked once.
+    Coordinates 1..5 form the chaotic system, stepped in Python floats and
+    kept one list per coordinate; coordinate 6 is an independent random walk,
+    the sequential sums of its noise.  Raises :class:`DivergenceError` at the
+    first step whose state exceeds ``LORENZ_OVERFLOW`` in magnitude or is nan;
+    the loop's Python floats overflow to inf or nan without raising, so the
+    series is checked once.
     """
     _check_horizon(horizon)
     check_counts(minimum=0, seed=seed)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
     eps = rng.standard_normal((horizon, 6))
     x1, x2, x3, x4, x5, x6 = LORENZ_INITIAL_STATE
-    states = [(x1, x2, x3, x4, x5, x6)]
-    for e1, e2, e3, e4, e5, e6 in eps.tolist():
+    cols = c1, c2, c3, c4, c5 = [x1], [x2], [x3], [x4], [x5]
+    for e1, e2, e3, e4, e5 in zip(*eps[:, :5].T.tolist()):
+        c = 0.01 * x1  # 0.01 * x1 * x3 is (0.01 * x1) * x3: the same bits
         n1 = 0.9 * x1 + 0.1 * x2 + e1
-        n2 = 0.28 * x1 - 0.01 * x1 * x3 + 0.99 * x2 + e2
-        n3 = 0.01 * x1 * (x2 - x4) + 0.9733 * x3 + e3
-        n4 = 0.01 * x1 * (x3 - 2.0 * x5) + 0.9366 * x4 + e4
-        n5 = 0.02 * x1 * x4 + 0.96 * x5 + e5
-        x1, x2, x3, x4, x5, x6 = n1, n2, n3, n4, n5, x6 + e6
-        states.append((x1, x2, x3, x4, x5, x6))
-    out = np.array(states)
+        n2 = 0.28 * x1 - c * x3 + 0.99 * x2 + e2
+        n3 = c * (x2 - x4) + 0.9733 * x3 + e3
+        n4 = c * (x3 - 2.0 * x5) + 0.9366 * x4 + e4
+        x5 = 0.02 * x1 * x4 + 0.96 * x5 + e5
+        x1 = n1
+        x2 = n2
+        x3 = n3
+        x4 = n4
+        c1.append(x1)
+        c2.append(x2)
+        c3.append(x3)
+        c4.append(x4)
+        c5.append(x5)
+    out = np.empty((horizon + 1, 6))
+    for j, col in enumerate(cols):
+        out[:, j] = col
+    out[:, 5] = np.add.accumulate(np.r_[x6, eps[:, 5]])
     diverged = np.flatnonzero(~(np.abs(out[1:]) <= LORENZ_OVERFLOW).all(axis=1)).tolist()
     if diverged:
         raise DivergenceError(

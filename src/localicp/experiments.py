@@ -8,14 +8,14 @@ target and counts how often each covariate is reported as a parent; edges
 are declared by an exact one-sided binomial test against a 10% null rate.
 Both exact computations use numpy and the standard library only.
 
-A sweep runs serially: its runs are many small numpy calls, which a thread
-pool only contends for.  ``network_detect`` maps its runs over one thread
-pool, while each run's discovery tests its subsets serially.  A network run
-searches its six targets in lockstep (``discover_targets``): one window
-stack, one fit per level and one null draw per dof vector serve all six.
-Per-run seeds derive from (seed, grid index, run index), and aggregation
-folds runs in index order, so a run's record depends on nothing else and the
-network's results are byte-identical for any worker count.
+Every run is serial: a sweep's and a network's runs are many small numpy
+calls, which a thread pool only makes contend for the interpreter lock.  A
+network run searches its six targets in lockstep (``discover_targets``): one
+window stack, one fit per level and one null draw per dof vector serve all
+six.  Per-run seeds derive from (seed, grid index, run index), and
+aggregation folds runs in index order, so a run's record depends on nothing
+else: a network run ``r``'s record is fixed by ``(seed, r)`` alone, and a
+shorter study's records are the head of a longer one's.
 
 A network run is retried, with fresh derived seeds and ``MAX_ATTEMPTS``
 attempts in all, only when the Lorenz trajectory diverges (``DivergenceError``);
@@ -28,7 +28,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -346,12 +345,12 @@ def network_detect(
     test_config: TestConfig,
     seed: int,
     warmup: int = 500,
-    workers: int = 1,
 ) -> NetworkResult:
     """Repeatedly simulate the dynamical system and count reported parents.
 
-    Each run simulates an independent trajectory of exactly the
-    ``warmup + num_envs * window`` steps its windows read, splits it into
+    The runs go one after another, in index order.  Each run simulates an
+    independent trajectory of exactly the ``warmup + num_envs * window``
+    steps its windows read, splits it into
     ``num_envs`` time windows and discovers parents for all six next-step
     targets in lockstep, each level fitted and each of its dof vectors drawn
     once for all of them under one test seed per run derived from ``seed``,
@@ -364,9 +363,10 @@ def network_detect(
     against that rate is at most ``EDGE_ALPHA`` (0.05).  A run whose
     trajectory diverges is retried with fresh seeds, ``MAX_ATTEMPTS``
     attempts in all, then counted as a failure and listed in ``failed_runs``
-    with each attempt's error; any other error propagates.
+    with each attempt's error; any other error propagates.  Every seed of
+    run ``r`` derives from ``(seed, r)``, so its record depends on nothing else.
     """
-    check_counts(runs=runs, workers=workers)
+    check_counts(runs=runs)
     check_counts(minimum=0, seed=seed)
     _check_unseeded(test_config)
     horizon = window_steps(window, num_envs, warmup)
@@ -389,8 +389,7 @@ def network_detect(
             return tuple(result.estimated_parents for result in results)
         return {"run": run, "attempts": attempts}
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(one_run, range(runs)))
+    outcomes = [one_run(run) for run in range(runs)]
     per_run = tuple(r for r in outcomes if isinstance(r, tuple))
     good = len(per_run)
     if good == 0:

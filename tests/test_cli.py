@@ -193,7 +193,7 @@ class TestDiscover:
         assert out == expected
 
     def test_csv_input_writes_json_results(self, dataset_csv, capsys):
-        code = main(["discover", dataset_csv, "--seed", "1", "--workers", "1"])
+        code = main(["discover", dataset_csv, "--seed", "1"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
         doc = json.loads(out)
@@ -292,12 +292,13 @@ class TestDiscover:
         assert line.startswith("error: mc_samples=1000000000000 x ")
         assert line.endswith(f"above the limit of {MAX_DOUBLES} (1 GiB)")
 
-    def test_deterministic_output_across_worker_counts(self, dataset_csv, tmp_path, capsys):
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        assert main(["discover", dataset_csv, "--seed", "3", "--workers", "1", "--output", str(a)]) == EXIT_OK
-        assert main(["discover", dataset_csv, "--seed", "3", "--workers", "4", "--output", str(b)]) == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()
+    @pytest.mark.parametrize("max_dim", ["0", "-1"])
+    def test_max_dim_below_one_refused(self, max_dim, capsys):
+        # Below 1 it is a malformed value, not a capacity error.
+        with pytest.raises(SystemExit) as exc:
+            main(["discover", "data.csv", "--max-dim", max_dim])
+        assert exc.value.code == EXIT_INPUT
+        assert "--max-dim: must be a positive integer" in capsys.readouterr().err
 
     def test_negative_seed_refused(self, dataset_csv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -519,19 +520,6 @@ class TestNetwork:
         assert len(doc["counts"]) == 6
         assert doc["runs"] == 2
 
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_workers_below_one_refused(self, workers, capsys):
-        # --max-dim shares the positive-integer type; below 1 it is a
-        # malformed value, not a capacity error.
-        for argv in (
-            ["network", "--runs", "1", "--workers", workers],
-            ["discover", "data.csv", "--max-dim", workers],
-        ):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == EXIT_INPUT
-            assert f"{argv[-2]}: must be a positive integer" in capsys.readouterr().err
-
     def test_zero_window_refused(self, capsys):
         assert main(["network", "--window", "0", "--runs", "1"]) == EXIT_INPUT
         captured = capsys.readouterr()
@@ -606,13 +594,14 @@ def test_every_command_runs_with_scipy_blocked(dataset_csv, tmp_path):
 
 
 # Each subcommand declares only the options it reads; the scenario file sets
-# simulate's test, intercept and max_dim, and a sweep runs serially, so simulate
-# has no ``--workers``.  No command has ``--rank-tol``, and
+# simulate's test, intercept and max_dim, and every run is serial, so no
+# command has ``--workers``.  No command has ``--rank-tol``, and
 # ``network`` simulates exactly the steps its windows read, so it has no ``--horizon``.
 @pytest.mark.parametrize(
     "argv",
     [
         ["discover", "d.csv", "--rank-tol", "1e-9"],
+        ["discover", "d.csv", "--workers", "2"],
         ["simulate", "s.json", "--alpha", "0.05"],
         ["simulate", "s.json", "--mc-samples", "10"],
         ["simulate", "s.json", "--no-intercept"],
@@ -624,6 +613,7 @@ def test_every_command_runs_with_scipy_blocked(dataset_csv, tmp_path):
         ["network", "--format", "csv"],
         ["network", "--rank-tol", "1e-9"],
         ["network", "--horizon", "8500"],
+        ["network", "--workers", "2"],
         ["calibrate", "--workers", "2"],
         ["calibrate", "--no-intercept"],
         ["calibrate", "--rank-tol", "1e-9"],
@@ -647,11 +637,11 @@ def test_each_command_declares_the_options_it_reads():
         name: {a.option_strings[0]: a.help for a in p._actions if a.option_strings and a.dest != "help"}
         for name, p in commands.items()
     }
-    test = {"--alpha", "--mc-samples", "--seed", "--workers", "--output"}
+    test = {"--alpha", "--mc-samples", "--seed", "--output"}
     assert set(options["discover"]) == test | {"--no-intercept", "--max-dim", "--format"}
     assert set(options["simulate"]) == {"--seed", "--output", "--format"}
     assert set(options["network"]) == test | {"--warmup", "--window", "--num-envs", "--runs"}
-    assert set(options["calibrate"]) == test - {"--workers"} | {"--replications"}
+    assert set(options["calibrate"]) == test | {"--replications"}
     assert options["discover"]["--format"].startswith("input format")
     assert options["simulate"]["--format"].startswith("output format")
 

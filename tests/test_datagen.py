@@ -1,3 +1,4 @@
+import math
 import re
 import warnings
 
@@ -220,12 +221,14 @@ class TestLorenz:
     def test_matches_the_array_filling_loop(self, monkeypatch):
         # The step loop writing each state into a preallocated array, with the
         # same divergence check: the list-building loop must give its bits.
+        # It reads the start state and the bound through ``datagen`` when
+        # called, so patching either changes both.
         def filled(horizon, seed):
             rng = np.random.default_rng(np.random.SeedSequence([int(seed)]))
             eps = rng.standard_normal((horizon, 6))
             out = np.empty((horizon + 1, 6))
-            out[0] = LORENZ_INITIAL_STATE
-            x1, x2, x3, x4, x5, x6 = LORENZ_INITIAL_STATE
+            out[0] = datagen.LORENZ_INITIAL_STATE
+            x1, x2, x3, x4, x5, x6 = datagen.LORENZ_INITIAL_STATE
             for t in range(horizon):
                 e1, e2, e3, e4, e5, e6 = eps[t].tolist()
                 n1 = 0.9 * x1 + 0.1 * x2 + e1
@@ -241,17 +244,39 @@ class TestLorenz:
                 raise DivergenceError(f"trajectory diverged at step {diverged[0] + 1} (state magnitude above {bound:g})")
             return out
 
-        for seed in (0, 5, 17, 2024):
-            expected, series = filled(2000, seed), gen_lorenz(2000, seed)
-            assert series.dtype == expected.dtype and series.flags.c_contiguous
-            np.testing.assert_array_equal(series, expected)
-        monkeypatch.setattr(datagen, "LORENZ_OVERFLOW", 3.0)
-        for seed in (0, 3, 7):
+        def same_divergence(horizon, seed):
             with pytest.raises(DivergenceError) as want:
-                filled(2000, seed)
-            with pytest.raises(DivergenceError) as got:
-                gen_lorenz(2000, seed)
+                filled(horizon, seed)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DivergenceError) as got:
+                    gen_lorenz(horizon, seed)
             assert str(got.value) == str(want.value)
+            return str(got.value)
+
+        for horizon in (1, 2000):
+            for seed in (0, 5, 17, 2024):
+                expected, series = filled(horizon, seed), gen_lorenz(horizon, seed)
+                assert series.dtype == expected.dtype and series.flags.c_contiguous
+                np.testing.assert_array_equal(series, expected)
+        with monkeypatch.context() as patch:
+            patch.setattr(datagen, "LORENZ_OVERFLOW", 3.0)
+            for seed in (0, 3, 7):
+                same_divergence(2000, seed)
+
+        # From x1 = 1e200 the Python floats overflow to inf at step 2 and to
+        # nan (inf - inf) at step 3, without raising.
+        state = (1e200,) + tuple(LORENZ_INITIAL_STATE[1:])
+        monkeypatch.setattr(datagen, "LORENZ_INITIAL_STATE", state)
+        for horizon in (1, 2000):
+            assert same_divergence(horizon, 0) == "trajectory diverged at step 1 (state magnitude above 1e+15)"
+        # With no finite bound, only the nan state is refused.
+        monkeypatch.setattr(datagen, "LORENZ_OVERFLOW", math.inf)
+        expected, series = filled(2, 0), gen_lorenz(2, 0)
+        assert np.isinf(series[2, 1:5]).all()
+        np.testing.assert_array_equal(series, expected)
+        for horizon in (3, 2000):
+            assert same_divergence(horizon, 0) == "trajectory diverged at step 3 (state magnitude above inf)"
 
     def test_horizon_validation(self):
         for horizon in (2.5, 0, True):

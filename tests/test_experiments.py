@@ -340,18 +340,14 @@ class TestNetworkDetect:
         assert result.runs + result.failures == 2
         assert len(result.per_run) == result.runs
 
-    def test_deterministic_across_workers(self):
+    def test_run_record_fixed_by_seed_and_run_index(self):
+        # Run r's seeds derive from (seed, r) alone, so a 2-run study is the
+        # head of a 3-run one, and a repeated study is the same document.
         a = self.small(seed=7)
-        b = network_detect(
-            window=10,
-            num_envs=20,
-            runs=2,
-            test_config=TestConfig(mc_samples=50),
-            seed=7,
-            warmup=200,
-            workers=3,
-        )
-        assert a.to_dict() == b.to_dict()
+        b = self.small(seed=7, runs=3)
+        assert a.failures == b.failures == 0
+        assert a.per_run == b.per_run[:2]
+        assert a.to_dict() == self.small(seed=7).to_dict()
 
     def test_flaky_generator_is_retried(self, monkeypatch):
         calls = {"n": 0}
@@ -513,7 +509,7 @@ class TestNetworkDetect:
         with pytest.raises(CapacityError, match=r"warmup \+ num_envs x window = 200 \+ 999999999 x 10"):
             network_detect(**{**small, "num_envs": 999999999}, test_config=TestConfig(), seed=0)
 
-    def test_seed_and_workers_checked_before_simulating(self, monkeypatch):
+    def test_seed_and_runs_checked_before_simulating(self, monkeypatch):
         def unexpected(horizon, seed):
             raise AssertionError("gen_lorenz called")
 
@@ -521,8 +517,8 @@ class TestNetworkDetect:
         small = dict(window=10, num_envs=20, runs=2, warmup=200, test_config=TestConfig(), seed=0)
         for change, message in (
             ({"seed": -1}, "seed must be a non-negative integer, got -1"),
-            ({"workers": 0}, "workers must be a positive integer, got 0"),
-            ({"workers": True}, "workers must be a positive integer, got True"),
+            ({"seed": True}, "seed must be a non-negative integer, got True"),
+            ({"runs": 0}, "runs must be a positive integer, got 0"),
         ):
             with pytest.raises(InvalidInputError, match=message):
                 network_detect(**{**small, **change})
@@ -550,7 +546,7 @@ class TestNetworkDetect:
             return original(seed, dofs, b, statistics)
 
         monkeypatch.setattr(invariance, "_null_pvalues", recording)
-        network_detect(window=20, num_envs=300, runs=2, test_config=TestConfig(), seed=1, warmup=500, workers=1)
+        network_detect(window=20, num_envs=300, runs=2, test_config=TestConfig(), seed=1, warmup=500)
         assert len(drawn) == 14
         assert set(drawn) == {derived_seed(1, run, 0, 1) for run in range(2)}
 

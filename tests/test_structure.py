@@ -3,9 +3,9 @@
 - No handler catches everything: no bare ``except``, ``except Exception`` or
   ``except BaseException``.  A run is retried only on the one error that a
   fresh seed can cure, and every other error reaches the caller.
-- One parallel layer: ``ThreadPoolExecutor`` is used only in
-  ``experiments.network_detect``, the pool over the network's independent runs;
-  a sweep runs serially.
+- No parallel layer: no module imports ``concurrent.futures``, ``threading``
+  or ``multiprocessing``.  A sweep's and a network's runs are many small numpy
+  calls, so they run serially, one after another.
 - One error boundary: in ``cli.py`` only ``main`` handles exceptions, so the
   map from error to exit code is written once.
 - ``linalg`` is the tests' reference for the batched fit: no module imports it.
@@ -123,10 +123,6 @@ def _users(target, visitor_class=_Users):
     return users
 
 
-def test_thread_pool_in_one_function_of_experiments():
-    assert _users("ThreadPoolExecutor") == {("experiments.py", "network_detect")}
-
-
 def test_seeds_derived_in_one_function():
     users = _users("generate_state")
     assert len(users) == 1, sorted(users)
@@ -236,6 +232,17 @@ def _imported_modules(tree):
 def test_imported_modules_sees_function_level_imports():
     source = "def f():\n    from scipy import stats\n    import scipy.special\n    importlib.import_module('scipy')\n"
     assert list(_imported_modules(ast.parse(source))) == ["scipy"] * 3
+
+
+def test_no_module_imports_a_parallel_library():
+    parallel = {"concurrent", "threading", "multiprocessing"}
+    offenders = [
+        f"{path.name}: {module}"
+        for path in MODULES
+        for module in _imported_modules(ast.parse(path.read_text(), filename=str(path)))
+        if module in parallel
+    ]
+    assert offenders == []
 
 
 # The name predates the stricter rule: no scipy import at any level.
