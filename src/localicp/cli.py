@@ -12,7 +12,9 @@ only; progress and diagnostics go to standard error so output can be piped.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
+import itertools
 import json
 import math
 import sys
@@ -36,7 +38,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 
-SCHEMA_VERSION = 1  # of discover and calibrate; simulate and network: RESULTS_SCHEMA_VERSION
+DISCOVER_SCHEMA_VERSION = 2  # 2: per-environment evidence only with --per-environment
+CALIBRATE_SCHEMA_VERSION = 1  # simulate and network: RESULTS_SCHEMA_VERSION
 
 
 def _seed(text: str) -> int:
@@ -91,25 +94,40 @@ def _dump_json(doc: dict) -> str:
 
 
 _REPORT = (
-    '{}    {{\n      "subset": {},\n      "residual_norms_sq": [\n        {}\n      ],\n'
-    '      "dofs": [\n        {}\n      ],\n      "statistic": {},\n      "p_value": {},\n'
+    '{}    {{\n      "subset": {},\n{}      "statistic": {},\n      "p_value": {},\n'
     '      "rejected": {}\n    }}'
 )
+_EVIDENCE = '      "residual_norms_sq": [\n        {}\n      ],\n      "dofs": [\n        {}\n      ],\n'
 _ITEM = ",\n        "
 
 
-def _discover_json(doc: dict, levels: Sequence[tuple]) -> Iterator[str]:
+def _discover_json(doc: dict, levels: Sequence[tuple], per_environment: bool = False) -> Iterator[str]:
     """``_dump_json({**doc, "reports": [...]})`` of ``DiscoveryResult.levels``, a report a chunk, without
-    ``json``'s ``indent`` encoder: numbers are ``repr`` of one ``tolist`` per array, infinity ``"inf"``."""
+    ``json``'s ``indent`` encoder: numbers are ``repr`` of one ``tolist`` per array, infinity ``"inf"``.
+    Only ``per_environment`` reports hold ``residual_norms_sq`` and ``dofs``; otherwise neither array
+    is read.  Each distinct dof vector is formatted once: a level of full-rank fits has one."""
+    dof_text = functools.cache(lambda dofs: _ITEM.join(map(repr, dofs)))
+
+    def evidence(norms, dofs) -> Iterable[str]:
+        if not per_environment:
+            return itertools.repeat("")
+        return (
+            _EVIDENCE.format(_ITEM.join(map(repr, n)), dof_text(d))
+            for n, d in zip(norms.tolist(), map(tuple, dofs.tolist()))
+        )
+
     head, tail = _dump_json({**doc, "reports": []}).rsplit("[]", 1)
     yield head + "["
-    rows = (row for subsets, *arrays in levels for row in zip(subsets, *(a.tolist() for a in arrays)))
-    for i, (subset, norms, dofs, statistic, p_value, rejected) in enumerate(rows):
+    rows = (
+        row
+        for subsets, norms, dofs, *arrays in levels
+        for row in zip(subsets, evidence(norms, dofs), *(a.tolist() for a in arrays))
+    )
+    for i, (subset, text, statistic, p_value, rejected) in enumerate(rows):
         yield _REPORT.format(
             ",\n" if i else "\n",
             f"[\n        {_ITEM.join(map(repr, subset))}\n      ]" if subset else "[]",
-            _ITEM.join(map(repr, norms)),
-            _ITEM.join(map(repr, dofs)),
+            text,
             '"inf"' if math.isinf(statistic) else repr(statistic),
             repr(p_value),
             "true" if rejected else "false",
@@ -130,7 +148,7 @@ def cmd_discover(args) -> int:
     config = TestConfig(alpha=args.alpha, mc_samples=args.mc_samples, seed=args.seed)
     result = discover(data, config, max_dim=args.max_dim)
     doc = {
-        "schema_version": SCHEMA_VERSION,
+        "schema_version": DISCOVER_SCHEMA_VERSION,
         "config": {
             "alpha": config.alpha,
             "mc_samples": config.mc_samples,
@@ -143,7 +161,7 @@ def cmd_discover(args) -> int:
         "subsets_tested": result.subsets_tested,
         "early_stopped": result.early_stopped,
     }
-    _emit(_discover_json(doc, result.levels), args.output)
+    _emit(_discover_json(doc, result.levels, args.per_environment), args.output)
     return EXIT_OK
 
 
@@ -182,7 +200,7 @@ def cmd_calibrate(args) -> int:
         replications=args.replications,
         seed=args.seed,
     )
-    _emit([_dump_json({"schema_version": SCHEMA_VERSION, **report})], args.output)
+    _emit([_dump_json({"schema_version": CALIBRATE_SCHEMA_VERSION, **report})], args.output)
     if not report["passed"]:
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
         print(f"calibration failed: {', '.join(failing)}", file=sys.stderr)
@@ -206,6 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
         p, "--alpha", "--mc-samples", "--seed", "--no-intercept", "--max-dim",
         "--output",
         format_help="input format (default: json for a .json file, csv otherwise)",
+    )
+    p.add_argument(
+        "--per-environment", action="store_true",
+        help="add each subset's per-environment residual_norms_sq and dofs to its report",
     )
     p.set_defaults(func=cmd_discover)
 

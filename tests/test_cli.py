@@ -84,13 +84,17 @@ def dataset_json(tmp_path):
     return str(path)
 
 
-def _oracle_json(doc, reports):
-    """The reference for ``discover``'s output: ``json.dumps(indent=2)`` of the whole document."""
+def _oracle_json(doc, reports, per_environment=False):
+    """The reference for ``discover``'s output: ``json.dumps(indent=2)`` of the whole document;
+    a report holds ``residual_norms_sq`` and ``dofs`` only ``per_environment``."""
     listed = [
         {
             "subset": list(r.subset),
-            "residual_norms_sq": list(r.residual_norms_sq),
-            "dofs": list(r.dofs),
+            **(
+                {"residual_norms_sq": list(r.residual_norms_sq), "dofs": list(r.dofs)}
+                if per_environment
+                else {}
+            ),
             "statistic": "inf" if math.isinf(r.statistic) else r.statistic,
             "p_value": r.p_value,
             "rejected": r.rejected,
@@ -102,7 +106,7 @@ def _oracle_json(doc, reports):
 
 def _discover_header(labels, subsets_tested, intercept=True):
     return {
-        "schema_version": 1,
+        "schema_version": 2,
         "config": {"alpha": 0.1, "mc_samples": 100, "seed": 1, "intercept": intercept},
         "env_labels": {label: i + 1 for i, label in enumerate(labels)},
         "estimated_parents": [1],
@@ -171,15 +175,34 @@ _EDGE_REPORTS = tuple(
 @example(_discover_document(["a", "b"], [], 2))
 def test_discover_json_matches_json_dumps(document):
     doc, levels, reports = document
-    assert "".join(_discover_json(doc, levels)) == _oracle_json(doc, reports)
+    for per_environment in (False, True):
+        written = "".join(_discover_json(doc, levels, per_environment))
+        assert written == _oracle_json(doc, reports, per_environment)
+
+
+class _Unreadable:
+    """Stands in for a level's norms or dofs array; reading any value from it raises."""
+
+    def _refuse(self, *args):
+        raise AssertionError("the default discover document read per-environment evidence")
+
+    tolist = __iter__ = __getitem__ = __array__ = _refuse
+
+
+def test_default_discover_json_never_reads_the_evidence(dataset_csv):
+    data = read_csv(dataset_csv).with_intercept()
+    result = discover(data, TestConfig(seed=1))
+    blind = [(subsets, _Unreadable(), _Unreadable(), *arrays) for subsets, _, _, *arrays in result.levels]
+    doc = _discover_header(data.env_labels, result.subsets_tested)
+    assert "".join(_discover_json(doc, blind)) == _oracle_json(doc, result.reports)
+    with pytest.raises(AssertionError, match="read per-environment evidence"):
+        "".join(_discover_json(doc, blind, per_environment=True))
 
 
 class TestDiscover:
     @pytest.mark.parametrize("intercept", [True, False])
     def test_output_equals_json_dumps_of_the_document(self, dataset_csv, intercept, capsys):
         argv = ["discover", dataset_csv, "--seed", "1"] + ([] if intercept else ["--no-intercept"])
-        assert main(argv) == EXIT_OK
-        out = capsys.readouterr().out
         data = read_csv(dataset_csv)
         result = discover(data.with_intercept() if intercept else data, TestConfig(seed=1))
         doc = _discover_header(data.env_labels, result.subsets_tested, intercept)
@@ -188,19 +211,34 @@ class TestDiscover:
             status=result.status,
             early_stopped=result.early_stopped,
         )
-        expected = _oracle_json(doc, result.reports)
-        assert json.loads(out) == json.loads(expected)
-        assert out == expected
+        for option, per_environment in (([], False), (["--per-environment"], True)):
+            assert main(argv + option) == EXIT_OK
+            out = capsys.readouterr().out
+            expected = _oracle_json(doc, result.reports, per_environment)
+            assert json.loads(out) == json.loads(expected)
+            assert out == expected
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_default_document_is_the_per_environment_one_without_evidence(self, dataset_csv, intercept, capsys):
+        argv = ["discover", dataset_csv, "--seed", "1"] + ([] if intercept else ["--no-intercept"])
+        assert main(argv) == EXIT_OK
+        default = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--per-environment"]) == EXIT_OK
+        full = json.loads(capsys.readouterr().out)
+        for report in full["reports"]:
+            assert len(report.pop("residual_norms_sq")) == len(report.pop("dofs")) == 8
+        assert default == full
 
     def test_csv_input_writes_json_results(self, dataset_csv, capsys):
         code = main(["discover", dataset_csv, "--seed", "1"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
         doc = json.loads(out)
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["estimated_parents"] == [1]
         assert doc["config"]["alpha"] == 0.1
         assert len(doc["reports"]) == 8
+        assert all(list(r) == ["subset", "statistic", "p_value", "rejected"] for r in doc["reports"])
 
     def test_json_input_by_extension(self, dataset_json, capsys):
         assert main(["discover", dataset_json]) == EXIT_OK
@@ -608,17 +646,20 @@ def test_every_command_runs_with_scipy_blocked(dataset_csv, tmp_path):
         ["simulate", "s.json", "--rank-tol", "1e-9"],
         ["simulate", "s.json", "--max-dim", "3"],
         ["simulate", "s.json", "--workers", "2"],
+        ["simulate", "s.json", "--per-environment"],
         ["network", "--no-intercept"],
         ["network", "--max-dim", "3"],
         ["network", "--format", "csv"],
         ["network", "--rank-tol", "1e-9"],
         ["network", "--horizon", "8500"],
         ["network", "--workers", "2"],
+        ["network", "--per-environment"],
         ["calibrate", "--workers", "2"],
         ["calibrate", "--no-intercept"],
         ["calibrate", "--rank-tol", "1e-9"],
         ["calibrate", "--max-dim", "3"],
         ["calibrate", "--format", "json"],
+        ["calibrate", "--per-environment"],
     ],
     ids=" ".join,
 )
@@ -638,7 +679,7 @@ def test_each_command_declares_the_options_it_reads():
         for name, p in commands.items()
     }
     test = {"--alpha", "--mc-samples", "--seed", "--output"}
-    assert set(options["discover"]) == test | {"--no-intercept", "--max-dim", "--format"}
+    assert set(options["discover"]) == test | {"--no-intercept", "--max-dim", "--format", "--per-environment"}
     assert set(options["simulate"]) == {"--seed", "--output", "--format"}
     assert set(options["network"]) == test | {"--warmup", "--window", "--num-envs", "--runs"}
     assert set(options["calibrate"]) == test | {"--replications"}
